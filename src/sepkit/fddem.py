@@ -155,7 +155,10 @@ def fddem_forward(x, p: FddemParams):
         ad.silu(ad.conv2d(xv, p.spatial1_w, p.spatial1_b, padding=1)),
         p.spatial2_w, p.spatial2_b, padding=1))
 
-    enhanced = [spectral.enhance_branch_v(xv, wb.re, wb.im)
+    # one input spectrum, fanned out to every branch's modulation
+    sre, sim = spectral.fft2_v(xv)
+    enhanced = [spectral.ifft2_real_v(
+                    *spectral.modulate_v(sre, sim, wb.re, wb.im))
                 for wb in p.branches]
     f = ad.conv2d(ad.concat(enhanced, axis=1), p.compress_w, p.compress_b)
 

@@ -204,8 +204,9 @@ def _fft_linearity(seed):
 def _fast_vs_naive(seed):
     rng = Stream(seed)
     worst = 0.0
-    for n in (4, 8, 16, 32, 64):
-        x = _rand(rng, (1, 1, n, n))
+    for h, w in ((4, 4), (5, 5), (8, 8), (12, 12), (16, 16), (20, 20),
+                 (32, 32), (40, 40), (64, 64), (12, 20)):
+        x = _rand(rng, (1, 1, h, w))
         fast = spectral.dft2_raw(x)
         naive = spectral.dft2_raw(x, force_naive=True)
         worst = max(worst, float(np.abs(fast - naive).max()))

@@ -5,10 +5,10 @@ The forward transform is the unnormalized DFT
     F[u, v] = sum_{x, y} X[x, y] * exp(-2j*pi*(u*x/H + v*y/W))
 
 applied independently per (batch, channel) plane; the inverse carries the
-1/(H*W) factor and returns the real part.  Power-of-two sizes take an
-iterative radix-2 path vectorized across planes; other sizes fall back to
-a per-bin naive evaluation that is deliberately O((H*W)^2) per plane so it
-doubles as an always-correct reference.
+1/(H*W) factor and returns the real part.  Every plane size goes through
+numpy's pocketfft.  A per-bin naive evaluation, deliberately O((H*W)^2)
+per plane, is kept behind `force_naive` as the always-correct reference
+and the benchmark baseline.
 
 Modulation multiplies a spectrum elementwise by learnable complex weights,
 one (C, H, W) weight pair per enhancement branch: real parts scale
@@ -35,53 +35,6 @@ _COMPLEX_FOR = {np.dtype(np.float32): np.complex64,
 FAULT_MODULATE_SIGN = False
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-_rev_cache: dict[int, np.ndarray] = {}
-_tw_cache: dict[tuple, np.ndarray] = {}
-
-
-def _bit_reversal(n: int) -> np.ndarray:
-    idx = _rev_cache.get(n)
-    if idx is None:
-        bits = n.bit_length() - 1
-        base = np.arange(n, dtype=np.int64)
-        idx = np.zeros(n, dtype=np.int64)
-        for b in range(bits):
-            idx = (idx << 1) | ((base >> b) & 1)
-        _rev_cache[n] = idx
-    return idx
-
-
-def _twiddles(size: int, sign: int, cdtype) -> np.ndarray:
-    key = (size, sign, np.dtype(cdtype).name)
-    tw = _tw_cache.get(key)
-    if tw is None:
-        k = np.arange(size // 2)
-        tw = np.exp(sign * 2j * np.pi * k / size).astype(cdtype)
-        _tw_cache[key] = tw
-    return tw
-
-
-def _fft_pow2_last(a: np.ndarray, sign: int) -> np.ndarray:
-    """Iterative radix-2 transform along the last axis (length power of two)."""
-    n = a.shape[-1]
-    out = np.ascontiguousarray(a[..., _bit_reversal(n)])
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = _twiddles(size, sign, out.dtype)
-        v = out.reshape(-1, n // size, size)
-        odd = v[..., half:] * tw
-        even = v[..., :half].copy()
-        v[..., :half] = even + odd
-        v[..., half:] = even - odd
-        size *= 2
-    return out
-
-
 def _naive_dft2_planes(a: np.ndarray, sign: int) -> np.ndarray:
     """Per-bin naive 2D DFT over the last two axes, O((H*W)^2) per plane."""
     h, w = a.shape[-2:]
@@ -103,24 +56,21 @@ def _naive_dft2_planes(a: np.ndarray, sign: int) -> np.ndarray:
 
 def dft2_raw(a: np.ndarray, inverse: bool = False,
              force_naive: bool = False) -> np.ndarray:
-    """Complex 2D DFT over the last two axes of `a`.
+    """Complex 2D DFT over the last two axes of `a`, any plane size.
 
     Forward is unnormalized with the e^{-j...} convention; inverse applies
-    1/(H*W).  The radix-2 path requires both H and W to be powers of two.
+    1/(H*W).  The result has the complex dtype matching `a` (complex64 for
+    float32 input).  `force_naive` selects the per-bin reference path.
     """
     if not np.iscomplexobj(a):
         a = a.astype(_COMPLEX_FOR[np.dtype(a.dtype)])
-    h, w = a.shape[-2:]
-    sign = +1 if inverse else -1
-    if not force_naive and _is_pow2(h) and _is_pow2(w):
-        t = _fft_pow2_last(a, sign)
-        t = _fft_pow2_last(np.ascontiguousarray(np.swapaxes(t, -1, -2)), sign)
-        out = np.ascontiguousarray(np.swapaxes(t, -1, -2))
-    else:
-        out = _naive_dft2_planes(a, sign)
-    if inverse:
-        out = out / (h * w)
-    return out
+    if force_naive:
+        h, w = a.shape[-2:]
+        out = _naive_dft2_planes(a, +1 if inverse else -1)
+        return out / (h * w) if inverse else out
+    out = np.fft.ifft2(a) if inverse else np.fft.fft2(a)
+    # numpy < 2 computes in complex128 whatever the input precision
+    return out.astype(a.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +185,10 @@ def modulate(s: ComplexTensor, w: ComplexWeights) -> ComplexTensor:
 
 
 def multi_branch_enhance(x: Tensor, weights) -> list:
-    """Per branch: transform, modulate with that branch's weights, invert."""
+    """Transform once, then per branch: modulate with its weights, invert."""
     require(len(weights) >= 1, "need at least one enhancement branch")
-    out = []
-    for w in weights:
-        out.append(ifft2(modulate(fft2(x), w)))
-    return out
+    s = fft2(x)
+    return [ifft2(modulate(s, w)) for w in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +253,3 @@ def ifft2_real_v(re, im, force_naive: bool = False) -> Var:
 def modulate_v(sre, sim, wre, wim) -> tuple:
     """Differentiable complex product; weights broadcast over the batch."""
     return _modulate_parts(sre, sim, wre, wim, ad.mul, ad.sub, ad.add)
-
-
-def enhance_branch_v(x, w_re, w_im, force_naive: bool = False) -> Var:
-    """One frequency branch: fft2 -> modulate -> real ifft2."""
-    sre, sim = fft2_v(x, force_naive=force_naive)
-    mre, mim = modulate_v(sre, sim, w_re, w_im)
-    return ifft2_real_v(mre, mim, force_naive=force_naive)

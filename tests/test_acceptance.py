@@ -52,10 +52,9 @@ def test_dft_matches_literal_oracle():
         x = Stream(derive_seed(BASE_SEED, 1000 + n)).normal((1, 1, n, n))
         ref = dft2_literal(x[0, 0])
         naive = spectral.dft2_raw(x, force_naive=True)[0, 0]
-        worst = max(worst, float(np.abs(naive - ref).max()))
-        if n & (n - 1) == 0:
-            fast = spectral.dft2_raw(x)[0, 0]
-            worst = max(worst, float(np.abs(fast - ref).max()))
+        fast = spectral.dft2_raw(x)[0, 0]
+        worst = max(worst, float(np.abs(naive - ref).max()),
+                    float(np.abs(fast - ref).max()))
     report("dft-oracle-equivalence", worst <= 1e-10,
            f"max abs err {worst:.3e} vs literal double-loop oracle "
            f"(tol 1e-10), sizes 4/7/8/12/16/32")
@@ -227,32 +226,37 @@ def test_ldconv_linear_parameter_growth():
 
 
 def test_performance_fast_vs_naive(tmp_path, capsys):
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text("""
+    # 40x40 is a detector-neck map size that is not a power of two
+    lines = []
+    ok = True
+    for n in (64, 40):
+        cfg = tmp_path / f"bench{n}.cfg"
+        cfg.write_text(f"""
 [chain]
 seed = 7
 dtype = f32
 
 [fft2]
 channels = 8
-height = 64
-width = 64
+height = {n}
+width = {n}
 path = fast
 
 [fft2]
 channels = 8
-height = 64
-width = 64
+height = {n}
+width = {n}
 path = naive
 """)
-    assert main(["bench", "--config", str(cfg), "--repeats", "5"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    medians = {m["module"]: m["median_ms"] for m in out["modules"]}
-    ratio = medians["fft2-naive1"] / medians["fft2-fast0"]
-    report("performance-sanity", ratio >= 10.0,
-           f"fast path {medians['fft2-fast0']:.2f} ms vs naive "
-           f"{medians['fft2-naive1']:.2f} ms, ratio {ratio:.1f}x >= 10x "
-           f"at 1x8x64x64 f32")
+        assert main(["bench", "--config", str(cfg), "--repeats", "5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        medians = {m["module"]: m["median_ms"] for m in out["modules"]}
+        ratio = medians["fft2-naive1"] / medians["fft2-fast0"]
+        ok = ok and ratio >= 10.0
+        lines.append(f"fast path {medians['fft2-fast0']:.2f} ms vs naive "
+                     f"{medians['fft2-naive1']:.2f} ms, ratio {ratio:.1f}x "
+                     f">= 10x at 1x8x{n}x{n} f32")
+    report("performance-sanity", ok, "; ".join(lines))
 
 
 def test_determinism(tmp_path, capsys):

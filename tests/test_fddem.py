@@ -120,9 +120,11 @@ class TestFddemForward:
 
 
 class TestFddemGradients:
-    def test_gradcheck_all_params(self):
-        p = FddemParams.random(4, 8, 8, Stream(14), branches=2, reduction=2)
-        x = Stream(15).normal((1, 4, 8, 8))
+    @pytest.mark.parametrize("h,w,batch", [(8, 8, 1), (6, 10, 2)],
+                             ids=["8x8-b1", "6x10-b2"])
+    def test_gradcheck_all_params(self, h, w, batch):
+        p = FddemParams.random(4, h, w, Stream(14), branches=2, reduction=2)
+        x = Stream(15).normal((batch, 4, h, w))
 
         def fn(leaves):
             live = replace_vars(p, leaves)

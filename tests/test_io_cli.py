@@ -297,19 +297,30 @@ dtype = f32
 
 [msgrb]
 channels = 4
+height = 6
+width = 10
 params = random
 
 [dysample]
 channels = 4
+height = 6
+width = 10
 params = zeros
+
+[fddem]
+channels = 4
+height = 12
+width = 20
+params = random
 """)
-        inp = write_input(tmp_path, seed=9, dtype="f32")
+        inp = write_input(tmp_path, seed=9, shape=(1, 4, 6, 10), dtype="f32")
         out = str(tmp_path / "o.sept")
         assert main(["forward", "--config", cfg, "--input", inp,
                      "--output", out]) == 0
         t = sio.read_tensor(out)
         assert t.dtype == "f32"
-        assert t.shape == (1, 4, 16, 16)
+        assert t.shape == (1, 4, 12, 20)
+        assert np.isfinite(t.data).all()
 
     def test_params_from_file_source(self, tmp_path, capsys):
         from sepkit import msgrb_forward

@@ -45,11 +45,20 @@ class TestForwardDft:
             np.testing.assert_allclose(s.im.data[0, 0], ref.imag, atol=1e-10)
 
     def test_fast_vs_naive_up_to_64(self):
-        for n in (4, 8, 16, 32, 64):
-            x = rand_plane(n + 1, n, n)
+        sizes = [(n, n) for n in (4, 5, 8, 12, 16, 20, 32, 40, 64)]
+        for h, w in sizes + [(12, 20)]:
+            x = rand_plane(h + 1, h, w)
             fast = spectral.dft2_raw(x.data)
             naive = spectral.dft2_raw(x.data, force_naive=True)
             assert np.abs(fast - naive).max() <= 1e-9
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_f32_input_stays_complex64(self, inverse):
+        x = Stream(5).normal((1, 2, 12, 20)).astype(np.float32)
+        out = spectral.dft2_raw(x, inverse=inverse)
+        assert out.dtype == np.complex64
+        ref = spectral.dft2_raw(x.astype(np.float64), inverse=inverse)
+        assert np.abs(out - ref).max() <= 1e-4 * np.abs(ref).max()
 
     def test_linearity(self):
         x = Stream(1).normal((1, 1, 8, 8))
