@@ -128,6 +128,11 @@ def as_var(x) -> Var:
                if not isinstance(x, np.ndarray) else x)
 
 
+def wrap_like(x, out: Var):
+    """Hand `out` back as a Tensor when the caller passed one in."""
+    return Tensor(out.value, copy=False) if isinstance(x, Tensor) else out
+
+
 def _tape_of(*vars_) -> Tape | None:
     tape = None
     for v in vars_:
@@ -378,12 +383,8 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Var:
 
     def build():
         xv, wv = x.value, w.value
-
-        def vjp(g):
-            gx, gw, gb = tc.conv2d_grads(g, xv, wv, stride, padding,
+        return lambda g: tc.conv2d_grads(g, xv, wv, stride, padding,
                                          with_bias=b is not None)
-            return (gx, gw, gb)
-        return vjp
     return _apply(value, (x, w, b), build, "conv2d")
 
 
@@ -393,11 +394,28 @@ def depthwise_conv2d(x, w) -> Var:
 
     def build():
         xv, wv = x.value, w.value
-
-        def vjp(g):
-            return tc.depthwise_conv2d_grads(g, xv, wv)
-        return vjp
+        return lambda g: tc.depthwise_conv2d_grads(g, xv, wv)
     return _apply(value, (x, w), build, "depthwise_conv2d")
+
+
+def fold_kernels(kernels, sizes) -> Var:
+    """Sum (C, 1, k, k) kernels of the given odd sizes, each zero-padded
+    to the largest; the vjp hands each kernel its center crop."""
+    kernels, big = [as_var(k) for k in kernels], max(sizes)
+    c = kernels[-1].value.shape[0]
+    crops = [(Ellipsis,) + (slice((big - k) // 2, (big + k) // 2),) * 2
+             for k in sizes]
+    value = np.zeros((c, 1, big, big),
+                     dtype=np.result_type(*(k.value for k in kernels)))
+    for k, size, crop in zip(kernels, sizes, crops, strict=True):
+        require(k.value.shape == (c, 1, size, size) and size % 2 == 1,
+                f"kernel shape {k.value.shape} is not ({c}, 1, {size}, "
+                f"{size}) with odd size")
+        value[crop] += k.value
+
+    def build():
+        return lambda g: tuple(np.ascontiguousarray(g[crop]) for crop in crops)
+    return _apply(value, tuple(kernels), build, "fold_kernels")
 
 
 def bilinear_sample(x, grid) -> Var:
@@ -413,10 +431,7 @@ def bilinear_sample(x, grid) -> Var:
 
     def build():
         xv, gv = x.value, grid.value
-
-        def vjp(g):
-            return tc.bilinear_sample_grads(g, xv, gv, True, True)
-        return vjp
+        return lambda g: tc.bilinear_sample_grads(g, xv, gv, True, True)
     return _apply(value, (x, grid), build, "bilinear_sample")
 
 

@@ -140,7 +140,7 @@ def ldconv_forward(x, p: LdconvParams):
         sampled.append(ad.bilinear_sample(xv, grid))
     stacked = ad.concat(sampled, axis=1)  # point-major (N, n_points*C, ho, wo)
     out = ad.conv2d(stacked, p.mix_w)
-    return Tensor(out.value, copy=False) if isinstance(x, Tensor) else out
+    return ad.wrap_like(x, out)
 
 
 @dataclass
@@ -193,7 +193,7 @@ def dysample_offsets(x, p: DysampleParams):
             f"input has {xv.value.shape[1]} channels, params expect "
             f"{p.channels}")
     out = ad.conv2d(xv, p.offset_w, p.offset_b)
-    return Tensor(out.value, copy=False) if isinstance(x, Tensor) else out
+    return ad.wrap_like(x, out)
 
 
 def dysample_grid_from_offsets(offsets, h: int, w: int,
@@ -236,7 +236,7 @@ def dysample_forward(x, p: DysampleParams):
     offs = dysample_offsets(xv, p)
     grid = dysample_grid_from_offsets(offs, h, w, p)
     out = ad.bilinear_sample(xv, grid)
-    return Tensor(out.value, copy=False) if isinstance(x, Tensor) else out
+    return ad.wrap_like(x, out)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,6 @@ def ca2neck_forward(features, p: Ca2neckParams):
     """Refine a 3-level pyramid (shallow to deep, sizes halving by level)."""
     require(len(features) == 3,
             f"expected 3 pyramid levels, got {len(features)}")
-    was_tensor = isinstance(features[0], Tensor)
     c0, c1, c2 = [ad.as_var(f) for f in features]
     exp = p.channels
     for lvl, (f, c) in enumerate(zip((c0, c1, c2), exp)):
@@ -340,7 +339,4 @@ def ca2neck_forward(features, p: Ca2neckParams):
     b2 = merge(ldconv_forward(b1, p.ld_bu2), c2,
                p.merge_bu2_w, p.merge_bu2_b, p.fuse_bu2)
 
-    outs = [t0, b1, b2]
-    if was_tensor:
-        return [Tensor(o.value, copy=False) for o in outs]
-    return outs
+    return [ad.wrap_like(features[0], o) for o in (t0, b1, b2)]

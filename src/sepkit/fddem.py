@@ -28,7 +28,7 @@ from . import autodiff as ad
 from . import spectral
 from .rng import Stream
 from .spectral import ComplexWeights
-from .tensor import Tensor, require
+from .tensor import require
 
 
 @dataclass
@@ -113,10 +113,6 @@ class FddemParams:
         )
 
 
-def _wrap_like(x, out):
-    return Tensor(out.value, copy=False) if isinstance(x, Tensor) else out
-
-
 def dual_attention(f, p: FddemParams):
     """Frequency-guided attention map in (0, 1), shaped like the input.
 
@@ -139,7 +135,7 @@ def dual_attention(f, p: FddemParams):
     spatial_logits = ad.conv2d(ad.concat([cmean, cmax], axis=1),
                                p.sa_w, p.sa_b, padding=3)  # (N, 1, H, W)
     att = ad.sigmoid(ad.add(channel_logits, spatial_logits))
-    return _wrap_like(f, att)
+    return ad.wrap_like(f, att)
 
 
 def fddem_forward(x, p: FddemParams):
@@ -164,4 +160,4 @@ def fddem_forward(x, p: FddemParams):
 
     att = dual_attention(f, p)
     out = ad.add(spatial, ad.mul(ad.as_var(att), f))
-    return _wrap_like(x, out)
+    return ad.wrap_like(x, out)

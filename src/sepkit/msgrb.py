@@ -7,8 +7,10 @@ and projects back with a bias-free 1x1 shrink wrapped in a residual:
 
     y = x + shrink( msdwconv(gelu(x_k)) * sigmoid(v_k) )
 
-With the shrink weights at their zero initialization the whole block is
-an exact identity, so it can be dropped into any graph safely.
+The depthwise branches run as one 7x7 pass of their zero-padded sum
+(run-time re-parameterization); each branch's gradient is a center crop of
+the folded kernel's.  With the shrink weights at their zero initialization
+the whole block is an exact identity, so it can be dropped in safely.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .rng import Stream
-from .tensor import Tensor, require
+from .tensor import require
 
 KERNEL_SIZES = (3, 5, 7)
 
@@ -70,16 +72,11 @@ class MsgrbParams:
         )
 
 
-def _wrap_like(x, out: Var):
-    return Tensor(out.value, copy=False) if isinstance(x, Tensor) else out
-
-
 def msdwconv(x, dw3, dw5, dw7):
-    """Sum of shape-preserving depthwise convolutions at sizes 3, 5, 7."""
-    out = ad.add(ad.add(ad.depthwise_conv2d(x, dw3),
-                        ad.depthwise_conv2d(x, dw5)),
-                 ad.depthwise_conv2d(x, dw7))
-    return _wrap_like(x, out)
+    """Sum of shape-preserving depthwise convolutions at sizes 3, 5, 7,
+    computed as one 7x7 pass of the center-padded kernel sum."""
+    w = ad.fold_kernels((dw3, dw5, dw7), KERNEL_SIZES)
+    return ad.wrap_like(x, ad.depthwise_conv2d(x, w))
 
 
 def ms_gu(x, p: MsgrbParams):
@@ -94,10 +91,10 @@ def ms_gu(x, p: MsgrbParams):
     refined = msdwconv(ad.gelu(x_k), p.dw3, p.dw5, p.dw7)
     gated = ad.mul(refined, ad.sigmoid(v_k))
     out = ad.conv2d(gated, p.shrink_w)
-    return _wrap_like(x, out)
+    return ad.wrap_like(x, out)
 
 
 def msgrb_forward(x, p: MsgrbParams):
     """Residual wrapper: y = x + ms_gu(x)."""
     out = ad.add(ad.as_var(x), ad.as_var(ms_gu(x, p)))
-    return _wrap_like(x, out)
+    return ad.wrap_like(x, out)

@@ -324,6 +324,15 @@ def _msdw_channel_locality(seed):
     return same and changed, 0.0 if same else 1.0
 
 
+def _msdw_fold_matches_sum(seed):
+    rng = Stream(seed)
+    kernels = [_rand(rng, (3, 1, k, k)) for k in ms.KERNEL_SIZES]
+    x = _rand(rng, (2, 3, 6, 10))
+    err = float(np.abs(ms.msdwconv(x, *kernels).value - sum(
+        tc.depthwise_conv2d_raw(x, k) for k in kernels)).max())
+    return err <= 1e-12, err
+
+
 # -- ca2neck -------------------------------------------------------------------
 
 def _coords_zero_mean(seed):
@@ -403,6 +412,7 @@ REGISTRY = (
     ("msgrb", "closed_gate_vanishes", _msgrb_closed_gate),
     ("msgrb", "residual_decomposition", _msgrb_decomposition),
     ("msgrb", "msdw_channel_locality", _msdw_channel_locality),
+    ("msgrb", "msdw_fold_matches_sum", _msdw_fold_matches_sum),
     ("ca2neck", "coords_zero_mean", _coords_zero_mean),
     ("ca2neck", "ldconv_linear_growth", _ldconv_linear_growth),
     ("ca2neck", "dysample_constant_preserved", _dysample_constant_preserved),

@@ -15,7 +15,7 @@ thin validated wrappers over the same kernels.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from .errors import DimensionError, NumericError
 
@@ -272,21 +272,21 @@ def bilinear_sample_grads(g: np.ndarray, x: np.ndarray, coords: np.ndarray,
 
     gx = None
     if need_x:
-        gxf = np.zeros((n * groups, cg, h * w), dtype=x.dtype)
-        flat = lambda ri, si: (ri * w + si).reshape(n * groups, 1, ho * wo)
-        pi = np.arange(n * groups).reshape(-1, 1, 1)
-        ci = np.arange(cg).reshape(1, -1, 1)
-        vals = gg.reshape(n * groups, cg, ho * wo)
-        weights = (
-            ((1 - wr) * (1 - ws), r0, s0),
-            ((1 - wr) * ws, r0, s1),
-            (wr * (1 - ws), r1, s0),
-            (wr * ws, r1, s1),
-        )
-        for wt, ri, si in weights:
-            wv = wt.reshape(n * groups, 1, ho * wo) * vals
-            np.add.at(gxf, (pi, ci, flat(ri, si)), wv)
-        gx = np.ascontiguousarray(gxf.reshape(n, groups * cg, h, w))
+        # interpolation matrix (pixels x points), four entries per point
+        # column; duplicate clamped corners are summed by the product
+        from scipy.sparse import csc_array
+        blocks, pts = n * groups, ho * wo
+        rows = np.stack([r0 * w + s0, r0 * w + s1, r1 * w + s0, r1 * w + s1],
+                        axis=-1).reshape(blocks, 4 * pts)
+        rows += np.arange(blocks).reshape(blocks, 1) * (h * w)
+        wts = np.stack([(1 - wr) * (1 - ws), (1 - wr) * ws, wr * (1 - ws),
+                        wr * ws], axis=-1)
+        interp = csc_array((wts.reshape(-1), rows.reshape(-1), np.arange(
+            0, 4 * blocks * pts + 1, 4)), shape=(blocks * h * w, blocks * pts))
+        cols = gg.reshape(blocks, cg, pts).transpose(0, 2, 1)
+        gx = (interp @ cols.reshape(blocks * pts, cg)).reshape(
+            n, groups, h * w, cg).transpose(0, 1, 3, 2)
+        gx = np.ascontiguousarray(gx).reshape(n, groups * cg, h, w)
 
     ggrid = None
     if need_grid:
@@ -317,12 +317,7 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 
 def sigmoid_raw(x: np.ndarray) -> np.ndarray:
     require_finite(x, "sigmoid input")
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return expit(x)
 
 
 def sigmoid_grad_from_value(s: np.ndarray) -> np.ndarray:

@@ -125,3 +125,28 @@ def clamped_conv3x3(x, w):
                                 acc += w[o, ch, ki, kj] * x[bi, ch, ri, cj]
                     out[bi, o, i, j] = acc
     return out
+
+
+def bilinear_input_grad_naive(g, x_shape, coords):
+    """Input gradient of border-clamped grouped bilinear sampling, scattered
+    one sample point and one corner at a time."""
+    n, c, h, w = x_shape
+    groups, ho, wo = coords.shape[1:4]
+    cg = c // groups
+    gx = np.zeros(x_shape, dtype=g.dtype)
+    for bi in range(n):
+        for gi in range(groups):
+            for i in range(ho):
+                for j in range(wo):
+                    r = min(max(coords[bi, gi, i, j, 0], 0.0), h - 1.0)
+                    s = min(max(coords[bi, gi, i, j, 1], 0.0), w - 1.0)
+                    r0, s0 = int(np.floor(r)), int(np.floor(s))
+                    r1, s1 = min(r0 + 1, h - 1), min(s0 + 1, w - 1)
+                    fr, fs = r - r0, s - s0
+                    for ri, si, wt in ((r0, s0, (1 - fr) * (1 - fs)),
+                                       (r0, s1, (1 - fr) * fs),
+                                       (r1, s0, fr * (1 - fs)),
+                                       (r1, s1, fr * fs)):
+                        for ch in range(gi * cg, (gi + 1) * cg):
+                            gx[bi, ch, ri, si] += wt * g[bi, ch, i, j]
+    return gx

@@ -4,7 +4,10 @@ import pytest
 from sepkit import DimensionError, NumericError, Tape, gradcheck
 from sepkit import autodiff as ad
 from sepkit import spectral
+from sepkit import tensor as tc
 from sepkit.rng import Stream
+
+from oracles import bilinear_input_grad_naive
 
 
 def rand(seed, shape):
@@ -223,3 +226,33 @@ class TestEveryOpDifferentiates:
 
         report = gradcheck(fn, {"x": rand(23, (1, 2, 7, 7))}, seed=6)
         assert report.passed
+
+    @staticmethod
+    def _border_coords(seed):
+        # batch 2, groups 2; many points fall outside the 6x7 plane and
+        # clamp to its border, where a point's corners coincide
+        base = Stream(seed).uniform((2, 2, 4, 5, 2)) * 10.0 - 2.0
+        return np.floor(base) + 0.4
+
+    def test_bilinear_input_grads_clamped_batched(self):
+        coords = self._border_coords(40)
+        assert (coords < 0).any() and (coords[..., 0] > 5).any()
+
+        def fn(p):
+            return ad.sum_all(ad.mul(ad.bilinear_sample(p["x"], coords),
+                                     rand(41, (2, 4, 4, 5))))
+
+        report = gradcheck(fn, {"x": rand(42, (2, 4, 6, 7))}, seed=7)
+        assert report.passed
+        assert max(p.max_rel_err for p in report.params) <= 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bilinear_input_grads_match_scatter_oracle(self, dtype):
+        coords = self._border_coords(43)
+        x = rand(44, (2, 4, 6, 7)).astype(dtype)
+        g = rand(45, (2, 4, 4, 5)).astype(dtype)
+        gx, _ = tc.bilinear_sample_grads(g, x, coords, True, False)
+        ref = bilinear_input_grad_naive(g.astype(np.float64), x.shape, coords)
+        assert gx.dtype == dtype and gx.flags.c_contiguous
+        np.testing.assert_allclose(gx, ref,
+                                   atol=1e-12 if dtype == np.float64 else 1e-5)

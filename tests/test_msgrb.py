@@ -44,6 +44,42 @@ class TestMsdwconv:
             msdwconv(x, np.zeros((2, 1, 3, 3)), np.zeros((2, 1, 5, 5)),
                      np.zeros((2, 1, 7, 7)))
 
+    @staticmethod
+    def _branches(seed, channels=4):
+        rng = Stream(seed)
+        return [rng.normal((channels, 1, k, k)) for k in (3, 5, 7)]
+
+    def test_folded_matches_three_branch_graph(self):
+        x0 = Stream(30).normal((2, 4, 6, 10))
+        params = dict(zip(("dw3", "dw5", "dw7"), self._branches(31)))
+        params["x"] = x0
+        g_out = Stream(32).normal((2, 4, 6, 10))
+        results = []
+        for folded in (True, False):
+            tape = ad.Tape()
+            v = {k: tape.leaf(a, k) for k, a in params.items()}
+            if folded:
+                y = msdwconv(v["x"], v["dw3"], v["dw5"], v["dw7"])
+            else:
+                y = ad.add(ad.add(ad.depthwise_conv2d(v["x"], v["dw3"]),
+                                  ad.depthwise_conv2d(v["x"], v["dw5"])),
+                           ad.depthwise_conv2d(v["x"], v["dw7"]))
+            results.append((y.value, tape.backward(y, g_out)))
+        (y_fold, g_fold), (y_ref, g_ref) = results
+        np.testing.assert_allclose(y_fold, y_ref, rtol=0, atol=1e-12)
+        for name in params:
+            assert g_fold[name].shape == params[name].shape
+            np.testing.assert_allclose(g_fold[name], g_ref[name], rtol=0,
+                                       atol=1e-12)
+
+    def test_fold_rejects_bad_kernel_shapes(self):
+        x = rand_tensor(33, (1, 4, 5, 5))
+        dw3, dw5, dw7 = self._branches(34)
+        with pytest.raises(DimensionError):
+            msdwconv(x, dw3, np.zeros((1, 1, 5, 5)), dw7)
+        with pytest.raises(DimensionError):
+            msdwconv(x, dw3, np.zeros((4, 1, 3, 3)), dw7)
+
 
 class TestMsGu:
     def test_closed_gate_vanishes(self):

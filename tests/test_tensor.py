@@ -5,6 +5,7 @@ from sepkit import (DimensionError, NumericError, SamplingGrid, Tensor,
                     bilinear_sample, concat_channels, conv2d,
                     depthwise_conv2d, gelu, sigmoid, silu, split_channels)
 from sepkit.rng import Stream
+from sepkit.tensor import sigmoid_raw
 
 from oracles import conv2d_naive, depthwise_naive
 
@@ -205,6 +206,16 @@ class TestActivations:
         v = sigmoid(x).data[0, 0, 0, 0]
         assert 0.0 < v <= 2e-22
         assert np.isfinite(v)
+
+    def test_sigmoid_dtype_saturation_and_nan(self):
+        x = np.array([-800.0, 0.0, 800.0]).reshape(1, 1, 1, 3)
+        with np.errstate(all="raise"):
+            for dtype in (np.float32, np.float64):
+                v = sigmoid_raw(x.astype(dtype))
+                assert v.dtype == dtype
+                assert v.reshape(-1).tolist() == [0.0, 0.5, 1.0]
+        with pytest.raises(NumericError):
+            sigmoid_raw(np.full((1, 1, 1, 1), np.nan))
 
     def test_sigmoid_range(self):
         x = rand_tensor(19, (1, 2, 8, 8))
