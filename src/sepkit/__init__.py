@@ -17,8 +17,7 @@ from .fddem import FddemParams, dual_attention, fddem_forward
 from .msgrb import MsgrbParams, ms_gu, msdwconv, msgrb_forward
 from .params import ParamStore
 from .rng import Stream, derive_seed
-from .spectral import (ComplexTensor, ComplexWeights, fft2, ifft2, modulate,
-                       multi_branch_enhance)
+from .spectral import ComplexTensor, ComplexWeights
 from .tensor import (SamplingGrid, Tensor, bilinear_sample, concat_channels,
                      conv2d, depthwise_conv2d, gelu, sigmoid, silu,
                      split_channels)
@@ -29,8 +28,7 @@ __all__ = [
     "Tensor", "SamplingGrid", "conv2d", "depthwise_conv2d", "bilinear_sample",
     "gelu", "sigmoid", "silu", "split_channels", "concat_channels",
     "Tape", "Var", "GradReport", "gradcheck",
-    "ComplexTensor", "ComplexWeights", "fft2", "ifft2", "modulate",
-    "multi_branch_enhance",
+    "ComplexTensor", "ComplexWeights",
     "FddemParams", "dual_attention", "fddem_forward",
     "MsgrbParams", "msdwconv", "ms_gu", "msgrb_forward",
     "LdconvParams", "DysampleParams", "Ca2neckParams", "ldconv_coords",

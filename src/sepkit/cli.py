@@ -5,11 +5,13 @@ Commands: `forward` (run a configured chain on a tensor file), `props`
 parameter of a configured chain against central differences), and `bench`
 (per-stage wall times).  All reports are JSON on stdout with the seed
 echoed; errors go to stderr with exit codes 2 (config/arguments), 3
-(shape), 4 (numerics), 1 (a property or tolerance failure).
+(shape or malformed file), 4 (numerics), 1 (a property or tolerance
+failure).
 
-`--threads` (default from SEP_THREADS, then 1) is validated and recorded;
-the implementation is single-threaded, and all published numbers use
-thread count 1, where runs are bit-deterministic for a given seed.
+Every stage runs through the `config.STAGES` table, so these commands
+know no stage kind by name; a pyramid stage reads and writes one
+`level<i>.sept` file per level.  Runs are single-threaded and
+bit-deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import io as sio
 from . import props as sprops
-from .config import build_chain, parse_config
+from .config import STAGES, build_chain, parse_config
 from .errors import ConfigError, DimensionError, NumericError
 from .params import named_arrays, replace_vars
 from .rng import Stream, derive_seed
@@ -39,63 +41,49 @@ EXIT_NUMERIC = 4
 _LEVEL_FILES = ("level0.sept", "level1.sept", "level2.sept")
 
 
-def _resolve_threads(value) -> int:
-    if value is None:
-        value = os.environ.get("SEP_THREADS", "1")
-    try:
-        threads = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"thread count must be an integer, got {value!r}")
-    if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {threads}")
-    return threads
-
-
 def _load_config(args):
     cfg = parse_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     return cfg, seed
 
 
-def _synth_input(shape, seed: int, dtype: str):
+def _synth_input(stage, seed: int, dtype: str):
+    """Seeded normal input of the stage's declared shape, one per level."""
     rng = Stream(derive_seed(seed, 7919))
-    return Tensor(rng.normal(shape).astype(DTYPES[dtype]), copy=False)
+
+    def draw(shape):
+        return Tensor(rng.normal(shape).astype(DTYPES[dtype]), copy=False)
+
+    if STAGES[stage.kind].pyramid:
+        return [draw(shape) for shape in stage.in_shape]
+    return draw(stage.in_shape)
 
 
 def _read_chain_input(chain, path: str):
-    if chain[0].kind == "ca2neck":
-        levels = []
-        for fname in _LEVEL_FILES:
-            fpath = os.path.join(path, fname)
-            if not os.path.exists(fpath):
-                raise ConfigError(f"input file not found: {fpath}")
-            levels.append(sio.read_tensor(fpath))
-        return levels
-    if not os.path.exists(path):
-        raise ConfigError(f"input file not found: {path}")
-    return sio.read_tensor(path)
+    pyramid = STAGES[chain[0].kind].pyramid
+    paths = ([os.path.join(path, f) for f in _LEVEL_FILES] if pyramid
+             else [path])
+    for fpath in paths:
+        if not os.path.exists(fpath):
+            raise ConfigError(f"input file not found: {fpath}")
+    levels = [sio.read_tensor(fpath) for fpath in paths]
+    return levels if pyramid else levels[0]
 
 
 def _check_chain_input(chain, x, dtype: str):
     first = chain[0]
-    if first.kind == "ca2neck":
-        shapes = tuple(t.shape for t in x)
-        if shapes != first.in_shape:
-            raise DimensionError(
-                f"pyramid shapes {shapes} do not match configured "
-                f"{first.in_shape}")
-        bad = [t.dtype for t in x if t.dtype != dtype]
-        if bad:
-            raise DimensionError(
-                f"pyramid dtype {bad[0]} does not match configured {dtype}")
-        return
-    if x.shape != first.in_shape:
+    if STAGES[first.kind].pyramid:
+        levels, expected = x, first.in_shape
+    else:
+        levels, expected = [x], (first.in_shape,)
+    shapes = tuple(t.shape for t in levels)
+    if shapes != expected:
         raise DimensionError(
-            f"input shape {x.shape} does not match configured "
-            f"{first.in_shape}")
-    if x.dtype != dtype:
+            f"input shapes {shapes} do not match configured {expected}")
+    bad = [t.dtype for t in levels if t.dtype != dtype]
+    if bad:
         raise DimensionError(
-            f"input dtype {x.dtype} does not match configured {dtype}")
+            f"input dtype {bad[0]} does not match configured {dtype}")
 
 
 def _stats(value, wall_ms: float, seed: int) -> dict:
@@ -127,7 +115,7 @@ def cmd_forward(args) -> int:
     for stage in chain:
         value = stage.forward(value)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    if chain[0].kind == "ca2neck":
+    if STAGES[chain[0].kind].pyramid:
         os.makedirs(args.output, exist_ok=True)
         for fname, level in zip(_LEVEL_FILES, value):
             sio.write_tensor(os.path.join(args.output, fname), level)
@@ -155,8 +143,8 @@ def cmd_gradcheck(args) -> int:
     for stage in chain:
         if stage.params is None:
             continue
-        x = _synth_input_for(stage, seed)
-        report = stage_gradcheck(stage, x, seed)
+        report = stage_gradcheck(stage, _synth_input(stage, seed, "f64"),
+                                 seed)
         ok = ok and report.passed
         reports.append({"module": stage.name, **report.as_dict()})
     payload = {"seed": seed, "pass": ok, "modules": reports}
@@ -164,53 +152,22 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _synth_input_for(stage, seed: int):
-    if stage.kind == "ca2neck":
-        rng = Stream(derive_seed(seed, 7919))
-        return [Tensor(rng.normal(s).astype(np.float64), copy=False)
-                for s in stage.in_shape]
-    return _synth_input(stage.in_shape, seed, "f64")
-
-
-def _as_chain_input(x):
-    if isinstance(x, list):
-        return [ad.as_var(t) for t in x]
-    return ad.as_var(x)
-
-
 def stage_gradcheck(stage, x, seed: int) -> ad.GradReport:
     """Certify every parameter of one built stage on the given input."""
-    arrays = named_arrays(stage.params)
+    forward = STAGES[stage.kind].forward
+    xv = [ad.as_var(t) for t in x] if isinstance(x, list) else ad.as_var(x)
 
     def fn(leaves):
         live = replace_vars(stage.params, leaves)
-        out = _forward_with(stage, live, x)
-        if isinstance(out, list):
-            total = ad.sum_all(out[0])
-            for o in out[1:]:
-                total = ad.add(total, ad.sum_all(o))
-            return total
-        return ad.sum_all(out)
+        out = forward(xv, live, stage.options)
+        outs = out if isinstance(out, list) else [out]
+        total = ad.sum_all(outs[0])
+        for o in outs[1:]:
+            total = ad.add(total, ad.sum_all(o))
+        return total
 
-    return ad.gradcheck(fn, arrays, eps=1e-5, tol=1e-4,
+    return ad.gradcheck(fn, named_arrays(stage.params), eps=1e-5, tol=1e-4,
                         seed=derive_seed(seed, 13))
-
-
-def _forward_with(stage, live_params, x):
-    from . import ca2neck as neck
-    from . import fddem as fd
-    from . import msgrb as ms
-    forwards = {
-        "msgrb": ms.msgrb_forward,
-        "fddem": fd.fddem_forward,
-        "ldconv": neck.ldconv_forward,
-        "dysample": neck.dysample_forward,
-        "ca2neck": neck.ca2neck_forward,
-    }
-    if stage.kind not in forwards:
-        raise ConfigError(
-            f"gradcheck does not support stage kind {stage.kind!r}")
-    return forwards[stage.kind](_as_chain_input(x), live_params)
 
 
 def cmd_bench(args) -> int:
@@ -218,7 +175,7 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"bench needs repeats >= 3, got {args.repeats}")
     cfg, seed = _load_config(args)
     chain = build_chain(cfg, seed)
-    value = _synth_input_for_chain(chain, seed, cfg.dtype)
+    value = _synth_input(chain[0], seed, cfg.dtype)
     records = []
     for stage in chain:
         times = []
@@ -227,7 +184,7 @@ def cmd_bench(args) -> int:
             start = time.perf_counter()
             out = stage.forward(value)
             times.append((time.perf_counter() - start) * 1000.0)
-        if stage.kind == "ca2neck":
+        if STAGES[stage.kind].pyramid:
             shape = [list(t.shape) for t in value]
         else:
             shape = list(value.shape)
@@ -243,15 +200,6 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _synth_input_for_chain(chain, seed: int, dtype: str):
-    first = chain[0]
-    if first.kind == "ca2neck":
-        rng = Stream(derive_seed(seed, 7919))
-        return [Tensor(rng.normal(s).astype(DTYPES[dtype]), copy=False)
-                for s in first.in_shape]
-    return _synth_input(first.in_shape, seed, dtype)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sepkit",
@@ -264,14 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     fwd.add_argument("--input", required=True)
     fwd.add_argument("--output", required=True)
     fwd.add_argument("--seed", type=int, default=None)
-    fwd.add_argument("--threads", type=int, default=None)
     fwd.set_defaults(fn=cmd_forward)
 
     pr = sub.add_parser("props", help="run the registered property catalog")
     pr.add_argument("--filter", default=None,
                     help="run a single suite (e.g. spectral)")
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--threads", type=int, default=None)
     pr.add_argument("--inject-fault", default=None, choices=sprops.FAULTS,
                     help="test-only: enable a named deliberate defect")
     pr.set_defaults(fn=cmd_props)
@@ -280,14 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="finite-difference certification of a chain")
     gc.add_argument("--config", required=True)
     gc.add_argument("--seed", type=int, default=None)
-    gc.add_argument("--threads", type=int, default=None)
     gc.set_defaults(fn=cmd_gradcheck)
 
     be = sub.add_parser("bench", help="per-stage wall times for a chain")
     be.add_argument("--config", required=True)
     be.add_argument("--repeats", type=int, default=5)
     be.add_argument("--seed", type=int, default=None)
-    be.add_argument("--threads", type=int, default=None)
     be.set_defaults(fn=cmd_bench)
     return parser
 
@@ -296,7 +240,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_threads(getattr(args, "threads", None))
         return args.fn(args)
     except ConfigError as exc:
         print(f"sepkit: {exc}", file=sys.stderr)

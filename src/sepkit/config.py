@@ -26,14 +26,21 @@ Module kinds and their keys (defaults in parentheses):
               height (8), width (8), batch (1), points (5), scope (0.25),
               params
 
+Counts and sizes are integers >= 1, `scope` is a finite number, and a
+ca2neck's level-0 height and width are multiples of 4; a bad value is a
+`ConfigError` naming its line as soon as the file is read.
+
 `params` is one of `zeros` (the declared identity initialization),
 `random` (seeded from the run seed and the module's position), or
-`file:PATH` (a SEPP parameter file).  A `ca2neck` stage consumes a
-3-level pyramid and must be the only stage in its chain.
+`file:PATH` (a SEPP parameter file filling the identity template).  A
+`ca2neck` stage consumes a 3-level pyramid and must be the only stage in
+its chain.
 
-Declared sizes are used to synthesize inputs for `gradcheck` and `bench`
-and to check that adjacent stages are shape-compatible before anything
-runs.
+Each kind is one entry of `STAGES`: its keys, its parameter builder, its
+forward and its shape rule.  The CLI's `forward`, `gradcheck` and `bench`
+all run stages through that table.  Declared sizes are used to synthesize
+inputs for `gradcheck` and `bench` and to check that adjacent stages are
+shape-compatible before anything runs.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import autodiff as ad
 from . import ca2neck as neck
 from . import fddem as fd
 from . import msgrb as ms
@@ -48,22 +56,160 @@ from . import spectral
 from .errors import ConfigError
 from .io import read_params
 from .rng import Stream, derive_seed
-from .tensor import DTYPES, Tensor
+from .tensor import DTYPES
 
-_MODULE_KINDS = ("msgrb", "fddem", "ldconv", "dysample", "fft2", "ca2neck")
+_REQUIRED = object()
 
-_ALLOWED_KEYS = {
-    "chain": {"seed", "dtype"},
-    "msgrb": {"channels", "height", "width", "batch", "hidden", "params"},
-    "fddem": {"channels", "height", "width", "batch", "branches",
-              "reduction", "params"},
-    "ldconv": {"in_channels", "out_channels", "points", "stride", "height",
-               "width", "batch", "params"},
-    "dysample": {"channels", "scale", "groups", "scope", "height", "width",
-                 "batch", "params"},
-    "fft2": {"channels", "height", "width", "batch", "path"},
-    "ca2neck": {"channels", "height", "width", "batch", "points", "scope",
-                "params"},
+
+def _checked(convert, ok, expects: str):
+    """A key parser: convert the raw text, then require ok(value)."""
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            raise ValueError(expects) from None
+        if not ok(value):
+            raise ValueError(expects)
+        return value
+    return parse
+
+
+_INT = _checked(int, lambda v: True, "an integer")
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_LEVEL0 = _checked(int, lambda v: v >= 1 and v % 4 == 0,
+                   "a positive multiple of 4")
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_DTYPE = _checked(str, lambda v: v in DTYPES, "f32 or f64")
+_PATH = _checked(str, lambda v: v in ("fast", "naive"), "fast or naive")
+_SOURCE = _checked(str, lambda v: v in ("zeros", "random")
+                   or v.startswith("file:"), "zeros, random, or file:PATH")
+_TRIPLE = _checked(lambda raw: tuple(int(v) for v in raw.split(",")),
+                   lambda v: len(v) == 3 and min(v) >= 1,
+                   "three comma-separated integers >= 1")
+
+_CHAIN_KEYS = {"seed": (0, _INT), "dtype": ("f64", _DTYPE)}
+_PARAMS = {"params": ("zeros", _SOURCE)}
+
+
+def _plane(height=8, width=8, parse=_COUNT) -> dict:
+    return {"height": (height, parse), "width": (width, parse),
+            "batch": (1, _COUNT)}
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One stage kind.
+
+    `keys` maps each key to (default or _REQUIRED, parser).  With `o` the
+    resolved options, `params(o, dtype, rng)` builds the parameters; rng
+    None gives the declared identity init, which is also the template a
+    SEPP file fills.  `forward(x, params, o)` runs the stage and
+    `shapes(o)` gives (in_shape, out_shape).  A `pyramid` stage maps three
+    levels to three.  Forwards look the block functions up at call time,
+    so wrappers installed on the block modules see every call.
+    """
+
+    keys: dict
+    params: object
+    forward: object
+    shapes: object
+    pyramid: bool = False
+
+
+def _same(o):
+    shape = (o["batch"], o["channels"], o["height"], o["width"])
+    return shape, shape
+
+
+def _ldconv_shapes(o):
+    n, h, w, s = o["batch"], o["height"], o["width"], o["stride"]
+    return ((n, o["in_channels"], h, w),
+            (n, o["out_channels"], math.ceil(h / s), math.ceil(w / s)))
+
+
+def _dysample_shapes(o):
+    n, c, h, w, s = (o["batch"], o["channels"], o["height"], o["width"],
+                     o["scale"])
+    return (n, c, h, w), (n, c, s * h, s * w)
+
+
+def _pyramid_shapes(o):
+    shapes = tuple((o["batch"], c, o["height"] >> i, o["width"] >> i)
+                   for i, c in enumerate(o["channels"]))
+    return shapes, shapes
+
+
+def _msgrb_params(o, dtype, rng):
+    if rng is None:
+        return ms.MsgrbParams.identity(o["channels"], o["hidden"],
+                                       dtype=dtype)
+    return ms.MsgrbParams.random(o["channels"], rng, o["hidden"], dtype=dtype)
+
+
+def _fddem_params(o, dtype, rng):
+    dims = (o["channels"], o["height"], o["width"])
+    if rng is None:
+        return fd.FddemParams.identity(*dims, o["branches"], o["reduction"],
+                                       dtype=dtype)
+    return fd.FddemParams.random(*dims, rng, o["branches"], o["reduction"],
+                                 dtype=dtype)
+
+
+def _fft2_forward(x, params, o):
+    naive = o["path"] == "naive"
+    spectrum = spectral.fft2_v(x, force_naive=naive)
+    return ad.wrap_like(x, spectral.ifft2_real_v(*spectrum,
+                                                 force_naive=naive))
+
+
+STAGES = {
+    "msgrb": Stage(
+        keys={"channels": (_REQUIRED, _COUNT), "hidden": (None, _COUNT),
+              **_plane(), **_PARAMS},
+        params=_msgrb_params,
+        forward=lambda x, p, o: ms.msgrb_forward(x, p),
+        shapes=_same),
+    "fddem": Stage(
+        keys={"channels": (_REQUIRED, _COUNT), "branches": (3, _COUNT),
+              "reduction": (4, _COUNT), **_plane(_REQUIRED, _REQUIRED),
+              **_PARAMS},
+        params=_fddem_params,
+        forward=lambda x, p, o: fd.fddem_forward(x, p),
+        shapes=_same),
+    "ldconv": Stage(
+        keys={"in_channels": (_REQUIRED, _COUNT),
+              "out_channels": (_REQUIRED, _COUNT), "points": (5, _COUNT),
+              "stride": (2, _COUNT), **_plane(), **_PARAMS},
+        params=lambda o, dtype, rng: neck.LdconvParams.init(
+            o["in_channels"], o["out_channels"], o["points"], o["stride"],
+            rng=rng, dtype=dtype),
+        forward=lambda x, p, o: neck.ldconv_forward(x, p),
+        shapes=_ldconv_shapes),
+    "dysample": Stage(
+        keys={"channels": (_REQUIRED, _COUNT), "scale": (2, _COUNT),
+              "groups": (1, _COUNT), "scope": (neck.DEFAULT_SCOPE, _FINITE),
+              **_plane(), **_PARAMS},
+        params=lambda o, dtype, rng: neck.DysampleParams.init(
+            o["channels"], o["scale"], o["groups"], o["scope"], rng=rng,
+            dtype=dtype),
+        forward=lambda x, p, o: neck.dysample_forward(x, p),
+        shapes=_dysample_shapes),
+    "fft2": Stage(
+        keys={"channels": (1, _COUNT), "path": ("fast", _PATH),
+              **_plane(64, 64)},
+        params=None,
+        forward=_fft2_forward,
+        shapes=_same),
+    "ca2neck": Stage(
+        keys={"channels": (_REQUIRED, _TRIPLE), "points": (5, _COUNT),
+              "scope": (neck.DEFAULT_SCOPE, _FINITE),
+              **_plane(parse=_LEVEL0), **_PARAMS},
+        params=lambda o, dtype, rng: neck.Ca2neckParams.init(
+            o["channels"], o["points"], scope=o["scope"], rng=rng,
+            dtype=dtype),
+        forward=lambda x, p, o: neck.ca2neck_forward(x, p),
+        shapes=_pyramid_shapes,
+        pyramid=True),
 }
 
 
@@ -81,6 +227,28 @@ class GraphConfig:
     modules: list
 
 
+def _parse(keys: dict, key: str, raw: str, lineno: int):
+    try:
+        return keys[key][1](raw)
+    except ValueError as exc:
+        raise ConfigError(
+            f"line {lineno}: {key} must be {exc}, got {raw!r}") from None
+
+
+def _resolve(spec: ModuleSpec, keys: dict) -> dict:
+    """Every key of a section: its parsed value or its default."""
+    values = {}
+    for key, (default, _) in keys.items():
+        if key in spec.options:
+            values[key] = _parse(keys, key, spec.options[key], spec.lineno)
+        elif default is _REQUIRED:
+            raise ConfigError(
+                f"line {spec.lineno}: [{spec.kind}] requires key {key!r}")
+        else:
+            values[key] = default
+    return values
+
+
 def parse_config(path: str) -> GraphConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -88,11 +256,9 @@ def parse_config(path: str) -> GraphConfig:
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
 
-    seed = 0
-    dtype = "f64"
+    chain = ModuleSpec("chain", {}, 0)
     modules: list[ModuleSpec] = []
     section = None
-    seen_chain = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,12 +266,11 @@ def parse_config(path: str) -> GraphConfig:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name == "chain":
-                if seen_chain or modules:
+                if section is not None:
                     raise ConfigError(
                         f"line {lineno}: [chain] must appear once, first")
-                seen_chain = True
-                section = ModuleSpec("chain", {}, lineno)
-            elif name in _MODULE_KINDS:
+                section = chain
+            elif name in STAGES:
                 section = ModuleSpec(name, {}, lineno)
                 modules.append(section)
             else:
@@ -116,225 +281,65 @@ def parse_config(path: str) -> GraphConfig:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any section")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _ALLOWED_KEYS[section.kind]:
+        keys = _CHAIN_KEYS if section is chain else STAGES[section.kind].keys
+        if key not in keys:
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r} in [{section.kind}]")
         if key in section.options:
             raise ConfigError(
                 f"line {lineno}: duplicate key {key!r} in [{section.kind}]")
+        _parse(keys, key, value, lineno)
         section.options[key] = value
-        if section.kind == "chain":
-            if key == "seed":
-                seed = _parse_int(value, "seed", lineno)
-            else:
-                if value not in DTYPES:
-                    raise ConfigError(
-                        f"line {lineno}: dtype must be f32 or f64")
-                dtype = value
 
     if not modules:
         raise ConfigError("config declares no modules")
-    if any(m.kind == "ca2neck" for m in modules) and len(modules) > 1:
+    if any(STAGES[m.kind].pyramid for m in modules) and len(modules) > 1:
         raise ConfigError("a ca2neck stage must be the only stage in a chain")
-    return GraphConfig(seed=seed, dtype=dtype, modules=modules)
-
-
-def _parse_int(value: str, key: str, ctx) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{ctx}: {key} must be an integer, got {value!r}")
-
-
-def _opt_int(spec: ModuleSpec, key: str, default=None) -> int:
-    if key not in spec.options:
-        if default is None:
-            raise ConfigError(
-                f"line {spec.lineno}: [{spec.kind}] requires key {key!r}")
-        return default
-    return _parse_int(spec.options[key], key, f"line {spec.lineno}")
-
-
-def _opt_float(spec: ModuleSpec, key: str, default: float) -> float:
-    if key not in spec.options:
-        return default
-    try:
-        return float(spec.options[key])
-    except ValueError:
-        raise ConfigError(
-            f"line {spec.lineno}: {key} must be a number, got "
-            f"{spec.options[key]!r}")
+    settings = _resolve(chain, _CHAIN_KEYS)
+    return GraphConfig(seed=settings["seed"], dtype=settings["dtype"],
+                       modules=modules)
 
 
 class ChainModule:
-    """One built chain stage: parameters plus a polymorphic forward."""
+    """One built chain stage: resolved options, parameters and shapes."""
 
-    def __init__(self, name, kind, params, forward, in_shape, out_shape,
-                 seed, source):
+    def __init__(self, name, kind, options, params, in_shape, out_shape):
         self.name = name
         self.kind = kind
+        self.options = options
         self.params = params
-        self.forward = forward
         self.in_shape = in_shape
         self.out_shape = out_shape
-        self.seed = seed
-        self.source = source
+
+    def forward(self, x):
+        return STAGES[self.kind].forward(x, self.params, self.options)
 
 
-def _param_source(spec: ModuleSpec) -> str:
-    src = spec.options.get("params", "zeros")
-    if src in ("zeros", "random") or src.startswith("file:"):
-        return src
-    raise ConfigError(
-        f"line {spec.lineno}: params must be zeros, random, or file:PATH, "
-        f"got {src!r}")
-
-
-def _materialize(source: str, identity_fn, random_fn, store_template_fn):
-    if source == "zeros":
-        return identity_fn()
-    if source == "random":
-        return random_fn()
-    path = source[len("file:"):]
-    store = read_params(path)
-    return store.to_params(store_template_fn())
+def _build_params(stage: Stage, o: dict, dtype, rng: Stream, lineno: int):
+    if o["params"] == "random":
+        return stage.params(o, dtype, rng)
+    template = stage.params(o, dtype, None)
+    if o["params"] == "zeros":
+        return template
+    path = o["params"][len("file:"):]
+    try:
+        return read_params(path).to_params(template)
+    except KeyError as exc:
+        raise ConfigError(
+            f"line {lineno}: params file {path}: {exc.args[0]}") from None
 
 
 def build_module(spec: ModuleSpec, index: int, cfg: GraphConfig,
                  seed: int) -> ChainModule:
-    dtype = DTYPES[cfg.dtype]
-    batch = _opt_int(spec, "batch", 1)
-    mod_seed = derive_seed(seed, index)
-    source = "n/a" if spec.kind == "fft2" else _param_source(spec)
-    rng = Stream(mod_seed)
-    name = f"{spec.kind}{index}"
-
-    if spec.kind == "msgrb":
-        channels = _opt_int(spec, "channels")
-        h, w = _opt_int(spec, "height", 8), _opt_int(spec, "width", 8)
-        hidden = _opt_int(spec, "hidden", channels)
-        params = _materialize(
-            source,
-            lambda: ms.MsgrbParams.identity(channels, hidden, dtype=dtype),
-            lambda: ms.MsgrbParams.random(channels, rng, hidden, dtype=dtype),
-            lambda: ms.MsgrbParams.identity(channels, hidden, dtype=dtype))
-        shape = (batch, channels, h, w)
-        return ChainModule(name, spec.kind, params,
-                           lambda x: ms.msgrb_forward(x, params),
-                           shape, shape, mod_seed, source)
-
-    if spec.kind == "fddem":
-        channels = _opt_int(spec, "channels")
-        h, w = _opt_int(spec, "height"), _opt_int(spec, "width")
-        branches = _opt_int(spec, "branches", 3)
-        reduction = _opt_int(spec, "reduction", 4)
-        params = _materialize(
-            source,
-            lambda: fd.FddemParams.identity(channels, h, w, branches,
-                                            reduction, dtype=dtype),
-            lambda: fd.FddemParams.random(channels, h, w, rng, branches,
-                                          reduction, dtype=dtype),
-            lambda: fd.FddemParams.identity(channels, h, w, branches,
-                                            reduction, dtype=dtype))
-        shape = (batch, channels, h, w)
-        return ChainModule(name, spec.kind, params,
-                           lambda x: fd.fddem_forward(x, params),
-                           shape, shape, mod_seed, source)
-
-    if spec.kind == "ldconv":
-        cin = _opt_int(spec, "in_channels")
-        cout = _opt_int(spec, "out_channels")
-        points = _opt_int(spec, "points", 5)
-        stride = _opt_int(spec, "stride", 2)
-        h, w = _opt_int(spec, "height", 8), _opt_int(spec, "width", 8)
-        params = _materialize(
-            source,
-            lambda: neck.LdconvParams.init(cin, cout, points, stride,
-                                           dtype=dtype),
-            lambda: neck.LdconvParams.init(cin, cout, points, stride,
-                                           rng=rng, dtype=dtype),
-            lambda: neck.LdconvParams.init(cin, cout, points, stride,
-                                           dtype=dtype))
-        in_shape = (batch, cin, h, w)
-        out_shape = (batch, cout, math.ceil(h / stride),
-                     math.ceil(w / stride))
-        return ChainModule(name, spec.kind, params,
-                           lambda x: neck.ldconv_forward(x, params),
-                           in_shape, out_shape, mod_seed, source)
-
-    if spec.kind == "dysample":
-        channels = _opt_int(spec, "channels")
-        scale = _opt_int(spec, "scale", 2)
-        groups = _opt_int(spec, "groups", 1)
-        scope = _opt_float(spec, "scope", neck.DEFAULT_SCOPE)
-        h, w = _opt_int(spec, "height", 8), _opt_int(spec, "width", 8)
-        params = _materialize(
-            source,
-            lambda: neck.DysampleParams.init(channels, scale, groups, scope,
-                                             dtype=dtype),
-            lambda: neck.DysampleParams.init(channels, scale, groups, scope,
-                                             rng=rng, dtype=dtype),
-            lambda: neck.DysampleParams.init(channels, scale, groups, scope,
-                                             dtype=dtype))
-        in_shape = (batch, channels, h, w)
-        out_shape = (batch, channels, scale * h, scale * w)
-        return ChainModule(name, spec.kind, params,
-                           lambda x: neck.dysample_forward(x, params),
-                           in_shape, out_shape, mod_seed, source)
-
-    if spec.kind == "fft2":
-        channels = _opt_int(spec, "channels", 1)
-        h, w = _opt_int(spec, "height", 64), _opt_int(spec, "width", 64)
-        path = spec.options.get("path", "fast")
-        if path not in ("fast", "naive"):
-            raise ConfigError(
-                f"line {spec.lineno}: path must be fast or naive")
-        force_naive = path == "naive"
-
-        def forward(x):
-            if isinstance(x, Tensor):
-                return spectral.ifft2(spectral.fft2(x, force_naive),
-                                      force_naive=force_naive)
-            sre, sim = spectral.fft2_v(x, force_naive=force_naive)
-            return spectral.ifft2_real_v(sre, sim, force_naive=force_naive)
-
-        shape = (batch, channels, h, w)
-        return ChainModule(f"fft2-{path}{index}", spec.kind, None, forward,
-                           shape, shape, mod_seed, source)
-
-    if spec.kind == "ca2neck":
-        raw = spec.options.get("channels")
-        if raw is None:
-            raise ConfigError(
-                f"line {spec.lineno}: [ca2neck] requires key 'channels'")
-        try:
-            channels = tuple(int(v) for v in raw.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"line {spec.lineno}: channels must be three integers")
-        if len(channels) != 3:
-            raise ConfigError(
-                f"line {spec.lineno}: ca2neck needs exactly 3 channel counts")
-        points = _opt_int(spec, "points", 5)
-        scope = _opt_float(spec, "scope", neck.DEFAULT_SCOPE)
-        h, w = _opt_int(spec, "height", 8), _opt_int(spec, "width", 8)
-        if h % 4 or w % 4:
-            raise ConfigError(
-                f"line {spec.lineno}: level-0 sizes must be multiples of 4")
-        params = _materialize(
-            source,
-            lambda: neck.Ca2neckParams.init(channels, points, scope=scope,
-                                            dtype=dtype),
-            lambda: neck.Ca2neckParams.init(channels, points, scope=scope,
-                                            rng=rng, dtype=dtype),
-            lambda: neck.Ca2neckParams.init(channels, points, scope=scope,
-                                            dtype=dtype))
-        shapes = tuple((batch, channels[i], h >> i, w >> i) for i in range(3))
-        return ChainModule(name, spec.kind, params,
-                           lambda xs: neck.ca2neck_forward(xs, params),
-                           shapes, shapes, mod_seed, source)
-
-    raise ConfigError(f"unknown module kind {spec.kind!r}")
+    stage = STAGES[spec.kind]
+    o = _resolve(spec, stage.keys)
+    params = None
+    if stage.params is not None:
+        params = _build_params(stage, o, DTYPES[cfg.dtype],
+                               Stream(derive_seed(seed, index)), spec.lineno)
+    tag = f"-{o['path']}" if "path" in o else ""
+    return ChainModule(f"{spec.kind}{tag}{index}", spec.kind, o, params,
+                       *stage.shapes(o))
 
 
 def build_chain(cfg: GraphConfig, seed: int) -> list:

@@ -53,26 +53,36 @@ def tensor_block_bytes(arr: np.ndarray) -> bytes:
     return header + dims + payload
 
 
+def _unpack(fmt: str, buf: bytes, offset: int) -> tuple:
+    """struct.unpack_from that reports a short buffer as a DimensionError."""
+    if offset + struct.calcsize(fmt) > len(buf):
+        raise DimensionError(f"file truncated at offset {offset}")
+    return struct.unpack_from(fmt, buf, offset)
+
+
 def read_tensor_block(buf: bytes, offset: int):
     """Parse one SEPT block at `offset`; returns (array, next_offset)."""
     if buf[offset:offset + 4] != MAGIC_TENSOR:
         raise DimensionError(
             f"bad tensor magic {buf[offset:offset + 4]!r} at offset {offset}")
-    version, code, ndim = struct.unpack_from("<IBB", buf, offset + 4)
+    version, code, ndim = _unpack("<IBB", buf, offset + 4)
     if version != FORMAT_VERSION:
         raise DimensionError(f"unsupported tensor format version {version}")
     if ndim != 4:
         raise DimensionError(f"tensor blocks must be 4D, got ndim={ndim}")
     if code not in _CODE_DTYPE:
         raise DimensionError(f"unknown dtype code {code}")
-    dims = struct.unpack_from("<4Q", buf, offset + 10)
+    dims = _unpack("<4Q", buf, offset + 10)
     dtype = _CODE_DTYPE[code]
     count = math.prod(dims)  # python ints: no silent overflow on bad dims
     start = offset + 10 + 32
     end = start + count * dtype.itemsize
     if end > len(buf):
         raise DimensionError("tensor block truncated")
-    arr = np.frombuffer(buf[start:end], dtype=dtype).reshape(dims)
+    try:
+        arr = np.frombuffer(buf[start:end], dtype=dtype).reshape(dims)
+    except ValueError:  # an empty block whose other dims overflow
+        raise DimensionError(f"bad tensor dims {dims}") from None
     return np.ascontiguousarray(arr).astype(dtype.newbyteorder("=")), end
 
 
@@ -135,13 +145,18 @@ def read_params(path: str) -> ParamStore:
         buf = fh.read()
     if buf[:4] != MAGIC_PARAMS:
         raise DimensionError(f"bad params magic {buf[:4]!r} in {path}")
-    count = struct.unpack_from("<I", buf, 4)[0]
+    count = _unpack("<I", buf, 4)[0]
     store = ParamStore()
     offset = 8
     for _ in range(count):
-        name_len = struct.unpack_from("<H", buf, offset)[0]
+        name_len = _unpack("<H", buf, offset)[0]
         offset += 2
-        name = buf[offset:offset + name_len].decode("utf-8")
+        try:
+            name = buf[offset:offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DimensionError(
+                f"params name at offset {offset} is not UTF-8 in {path}"
+            ) from None
         offset += name_len
         arr, offset = read_tensor_block(buf, offset)
         store.put(name, arr)

@@ -168,10 +168,10 @@ def _parseval(seed):
     worst = 0.0
     for i, (h, w) in enumerate(((4, 4), (7, 5), (8, 8), (12, 9), (16, 16),
                                 (32, 32), (5, 16), (64, 64))):
-        x = Tensor(_rand(rng, (1, 1, h, w)))
-        s = spectral.fft2(x)
-        spatial = float((x.data ** 2).sum())
-        spectrum = float(((s.re.data ** 2) + (s.im.data ** 2)).sum()) / (h * w)
+        x = _rand(rng, (1, 1, h, w))
+        re, im = spectral.fft2_v(x)
+        spatial = float((x ** 2).sum())
+        spectrum = float(((re.value ** 2) + (im.value ** 2)).sum()) / (h * w)
         worst = max(worst, abs(spatial - spectrum) / max(abs(spatial), 1e-12))
     return worst <= 1e-9, worst
 
@@ -180,12 +180,12 @@ def _parseval_modulated(seed):
     """Unit-magnitude weights only rotate phases, so energy is preserved."""
     rng = Stream(seed)
     h = w = 8
-    x = Tensor(_rand(rng, (1, 2, h, w)))
+    x = _rand(rng, (1, 2, h, w))
     phase = rng.uniform((2, h, w)) * 2.0 * np.pi
-    weights = spectral.ComplexWeights(np.cos(phase), np.sin(phase))
-    s = spectral.modulate(spectral.fft2(x), weights)
-    spatial = float((x.data ** 2).sum())
-    spectrum = float(((s.re.data ** 2) + (s.im.data ** 2)).sum()) / (h * w)
+    re, im = spectral.modulate_v(*spectral.fft2_v(x), np.cos(phase),
+                                 np.sin(phase))
+    spatial = float((x ** 2).sum())
+    spectrum = float(((re.value ** 2) + (im.value ** 2)).sum()) / (h * w)
     err = abs(spatial - spectrum) / max(abs(spatial), 1e-12)
     return err <= 1e-9, err
 
@@ -216,8 +216,7 @@ def _fast_vs_naive(seed):
 def _hermitian_symmetry(seed):
     rng = Stream(seed)
     h, w = 8, 12
-    s = spectral.fft2(Tensor(_rand(rng, (1, 1, h, w))))
-    z = s.to_complex()[0, 0]
+    z = spectral.dft2_raw(_rand(rng, (1, 1, h, w)))[0, 0]
     mirrored = np.conj(z[(-np.arange(h)) % h][:, (-np.arange(w)) % w])
     err = float(np.abs(z - mirrored).max())
     return err <= 1e-9, err
@@ -225,10 +224,11 @@ def _hermitian_symmetry(seed):
 
 def _modulate_identity_roundtrip(seed):
     rng = Stream(seed)
-    x = Tensor(_rand(rng, (1, 2, 8, 8)))
-    weights = spectral.ComplexWeights.identity(2, 8, 8)
-    y = spectral.ifft2(spectral.modulate(spectral.fft2(x), weights))
-    err = float(np.abs(y.data - x.data).max())
+    x = _rand(rng, (1, 2, 8, 8))
+    w = spectral.ComplexWeights.identity(2, 8, 8)
+    y = spectral.ifft2_real_v(*spectral.modulate_v(*spectral.fft2_v(x),
+                                                   w.re, w.im))
+    err = float(np.abs(y.value - x).max())
     return err <= 1e-10, err
 
 
@@ -255,10 +255,11 @@ def _fddem_zero_input(seed):
 def _fddem_freq_path_bounded(seed):
     rng = Stream(seed)
     p = fd.FddemParams.random(4, 8, 8, rng)
-    x = Tensor(_rand(rng, (1, 4, 8, 8)))
-    enhanced = [spectral.ifft2(spectral.modulate(spectral.fft2(x), wb))
+    spectrum = spectral.fft2_v(_rand(rng, (1, 4, 8, 8)))
+    enhanced = [spectral.ifft2_real_v(*spectral.modulate_v(*spectrum,
+                                                           wb.re, wb.im))
                 for wb in p.branches]
-    f = tc.conv2d_raw(np.concatenate([e.data for e in enhanced], axis=1),
+    f = tc.conv2d_raw(np.concatenate([e.value for e in enhanced], axis=1),
                       p.compress_w, p.compress_b, 1, 0)
     att = fd.dual_attention(Tensor(f), p)
     excess = float((np.abs(att.data * f) - np.abs(f)).max())

@@ -14,6 +14,10 @@ Modulation multiplies a spectrum elementwise by learnable complex weights,
 one (C, H, W) weight pair per enhancement branch: real parts scale
 amplitudes, imaginary parts rotate phases.  Weights initialize to 1+0j so
 an untrained branch is an identity map.
+
+The differentiable `fft2_v`, `modulate_v` and `ifft2_real_v` are the one
+execution path, with or without a tape; `dft2_raw` is the plain-array
+transform underneath them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .tensor import Tensor, require, require_finite
 _COMPLEX_FOR = {np.dtype(np.float32): np.complex64,
                 np.dtype(np.float64): np.complex128}
 
-# test-only fault hook: when set, modulate flips the sign of the
+# test-only fault hook: when set, modulate_v flips the sign of the
 # spectrum.im * weight.re term so harness checks can prove they catch it
 FAULT_MODULATE_SIGN = False
 
@@ -74,11 +78,11 @@ def dft2_raw(a: np.ndarray, inverse: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# typed surface
+# containers
 # ---------------------------------------------------------------------------
 
 class ComplexTensor:
-    """Paired real/imaginary tensors of equal shape: a per-plane spectrum."""
+    """Paired real/imaginary tensors of equal shape: a SEPC file's content."""
 
     __slots__ = ("re", "im")
 
@@ -95,9 +99,6 @@ class ComplexTensor:
     @property
     def shape(self) -> tuple:
         return self.re.shape
-
-    def to_complex(self) -> np.ndarray:
-        return self.re.data + 1j * self.im.data
 
 
 @dataclass
@@ -135,60 +136,6 @@ class ComplexWeights:
         return ComplexWeights(
             (1.0 + rng.normal(shape, scale=spread)).astype(dtype),
             rng.normal(shape, scale=spread).astype(dtype))
-
-
-def _check_plane_input(x: Tensor) -> None:
-    require(x.shape[2] >= 1 and x.shape[3] >= 1,
-            f"transform needs H, W >= 1, got {x.shape}")
-
-
-def fft2(x: Tensor, force_naive: bool = False) -> ComplexTensor:
-    """Unnormalized forward DFT of every (batch, channel) plane."""
-    _check_plane_input(x)
-    spec = dft2_raw(x.data, inverse=False, force_naive=force_naive)
-    return ComplexTensor(Tensor(np.ascontiguousarray(spec.real), copy=False),
-                         Tensor(np.ascontiguousarray(spec.imag), copy=False))
-
-
-def ifft2(s: ComplexTensor, force_naive: bool = False,
-          return_residue: bool = False):
-    """Inverse DFT with 1/(H*W); returns the real part of the result.
-
-    With `return_residue` the largest |imaginary| left after inversion is
-    returned too; it stays at rounding level whenever the spectrum kept
-    Hermitian symmetry and is silently discarded otherwise.
-    """
-    out = dft2_raw(s.to_complex(), inverse=True, force_naive=force_naive)
-    spatial = Tensor(np.ascontiguousarray(out.real), copy=False)
-    if return_residue:
-        return spatial, float(np.abs(out.imag).max())
-    return spatial
-
-
-def _modulate_parts(sre, sim, wre, wim, mul, sub, add):
-    """Complex product decomposed over any arithmetic (ndarray or Var)."""
-    re = sub(mul(sre, wre), mul(sim, wim))
-    if FAULT_MODULATE_SIGN:
-        im = sub(mul(sre, wim), mul(sim, wre))
-    else:
-        im = add(mul(sre, wim), mul(sim, wre))
-    return re, im
-
-
-def modulate(s: ComplexTensor, w: ComplexWeights) -> ComplexTensor:
-    """Elementwise complex product of a spectrum with branch weights."""
-    require(w.re.shape == s.shape[1:],
-            f"weights {w.re.shape} do not match spectrum planes {s.shape[1:]}")
-    re, im = _modulate_parts(s.re.data, s.im.data, w.re, w.im,
-                             np.multiply, np.subtract, np.add)
-    return ComplexTensor(Tensor(re, copy=False), Tensor(im, copy=False))
-
-
-def multi_branch_enhance(x: Tensor, weights) -> list:
-    """Transform once, then per branch: modulate with its weights, invert."""
-    require(len(weights) >= 1, "need at least one enhancement branch")
-    s = fft2(x)
-    return [ifft2(modulate(s, w)) for w in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -251,5 +198,14 @@ def ifft2_real_v(re, im, force_naive: bool = False) -> Var:
 
 
 def modulate_v(sre, sim, wre, wim) -> tuple:
-    """Differentiable complex product; weights broadcast over the batch."""
-    return _modulate_parts(sre, sim, wre, wim, ad.mul, ad.sub, ad.add)
+    """Differentiable complex product of an (N, C, H, W) spectrum with
+    (C, H, W) weights, shared across the batch."""
+    sre, sim, wre, wim = (as_var(v) for v in (sre, sim, wre, wim))
+    planes = sre.value.shape[1:]
+    require(wre.value.shape == planes and wim.value.shape == planes,
+            f"weights {wre.value.shape}/{wim.value.shape} do not match "
+            f"spectrum planes {planes}")
+    re = ad.sub(ad.mul(sre, wre), ad.mul(sim, wim))
+    cross = ad.sub if FAULT_MODULATE_SIGN else ad.add
+    im = cross(ad.mul(sre, wim), ad.mul(sim, wre))
+    return re, im

@@ -98,11 +98,14 @@ class TestFddemForward:
         assert (y.data == 0).all()
 
     def test_frequency_contribution_bounded(self):
-        from sepkit import fft2, ifft2, modulate
+        from sepkit import spectral
         from sepkit.tensor import conv2d_raw
         p = FddemParams.random(4, 8, 8, Stream(8))
         x = rand_tensor(9, (1, 4, 8, 8))
-        parts = [ifft2(modulate(fft2(x), wb)).data for wb in p.branches]
+        spectrum = spectral.fft2_v(x.data)
+        parts = [spectral.ifft2_real_v(
+                     *spectral.modulate_v(*spectrum, wb.re, wb.im)).value
+                 for wb in p.branches]
         f = conv2d_raw(np.concatenate(parts, axis=1), p.compress_w,
                        p.compress_b, 1, 0)
         att = dual_attention(Tensor(f), p).data

@@ -4,12 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepkit import (ComplexTensor, DimensionError, MsgrbParams, ParamStore,
                     Tensor)
 from sepkit import io as sio
 from sepkit.cli import main
-from sepkit.config import parse_config
+from sepkit.config import build_chain, parse_config
 from sepkit.errors import ConfigError
 from sepkit.params import ParamStore as PS
 from sepkit.params import named_arrays
@@ -104,6 +106,78 @@ class TestParamsFormat:
             assert np.array_equal(named_arrays(rebuilt)[name], arr), name
 
 
+def sample_file(tmp_path, kind):
+    """A valid SEPT, SEPC or SEPP file and its reader."""
+    path = str(tmp_path / f"valid.{kind}")
+    t = rand_tensor(20, (1, 2, 3, 4))
+    if kind == "sept":
+        sio.write_tensor(path, t)
+        return path, sio.read_tensor
+    if kind == "sepc":
+        sio.write_complex(path, ComplexTensor(t, rand_tensor(21, t.shape)))
+        return path, sio.read_complex
+    store = ParamStore()
+    store.put("conv.w", Stream(22).normal((3, 2, 3, 3)))
+    store.put("conv.b", Stream(23).normal((3,)))
+    sio.write_params(path, store)
+    return path, sio.read_params
+
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
+                database=None)
+
+
+class TestReaderRobustness:
+    """Malformed files raise DimensionError, never a decoder's own error."""
+
+    @pytest.mark.parametrize("kind", ["sept", "sepc", "sepp"])
+    def test_every_proper_prefix_rejected(self, tmp_path, kind):
+        path, reader = sample_file(tmp_path, kind)
+        raw = open(path, "rb").read()
+        cut = str(tmp_path / "cut")
+        for n in range(len(raw)):
+            open(cut, "wb").write(raw[:n])
+            with pytest.raises(DimensionError):
+                reader(cut)
+
+    @FUZZ
+    @given(dims=st.tuples(*[st.integers(0, 2 ** 64 - 1)] * 4),
+           payload=st.integers(0, 96))
+    def test_corrupted_dims(self, tmp_path_factory, dims, payload):
+        path = str(tmp_path_factory.mktemp("dims") / "t.sept")
+        header = b"SEPT" + struct.pack("<IBB4Q", 1, 1, 4, *dims)
+        open(path, "wb").write(header + bytes(8 * payload))
+        try:
+            t = sio.read_tensor(path)
+        except DimensionError:
+            return
+        assert t.shape == dims and int(np.prod(dims)) == payload
+
+    @FUZZ
+    @given(name=st.binary(max_size=12), declared=st.integers(0, 2 ** 16 - 1))
+    def test_corrupted_names(self, tmp_path_factory, name, declared):
+        path = str(tmp_path_factory.mktemp("names") / "p.sepp")
+        block = sio.tensor_block_bytes(np.zeros((1, 1, 1, 2)))
+        open(path, "wb").write(b"SEPP" + struct.pack("<IH", 1, declared)
+                               + name + block)
+        try:
+            store = sio.read_params(path)
+        except DimensionError:
+            return
+        assert declared == len(name)
+        assert store.names() == [name.decode("utf-8")]
+
+    @FUZZ
+    @given(kind=st.sampled_from(["sept", "sepc", "sepp"]),
+           tail=st.binary(min_size=1, max_size=64))
+    def test_trailing_bytes(self, tmp_path_factory, kind, tail):
+        path, reader = sample_file(tmp_path_factory.mktemp("tail"), kind)
+        raw = open(path, "rb").read()
+        open(path, "wb").write(raw + tail)
+        with pytest.raises(DimensionError):
+            reader(path)
+
+
 class TestJsonRendering:
     def test_float_precision_and_field_order(self):
         s = sio.render_json({"b": 1.0 / 3.0, "a": 1, "flag": True,
@@ -164,6 +238,41 @@ channels = 4  # trailing comment
 
 """))
         assert cfg.modules[0].options["channels"] == "4"
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("msgrb", "hidden", "0"),
+        ("msgrb", "batch", "-1"),
+        ("msgrb", "params", "ones"),
+        ("fddem", "branches", "0"),
+        ("fddem", "height", "2.5"),
+        ("ldconv", "stride", "0"),
+        ("ldconv", "points", "x"),
+        ("dysample", "scale", "0"),
+        ("dysample", "scope", "nan"),
+        ("dysample", "scope", "inf"),
+        ("fft2", "path", "slow"),
+        ("ca2neck", "channels", "4,8"),
+        ("ca2neck", "channels", "4,0,16"),
+        ("ca2neck", "height", "6"),
+        ("ca2neck", "scope", "-inf"),
+        ("chain", "dtype", "f16"),
+        ("chain", "seed", "1.5"),
+    ])
+    def test_bad_value_rejected_at_parse(self, tmp_path, kind, key, value):
+        needs = {"msgrb": "channels = 4\n", "fddem": "channels = 4\n",
+                 "ldconv": "in_channels = 2\nout_channels = 2\n",
+                 "dysample": "channels = 4\n", "fft2": "",
+                 "ca2neck": "channels = 4,8,16\n", "chain": ""}
+        # the bad value is on line 2, so it fails before the rest is read
+        text = f"[{kind}]\n{key} = {value}\n" + needs[kind]
+        if kind == "chain":
+            text += "[msgrb]\nchannels = 4\n"
+        with pytest.raises(ConfigError, match=f"line 2: {key} must be"):
+            parse_config(self.write(tmp_path, text))
+
+    def test_absent_hidden_means_channels(self, tmp_path):
+        cfg = parse_config(self.write(tmp_path, "[msgrb]\nchannels = 6\n"))
+        assert build_chain(cfg, 0)[0].params.hidden == 6
 
 
 def write_cfg(tmp_path, text, name="chain.cfg"):
@@ -343,6 +452,67 @@ params = file:{ppath}
         expected = msgrb_forward(sio.read_tensor(inp), p)
         assert np.array_equal(sio.read_tensor(out).data, expected.data)
 
+    def test_params_file_missing_parameter_exits_2(self, tmp_path, capsys):
+        store = PS.from_params(MsgrbParams.random(4, Stream(62)))
+        partial = PS()
+        for name, arr in store.items():
+            if name != "expand_b":
+                partial.put(name, arr)
+        ppath = str(tmp_path / "m.sepp")
+        sio.write_params(ppath, partial)
+        cfg = write_cfg(tmp_path, f"[msgrb]\nchannels = 4\nparams = file:{ppath}\n")
+        assert main(["forward", "--config", cfg,
+                     "--input", write_input(tmp_path),
+                     "--output", str(tmp_path / "o.sept")]) == 2
+        err = capsys.readouterr().err
+        assert "expand_b" in err and "m.sepp" in err
+
+    def test_truncated_input_exits_3(self, tmp_path):
+        cfg = write_cfg(tmp_path, IDENTITY_MSGRB)
+        inp = write_input(tmp_path)
+        head = open(inp, "rb").read()[:6]
+        open(inp, "wb").write(head)
+        assert main(["forward", "--config", cfg, "--input", inp,
+                     "--output", str(tmp_path / "o.sept")]) == 3
+
+    @pytest.mark.parametrize("section", [
+        "[msgrb]\nchannels = 4\nhidden = 6\nheight = 6\nwidth = 10\n",
+        "[fddem]\nchannels = 4\nheight = 6\nwidth = 10\nreduction = 2\n",
+        "[ldconv]\nin_channels = 4\nout_channels = 3\nheight = 6\n"
+        "width = 10\n",
+        "[dysample]\nchannels = 4\ngroups = 2\nscale = 3\nheight = 6\n"
+        "width = 10\n",
+        "[ca2neck]\nchannels = 4,6,8\nheight = 8\nwidth = 12\n",
+    ], ids=["msgrb", "fddem", "ldconv", "dysample", "ca2neck"])
+    def test_params_file_matches_random(self, tmp_path, capsys, section):
+        random_cfg = write_cfg(tmp_path, f"[chain]\nseed = 31\n{section}"
+                               "params = random\n", name="random.cfg")
+        chain = build_chain(parse_config(random_cfg), 31)
+        ppath = str(tmp_path / "p.sepp")
+        sio.write_params(ppath, PS.from_params(chain[0].params))
+        file_cfg = write_cfg(tmp_path, f"[chain]\nseed = 31\n{section}"
+                             f"params = file:{ppath}\n", name="file.cfg")
+        shapes = chain[0].in_shape
+        if section.startswith("[ca2neck]"):
+            inp = tmp_path / "pyr"
+            inp.mkdir()
+            for i, shape in enumerate(shapes):
+                sio.write_tensor(str(inp / f"level{i}.sept"),
+                                 rand_tensor(70 + i, shape))
+        else:
+            inp = write_input(tmp_path, seed=70, shape=shapes)
+        outs = []
+        for cfg in (random_cfg, file_cfg):
+            out = str(tmp_path / f"out-{len(outs)}")
+            assert main(["forward", "--config", cfg, "--input", str(inp),
+                         "--output", out]) == 0
+            if os.path.isdir(out):
+                outs.append([open(os.path.join(out, f), "rb").read()
+                             for f in sorted(os.listdir(out))])
+            else:
+                outs.append(open(out, "rb").read())
+        assert outs[0] == outs[1]
+
     def test_seed_override_changes_random_params(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """
 [chain]
@@ -488,9 +658,3 @@ params = random
         first = capsys.readouterr().out
         main(["props", "--filter", "tensor"])
         assert capsys.readouterr().out == first
-
-    def test_threads_env_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SEP_THREADS", "0")
-        assert main(["props", "--filter", "tensor"]) == 2
-        monkeypatch.setenv("SEP_THREADS", "1")
-        assert main(["props", "--filter", "tensor"]) == 0
