@@ -53,7 +53,7 @@ from . import ca2neck as neck
 from . import fddem as fd
 from . import msgrb as ms
 from . import spectral
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .io import read_params
 from .rng import Stream, derive_seed
 from .tensor import DTYPES
@@ -316,14 +316,16 @@ class ChainModule:
 
 
 def _build_params(stage: Stage, o: dict, dtype, rng: Stream, lineno: int):
-    if o["params"] == "random":
-        return stage.params(o, dtype, rng)
-    template = stage.params(o, dtype, None)
-    if o["params"] == "zeros":
-        return template
+    seeded = o["params"] == "random"
+    try:  # builders check rules the key parsers cannot, e.g. groups
+        built = stage.params(o, dtype, rng if seeded else None)
+    except DimensionError as exc:
+        raise ConfigError(f"line {lineno}: {exc}") from None
+    if not o["params"].startswith("file:"):
+        return built
     path = o["params"][len("file:"):]
     try:
-        return read_params(path).to_params(template)
+        return read_params(path).to_params(built)
     except KeyError as exc:
         raise ConfigError(
             f"line {lineno}: params file {path}: {exc.args[0]}") from None

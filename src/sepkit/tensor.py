@@ -9,12 +9,14 @@ so a NaN raises instead of propagating silently.
 
 The module also hosts the raw ndarray kernels (forward and gradient) that
 the reverse-mode layer records on its tape; the typed functions here are
-thin validated wrappers over the same kernels.
+thin validated wrappers over the same kernels.  A conv and each of its
+gradients is one BLAS matmul over an im2col matrix (see `_conv_cols`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf, expit
 
 from .errors import DimensionError, NumericError
@@ -119,15 +121,19 @@ class SamplingGrid:
 # raw kernels (ndarray in / ndarray out); shared with the autodiff layer
 # ---------------------------------------------------------------------------
 
-def _conv_patches(xp: np.ndarray, kh: int, kw: int, stride: int,
-                  ho: int, wo: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    patches = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patches[:, :, i, j] = xp[:, :, i:i + stride * ho:stride,
-                                     j:j + stride * wo:stride]
-    return patches
+def _conv_cols(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+               ho: int, wo: int) -> np.ndarray:
+    """im2col: (N, C·kh·kw, Ho·Wo); a 1x1, stride-1, unpadded conv's is x."""
+    n, c, h, wd = x.shape
+    if kh == kw == stride == 1 and padding == 0:
+        return x.reshape(n, c, ho * wo)
+    # zeros + copy, not np.pad, whose set-up dominates on small planes
+    xp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + wd] = x
+    sn, sc, sh, sw = xp.strides
+    windows = as_strided(xp, (n, c, kh, kw, ho, wo),
+                         (sn, sc, sh, sw, stride * sh, stride * sw))
+    return windows.reshape(n, c * kh * kw, ho * wo)  # one gathering copy
 
 
 def conv2d_raw(x: np.ndarray, w: np.ndarray, b, stride: int,
@@ -152,12 +158,11 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, b, stride: int,
         require(b.shape == (co,),
                 f"conv2d bias must have shape ({co},), got {b.shape}")
         require_finite(b, "conv2d bias")
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    patches = _conv_patches(xp, kh, kw, stride, ho, wo)
-    y = np.einsum("ocij,ncijhw->nohw", w, patches, optimize=True)
+    cols = _conv_cols(x, kh, kw, stride, padding, ho, wo)
+    y = np.matmul(w.reshape(co, ci * kh * kw), cols)
     if b is not None:
-        y = y + b.reshape(1, co, 1, 1)
-    return np.ascontiguousarray(y)
+        y = y + b.reshape(1, co, 1)
+    return y.reshape(n, co, ho, wo)
 
 
 def conv2d_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
@@ -165,17 +170,20 @@ def conv2d_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
     n, c, h, wd = x.shape
     co, ci, kh, kw = w.shape
     ho, wo = g.shape[2], g.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    patches = _conv_patches(xp, kh, kw, stride, ho, wo)
-    gw = np.einsum("nohw,ncijhw->ocij", g, patches, optimize=True)
-    gpatches = np.einsum("ocij,nohw->ncijhw", w, g, optimize=True)
-    gxp = np.zeros_like(xp)
+    cols = _conv_cols(x, kh, kw, stride, padding, ho, wo)
+    g2 = g.reshape(n, co, ho * wo)
+    gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gcols = np.matmul(w.reshape(co, ci * kh * kw).T, g2)
+    gb = g.sum(axis=(0, 2, 3)) if with_bias else None
+    if kh == kw == stride == 1 and padding == 0:
+        return gcols.reshape(x.shape), gw, gb
+    gcols = gcols.reshape(n, c, kh, kw, ho, wo)
+    gxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), gcols.dtype)
     for i in range(kh):
         for j in range(kw):
             gxp[:, :, i:i + stride * ho:stride,
-                j:j + stride * wo:stride] += gpatches[:, :, i, j]
+                j:j + stride * wo:stride] += gcols[:, :, i, j]
     gx = gxp[:, :, padding:padding + h, padding:padding + wd]
-    gb = g.sum(axis=(0, 2, 3)) if with_bias else None
     return np.ascontiguousarray(gx), gw, gb
 
 

@@ -35,6 +35,17 @@ def conv2d_naive(x, w, b=None, stride=1, padding=0):
     return out
 
 
+# Convolutions shaped like the blocks' own, each at batch 2, as
+# (input shape, channel slice taken as a view, weight shape, stride, padding):
+# a 1x1 conv on a non-contiguous channel slice, LDConv's 3x3 stride-2 offset
+# conv on an odd plane, and FDDEM's 7x7 2->1 spatial attention.
+CONV_BLOCK_CASES = {
+    "1x1_channel_view": ((2, 6, 5, 4), slice(1, 4), (4, 3, 1, 1), 1, 0),
+    "3x3_s2_p1_9x7": ((2, 3, 9, 7), slice(None), (4, 3, 3, 3), 2, 1),
+    "7x7_p3_2to1": ((2, 2, 8, 8), slice(None), (1, 2, 7, 7), 1, 3),
+}
+
+
 def depthwise_naive(x, w):
     """Per-channel loop convolution, stride 1, padding k//2."""
     n, c, h, wd = x.shape

@@ -7,7 +7,7 @@ from sepkit import spectral
 from sepkit import tensor as tc
 from sepkit.rng import Stream
 
-from oracles import bilinear_input_grad_naive
+from oracles import CONV_BLOCK_CASES, bilinear_input_grad_naive
 
 
 def rand(seed, shape):
@@ -106,6 +106,23 @@ class TestGradcheckHarness:
 
         report = gradcheck(fn, {"w": rand(10, (3, 2, 3, 3)),
                                 "b": rand(11, (3,))})
+        assert report.passed
+        assert max(p.max_rel_err for p in report.params) <= 1e-6
+
+    @pytest.mark.parametrize("name", sorted(CONV_BLOCK_CASES))
+    def test_conv2d_block_shapes(self, name):
+        shape, channels, wshape, stride, padding = CONV_BLOCK_CASES[name]
+        x = rand(34, shape)[:, channels]
+        out_shape = tc.conv2d_raw(x, rand(35, wshape), None, stride,
+                                  padding).shape
+        weights = rand(36, out_shape)
+
+        def fn(p):
+            y = ad.conv2d(p["x"], p["w"], p["b"], stride, padding)
+            return ad.sum_all(ad.mul(y, weights))
+
+        report = gradcheck(fn, {"x": x, "w": rand(35, wshape),
+                                "b": rand(37, wshape[:1])}, seed=8)
         assert report.passed
         assert max(p.max_rel_err for p in report.params) <= 1e-6
 

@@ -467,6 +467,32 @@ params = file:{ppath}
         err = capsys.readouterr().err
         assert "expand_b" in err and "m.sepp" in err
 
+    @pytest.mark.parametrize("section,message", [
+        ("[dysample]\nchannels = 4\nscale = 1\n", "scale must be >= 2"),
+        ("[fddem]\nchannels = 2\nheight = 8\nwidth = 8\n",
+         "channel count 2 is below reduction 4"),
+        ("[dysample]\nchannels = 4\ngroups = 3\n", "must divide into groups"),
+    ], ids=["dysample_scale", "fddem_reduction", "dysample_groups"])
+    def test_builder_constraint_exits_2(self, tmp_path, capsys, section,
+                                        message):
+        # the parameter builder enforces these, not the key parser
+        cfg = write_cfg(tmp_path, "[chain]\nseed = 1\n" + section)
+        with pytest.raises(ConfigError, match=f"line 3: .*{message}"):
+            build_chain(parse_config(cfg), 1)
+        assert main(["bench", "--config", cfg, "--repeats", "3"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_truncated_params_file_exits_3(self, tmp_path):
+        ppath = str(tmp_path / "m.sepp")
+        sio.write_params(ppath, PS.from_params(
+            MsgrbParams.random(4, Stream(63))))
+        data = open(ppath, "rb").read()
+        open(ppath, "wb").write(data[:len(data) // 2])
+        cfg = write_cfg(tmp_path, f"[msgrb]\nchannels = 4\nparams = file:{ppath}\n")
+        assert main(["forward", "--config", cfg,
+                     "--input", write_input(tmp_path),
+                     "--output", str(tmp_path / "o.sept")]) == 3
+
     def test_truncated_input_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, IDENTITY_MSGRB)
         inp = write_input(tmp_path)

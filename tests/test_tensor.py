@@ -5,9 +5,9 @@ from sepkit import (DimensionError, NumericError, SamplingGrid, Tensor,
                     bilinear_sample, concat_channels, conv2d,
                     depthwise_conv2d, gelu, sigmoid, silu, split_channels)
 from sepkit.rng import Stream
-from sepkit.tensor import sigmoid_raw
+from sepkit.tensor import conv2d_grads, conv2d_raw, sigmoid_raw
 
-from oracles import conv2d_naive, depthwise_naive
+from oracles import CONV_BLOCK_CASES, conv2d_naive, depthwise_naive
 
 
 def rand_tensor(seed, shape):
@@ -88,6 +88,40 @@ class TestConv2d:
         rhs = a * conv2d(Tensor(x), w, padding=1).data \
             + b * conv2d(Tensor(y), w, padding=1).data
         np.testing.assert_allclose(lhs.data, rhs, atol=1e-10)
+
+    @staticmethod
+    def _block_case(name, dtype=np.float64):
+        shape, channels, wshape, stride, padding = CONV_BLOCK_CASES[name]
+        x = Stream(30).normal(shape).astype(dtype)[:, channels]
+        w = Stream(31).normal(wshape).astype(dtype)
+        b = Stream(32).normal(wshape[:1]).astype(dtype)
+        g_shape = conv2d_naive(x, w, b, stride, padding).shape
+        g = Stream(33).normal(g_shape).astype(dtype)
+        return x, w, b, g, stride, padding
+
+    @pytest.mark.parametrize("name", sorted(CONV_BLOCK_CASES))
+    def test_block_shapes_match_naive_oracle(self, name):
+        x, w, b, g, stride, padding = self._block_case(name)
+        y = conv2d_raw(x, w, b, stride, padding)
+        np.testing.assert_allclose(y, conv2d_naive(x, w, b, stride, padding),
+                                   atol=1e-12)
+        # the gradients are the adjoint of the (bias-free) oracle map
+        gx, gw, gb = conv2d_grads(g, x, w, stride, padding, True)
+        ref = float((g * conv2d_naive(x, w, None, stride, padding)).sum())
+        assert float((gx * x).sum()) == pytest.approx(ref, rel=1e-12)
+        assert float((gw * w).sum()) == pytest.approx(ref, rel=1e-12)
+        np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(CONV_BLOCK_CASES))
+    def test_block_shapes_f32_stays_f32(self, name):
+        x, w, b, g, stride, padding = self._block_case(name, np.float32)
+        y = conv2d_raw(x, w, b, stride, padding)
+        grads = conv2d_grads(g, x, w, stride, padding, True)
+        for arr in (y,) + grads:
+            assert arr.dtype == np.float32 and arr.flags.c_contiguous
+        ref = conv2d_naive(x.astype(np.float64), w.astype(np.float64),
+                           b.astype(np.float64), stride, padding)
+        np.testing.assert_allclose(y, ref, rtol=1e-5, atol=1e-5)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(DimensionError):
