@@ -6,7 +6,10 @@ vector-Jacobian products into every named leaf.  Operations are plain
 functions over `Var` values: if no input carries a tape the forward value
 is computed and nothing is recorded, so the same code path serves both
 inference and differentiation.  Accumulation order is fixed by the reverse
-walk, which keeps single-threaded runs bit-deterministic.
+walk, which keeps single-threaded runs bit-deterministic.  A tape is single
+use: `backward` frees each node's value, parents and vjp as it walks, so a
+step's activations go with the step's last reference instead of waiting
+for the cyclic garbage collector, and a second `backward` raises.
 
 `gradcheck` certifies an analytic gradient against central differences,
 optionally on a seeded coordinate subsample for large parameters, and
@@ -53,11 +56,13 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of executed operations plus the named leaves."""
+    """Ordered record of executed operations plus the named leaves; one
+    `backward` consumes it."""
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._leaves: dict[str, Var] = {}
+        self._spent = False
 
     def leaf(self, value, name: str) -> Var:
         """Register a named learnable leaf on this tape."""
@@ -67,10 +72,6 @@ class Tape:
         require_finite(v.value, f"leaf {name!r}")
         self._leaves[name] = v
         return v
-
-    @property
-    def leaves(self) -> dict:
-        return dict(self._leaves)
 
     def _record(self, value, parents, vjp, op: str) -> Var:
         out = Var(value, tape=self)
@@ -85,6 +86,9 @@ class Tape:
         """
         if not self._nodes:
             raise ValueError("cannot run backward on an empty tape")
+        if self._spent:
+            raise ValueError("backward already ran on this tape, which "
+                             "freed its record; record the step again")
         if output.tape is not self:
             raise ValueError("output does not belong to this tape")
         if seed is None:
@@ -94,15 +98,20 @@ class Tape:
             require(seed.shape == output.value.shape,
                     f"seed shape {seed.shape} must match output shape "
                     f"{output.value.shape}")
+        self._spent = True
         grads: dict[int, np.ndarray] = {id(output): seed}
         for node in reversed(self._nodes):
             g = grads.pop(id(node.out), None)
+            parents, vjp = node.parents, node.vjp
+            # drop the record as it is walked: the activations it holds
+            # are freed by reference counting, without the cyclic GC
+            node.out = node.parents = node.vjp = None
             if g is None:
                 continue
-            parent_grads = node.vjp(g)
-            for parent, pg in zip(node.parents, parent_grads):
-                if parent is None or pg is None:
-                    continue
+            parent_grads = vjp(g)
+            for parent, pg in zip(parents, parent_grads):
+                if parent is None or parent.tape is None or pg is None:
+                    continue  # constants need no gradient
                 if pg.shape != parent.value.shape:
                     raise DimensionError(
                         f"gradient shape {pg.shape} does not match value "
@@ -116,6 +125,7 @@ class Tape:
         for name, leaf in self._leaves.items():
             g = grads.get(id(leaf))
             out[name] = g if g is not None else np.zeros_like(leaf.value)
+        self._leaves.clear()  # each leaf refers back to this tape
         return out
 
 
@@ -145,11 +155,12 @@ def _tape_of(*vars_) -> Tape | None:
     return tape
 
 
-def _apply(value, parents, vjp_builder, op: str) -> Var:
+def _apply(value, parents, vjp, op: str) -> Var:
+    """`value` as a Var, recorded with its vjp when an operand is taped."""
     tape = _tape_of(*parents)
     if tape is None:
         return Var(value)
-    return tape._record(value, parents, vjp_builder(), op)
+    return tape._record(value, parents, vjp, op)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -167,163 +178,125 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    value = a.value + b.value
-
-    def build():
-        return lambda g: (_unbroadcast(g, a.value.shape),
-                          _unbroadcast(g, b.value.shape))
-    return _apply(value, (a, b), build, "add")
+    sa, sb = a.value.shape, b.value.shape
+    return _apply(a.value + b.value, (a, b),
+                  lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)), "add")
 
 
 def sub(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    value = a.value - b.value
-
-    def build():
-        return lambda g: (_unbroadcast(g, a.value.shape),
-                          _unbroadcast(-g, b.value.shape))
-    return _apply(value, (a, b), build, "sub")
+    sa, sb = a.value.shape, b.value.shape
+    return _apply(a.value - b.value, (a, b),
+                  lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)), "sub")
 
 
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
-    value = a.value * b.value
-
-    def build():
-        av, bv = a.value, b.value
-        return lambda g: (_unbroadcast(g * bv, av.shape),
-                          _unbroadcast(g * av, bv.shape))
-    return _apply(value, (a, b), build, "mul")
+    av, bv = a.value, b.value
+    return _apply(av * bv, (a, b),
+                  lambda g: (_unbroadcast(g * bv, av.shape),
+                             _unbroadcast(g * av, bv.shape)), "mul")
 
 
 def neg(a) -> Var:
     a = as_var(a)
-
-    def build():
-        return lambda g: (-g,)
-    return _apply(-a.value, (a,), build, "neg")
+    return _apply(-a.value, (a,), lambda g: (-g,), "neg")
 
 
 def scale(a, k: float) -> Var:
     a = as_var(a)
     k = float(k)
-
-    def build():
-        return lambda g: (g * k,)
-    return _apply(a.value * k, (a,), build, "scale")
+    return _apply(a.value * k, (a,), lambda g: (g * k,), "scale")
 
 
 def sum_all(a) -> Var:
     a = as_var(a)
-
-    def build():
-        shape, dtype = a.value.shape, a.value.dtype
-        return lambda g: (np.full(shape, g, dtype=dtype),)
-    return _apply(np.asarray(a.value.sum()), (a,), build, "sum_all")
+    shape, dtype = a.value.shape, a.value.dtype
+    return _apply(np.asarray(a.value.sum()), (a,),
+                  lambda g: (np.full(shape, g, dtype=dtype),), "sum_all")
 
 
 def mean_axes(a, axes, keepdims: bool = True) -> Var:
     a = as_var(a)
     axes = tuple(axes)
-    value = a.value.mean(axis=axes, keepdims=keepdims)
-    count = int(np.prod([a.value.shape[i] for i in axes]))
+    shape = a.value.shape
+    count = int(np.prod([shape[i] for i in axes]))
 
-    def build():
-        shape = a.value.shape
-
-        def vjp(g):
-            if not keepdims:
-                g = np.expand_dims(g, axes)
-            return (np.broadcast_to(g / count, shape).copy(),)
-        return vjp
-    return _apply(value, (a,), build, "mean_axes")
+    def vjp(g):
+        if not keepdims:
+            g = np.expand_dims(g, axes)
+        return (np.broadcast_to(g / count, shape).copy(),)
+    return _apply(a.value.mean(axis=axes, keepdims=keepdims), (a,), vjp,
+                  "mean_axes")
 
 
 def amax_axes(a, axes, keepdims: bool = True) -> Var:
     a = as_var(a)
     axes = tuple(axes)
-    value = a.value.max(axis=axes, keepdims=keepdims)
+    av = a.value
 
-    def build():
-        av = a.value
-        vkeep = av.max(axis=axes, keepdims=True)
-
-        def vjp(g):
-            if not keepdims:
-                g = np.expand_dims(g, axes)
-            mask = (av == vkeep).astype(av.dtype)
-            counts = mask.sum(axis=axes, keepdims=True)
-            return ((mask / counts) * g,)
-        return vjp
-    return _apply(value, (a,), build, "amax_axes")
+    def vjp(g):
+        if not keepdims:
+            g = np.expand_dims(g, axes)
+        mask = (av == av.max(axis=axes, keepdims=True)).astype(av.dtype)
+        counts = mask.sum(axis=axes, keepdims=True)
+        return ((mask / counts) * g,)
+    return _apply(av.max(axis=axes, keepdims=keepdims), (a,), vjp,
+                  "amax_axes")
 
 
 def reshape(a, shape) -> Var:
     a = as_var(a)
-    shape = tuple(shape)
-    value = a.value.reshape(shape)
-
-    def build():
-        orig = a.value.shape
-        return lambda g: (g.reshape(orig),)
-    return _apply(value, (a,), build, "reshape")
+    orig = a.value.shape
+    return _apply(a.value.reshape(tuple(shape)), (a,),
+                  lambda g: (g.reshape(orig),), "reshape")
 
 
 def transpose(a, axes) -> Var:
     a = as_var(a)
     axes = tuple(axes)
-    value = np.ascontiguousarray(a.value.transpose(axes))
-
-    def build():
-        inverse = tuple(np.argsort(axes))
-        return lambda g: (np.ascontiguousarray(g.transpose(inverse)),)
-    return _apply(value, (a,), build, "transpose")
+    return _apply(np.ascontiguousarray(a.value.transpose(axes)), (a,),
+                  lambda g: (np.ascontiguousarray(
+                      g.transpose(np.argsort(axes))),), "transpose")
 
 
 def concat(parts, axis: int = 1) -> Var:
     parts = [as_var(p) for p in parts]
-    value = np.concatenate([p.value for p in parts], axis=axis)
 
-    def build():
-        sizes = [p.value.shape[axis] for p in parts]
-        bounds = np.cumsum([0] + sizes)
-
-        def vjp(g):
-            sl = [slice(None)] * g.ndim
-            out = []
-            for i in range(len(sizes)):
-                sl[axis] = slice(bounds[i], bounds[i + 1])
-                out.append(np.ascontiguousarray(g[tuple(sl)]))
-            return tuple(out)
-        return vjp
-    return _apply(value, tuple(parts), build, "concat")
+    def vjp(g):
+        sl = [slice(None)] * g.ndim
+        out = []
+        start = 0
+        for s in (p.value.shape[axis] for p in parts):
+            sl[axis] = slice(start, start + s)
+            out.append(np.ascontiguousarray(g[tuple(sl)]))
+            start += s
+        return tuple(out)
+    return _apply(np.concatenate([p.value for p in parts], axis=axis),
+                  tuple(parts), vjp, "concat")
 
 
 def split(a, sizes, axis: int = 1) -> list:
     """Split into consecutive blocks along `axis`; each block is its own Var."""
     a = as_var(a)
     sizes = list(sizes)
-    require(sum(sizes) == a.value.shape[axis],
-            f"split sizes {sizes} must sum to {a.value.shape[axis]} "
+    shape = a.value.shape
+    require(sum(sizes) == shape[axis],
+            f"split sizes {sizes} must sum to {shape[axis]} "
             f"along axis {axis}")
     outs = []
     start = 0
     for s in sizes:
-        sl = [slice(None)] * a.value.ndim
+        sl = [slice(None)] * len(shape)
         sl[axis] = slice(start, start + s)
-        piece = np.ascontiguousarray(a.value[tuple(sl)])
+        sl = tuple(sl)
 
-        def build(start=start, s=s):
-            shape = a.value.shape
-
-            def vjp(g):
-                full = np.zeros(shape, dtype=g.dtype)
-                fsl = [slice(None)] * len(shape)
-                fsl[axis] = slice(start, start + s)
-                full[tuple(fsl)] = g
-                return (full,)
-            return vjp
-        outs.append(_apply(piece, (a,), build, "split"))
+        def vjp(g, sl=sl):
+            full = np.zeros(shape, dtype=g.dtype)
+            full[sl] = g
+            return (full,)
+        outs.append(_apply(np.ascontiguousarray(a.value[sl]), (a,), vjp,
+                           "split"))
         start += s
     return outs
 
@@ -334,43 +307,33 @@ def stack_last(a, b) -> Var:
     require(a.value.shape == b.value.shape,
             f"stack_last operands must share shape, got {a.value.shape} "
             f"vs {b.value.shape}")
-    value = np.stack([a.value, b.value], axis=-1)
-
-    def build():
-        return lambda g: (np.ascontiguousarray(g[..., 0]),
-                          np.ascontiguousarray(g[..., 1]))
-    return _apply(value, (a, b), build, "stack_last")
+    return _apply(np.stack([a.value, b.value], axis=-1), (a, b),
+                  lambda g: (np.ascontiguousarray(g[..., 0]),
+                             np.ascontiguousarray(g[..., 1])), "stack_last")
 
 
 # -- activations -------------------------------------------------------------
 
 def gelu(a) -> Var:
     a = as_var(a)
-    value = tc.gelu_raw(a.value)
-
-    def build():
-        av = a.value
-        return lambda g: (g * tc.gelu_grad(av),)
-    return _apply(value, (a,), build, "gelu")
+    av = a.value
+    return _apply(tc.gelu_raw(av), (a,), lambda g: (g * tc.gelu_grad(av),),
+                  "gelu")
 
 
 def sigmoid(a) -> Var:
     a = as_var(a)
     value = tc.sigmoid_raw(a.value)
-
-    def build():
-        return lambda g: (g * tc.sigmoid_grad_from_value(value),)
-    return _apply(value, (a,), build, "sigmoid")
+    return _apply(value, (a,),
+                  lambda g: (g * tc.sigmoid_grad_from_value(value),),
+                  "sigmoid")
 
 
 def silu(a) -> Var:
     a = as_var(a)
-    value = tc.silu_raw(a.value)
-
-    def build():
-        av = a.value
-        return lambda g: (g * tc.silu_grad(av),)
-    return _apply(value, (a,), build, "silu")
+    av = a.value
+    return _apply(tc.silu_raw(av), (a,), lambda g: (g * tc.silu_grad(av),),
+                  "silu")
 
 
 # -- structured kernels ------------------------------------------------------
@@ -378,24 +341,21 @@ def silu(a) -> Var:
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Var:
     x, w = as_var(x), as_var(w)
     b = as_var(b) if b is not None else None
-    value = tc.conv2d_raw(x.value, w.value,
-                          b.value if b is not None else None, stride, padding)
-
-    def build():
-        xv, wv = x.value, w.value
-        return lambda g: tc.conv2d_grads(g, xv, wv, stride, padding,
-                                         with_bias=b is not None)
-    return _apply(value, (x, w, b), build, "conv2d")
+    xv, wv = x.value, w.value
+    value = tc.conv2d_raw(xv, wv, b.value if b is not None else None, stride,
+                          padding)
+    return _apply(value, (x, w, b),
+                  lambda g: tc.conv2d_grads(g, xv, wv, stride, padding,
+                                            with_bias=b is not None),
+                  "conv2d")
 
 
 def depthwise_conv2d(x, w) -> Var:
     x, w = as_var(x), as_var(w)
-    value = tc.depthwise_conv2d_raw(x.value, w.value)
-
-    def build():
-        xv, wv = x.value, w.value
-        return lambda g: tc.depthwise_conv2d_grads(g, xv, wv)
-    return _apply(value, (x, w), build, "depthwise_conv2d")
+    xv, wv = x.value, w.value
+    return _apply(tc.depthwise_conv2d_raw(xv, wv), (x, w),
+                  lambda g: tc.depthwise_conv2d_grads(g, xv, wv),
+                  "depthwise_conv2d")
 
 
 def fold_kernels(kernels, sizes) -> Var:
@@ -412,10 +372,9 @@ def fold_kernels(kernels, sizes) -> Var:
                 f"kernel shape {k.value.shape} is not ({c}, 1, {size}, "
                 f"{size}) with odd size")
         value[crop] += k.value
-
-    def build():
-        return lambda g: tuple(np.ascontiguousarray(g[crop]) for crop in crops)
-    return _apply(value, tuple(kernels), build, "fold_kernels")
+    return _apply(value, tuple(kernels),
+                  lambda g: tuple(np.ascontiguousarray(g[crop])
+                                  for crop in crops), "fold_kernels")
 
 
 def bilinear_sample(x, grid) -> Var:
@@ -423,16 +382,17 @@ def bilinear_sample(x, grid) -> Var:
 
     The coordinate gradient uses subgradient zero outside the border and
     is undefined on integer lattice lines; callers keep sample points off
-    the lattice when they need coordinate gradients.
+    the lattice when they need coordinate gradients.  The forward's plan
+    (corner rows, weights, channels-last x) serves the vjp.
     """
-    x = as_var(x)
-    grid = as_var(grid)
-    value = tc.bilinear_sample_raw(x.value, grid.value)
-
-    def build():
-        xv, gv = x.value, grid.value
-        return lambda g: tc.bilinear_sample_grads(g, xv, gv, True, True)
-    return _apply(value, (x, grid), build, "bilinear_sample")
+    x, grid = as_var(x), as_var(grid)
+    xv, gv = x.value, grid.value
+    value, plan = tc.bilinear_sample_raw(xv, gv, keep_plan=True)
+    need_x, need_grid = x.tape is not None, grid.tape is not None
+    return _apply(value, (x, grid),
+                  lambda g: tc.bilinear_sample_grads(g, xv, gv, need_x,
+                                                     need_grid, plan),
+                  "bilinear_sample")
 
 
 # -- gradient checking -------------------------------------------------------

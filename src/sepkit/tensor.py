@@ -11,6 +11,10 @@ The module also hosts the raw ndarray kernels (forward and gradient) that
 the reverse-mode layer records on its tape; the typed functions here are
 thin validated wrappers over the same kernels.  A conv and each of its
 gradients is one BLAS matmul over an im2col matrix (see `_conv_cols`).
+The depthwise forward is an exact shifted-window sum; its gradients are
+products of real FFTs (`scipy.fft`, loaded on the first gradient).  The
+bilinear forward can keep its plan (corner rows into a channels-last copy
+of x, and the fractional offsets), so its gradients rebuild nothing.
 """
 
 from __future__ import annotations
@@ -121,15 +125,22 @@ class SamplingGrid:
 # raw kernels (ndarray in / ndarray out); shared with the autodiff layer
 # ---------------------------------------------------------------------------
 
+def _zero_pad(x: np.ndarray, p: int) -> np.ndarray:
+    """x with p zeros on each side of its last two axes; zeros plus a slice
+    copy, not np.pad, whose set-up dominates on small planes."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), x.dtype)
+    xp[:, :, p:p + h, p:p + w] = x
+    return xp
+
+
 def _conv_cols(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
                ho: int, wo: int) -> np.ndarray:
     """im2col: (N, C·kh·kw, Ho·Wo); a 1x1, stride-1, unpadded conv's is x."""
-    n, c, h, wd = x.shape
+    n, c = x.shape[:2]
     if kh == kw == stride == 1 and padding == 0:
         return x.reshape(n, c, ho * wo)
-    # zeros + copy, not np.pad, whose set-up dominates on small planes
-    xp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), x.dtype)
-    xp[:, :, padding:padding + h, padding:padding + wd] = x
+    xp = _zero_pad(x, padding)
     sn, sc, sh, sw = xp.strides
     windows = as_strided(xp, (n, c, kh, kw, ho, wo),
                          (sn, sc, sh, sw, stride * sh, stride * sw))
@@ -199,117 +210,125 @@ def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     require(w.shape[3] == k, f"depthwise kernel must be square, got {w.shape}")
     require_finite(x, "depthwise input")
     require_finite(w, "depthwise weights")
-    p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    xp = _zero_pad(x, k // 2)
     y = np.zeros_like(x)
+    tmp = np.empty(x.shape, np.result_type(x, w))
+    # an exact shifted-window sum: a delta kernel reproduces x bit for bit
     for i in range(k):
         for j in range(k):
-            y += w[:, 0, i, j].reshape(1, c, 1, 1) * xp[:, :, i:i + h, j:j + wd]
+            np.multiply(w[:, 0, i, j].reshape(1, c, 1, 1),
+                        xp[:, :, i:i + h, j:j + wd], out=tmp)
+            y += tmp
     return y
 
 
 def depthwise_conv2d_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray):
-    n, c, h, wd = x.shape
+    """FFT gradients of `depthwise_conv2d_raw`: gx = g conv w, cropped, and
+    gw = x correlated with g at lags -p..p, summed over the batch.  Padding
+    to H+k-1 by W+k-1 or more keeps circular wrap off every value read."""
+    from scipy.fft import irfft2, next_fast_len, rfft2
+    h, wd = x.shape[2:]
     k = w.shape[2]
     p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    gw = np.zeros_like(w)
-    gxp = np.zeros_like(xp)
-    for i in range(k):
-        for j in range(k):
-            window = xp[:, :, i:i + h, j:j + wd]
-            gw[:, 0, i, j] = (g * window).sum(axis=(0, 2, 3))
-            gxp[:, :, i:i + h, j:j + wd] += w[:, 0, i, j].reshape(1, c, 1, 1) * g
-    return np.ascontiguousarray(gxp[:, :, p:p + h, p:p + wd]), gw
+    s = (next_fast_len(h + k - 1, True), next_fast_len(wd + k - 1, True))
+    gf = rfft2(g, s)
+    gx = irfft2(gf * rfft2(w[:, 0], s), s)[:, :, p:p + h, p:p + wd]
+    corr = irfft2((rfft2(x, s) * gf.conj()).sum(axis=0), s)
+    lags = np.arange(-p, p + 1)
+    gw = corr[:, lags[:, None] % s[0], lags % s[1]]
+    return (np.ascontiguousarray(gx, x.dtype),
+            np.ascontiguousarray(gw.reshape(w.shape), w.dtype))
 
 
-def _bilinear_corners(x: np.ndarray, coords: np.ndarray):
-    """Clamp coordinates and gather the four surrounding corner values."""
+def _bilinear_plan(x: np.ndarray, coords: np.ndarray):
+    """(xl, corners, wr, ws): x as (N·groups·H·W, C/groups) rows, the rows
+    of each point's four clamped corners (r0s0, r0s1, r1s0, r1s1) and the
+    point's fractional row and column offsets, each (N, groups, Ho, Wo)."""
     n, c, h, w = x.shape
     gn, groups, ho, wo = coords.shape[:4]
     require(gn == n,
             f"grid batch {gn} does not match tensor batch {n}")
     require(c % groups == 0,
             f"channels {c} not divisible by grid groups {groups}")
-    cg = c // groups
     r = np.clip(coords[..., 0], 0.0, float(h - 1))
     s = np.clip(coords[..., 1], 0.0, float(w - 1))
     r0 = np.floor(r).astype(np.int64)
     s0 = np.floor(s).astype(np.int64)
-    r1 = np.minimum(r0 + 1, h - 1)
-    s1 = np.minimum(s0 + 1, w - 1)
     wr = (r - r0).astype(x.dtype)
     ws = (s - s0).astype(x.dtype)
-    xg = x.reshape(n, groups, cg, h, w)
-    bi = np.arange(n).reshape(n, 1, 1, 1)
-    gi = np.arange(groups).reshape(1, groups, 1, 1)
-
-    def gather(ri, si):
-        # advanced indexing puts the broadcast axes first, channels last
-        v = xg[bi, gi, :, ri, si]
-        return np.moveaxis(v, -1, 2)  # (n, groups, cg, ho, wo)
-
-    corners = (gather(r0, s0), gather(r0, s1), gather(r1, s0), gather(r1, s1))
-    return corners, (r0, s0, r1, s1), (wr, ws), (n, groups, cg, h, w, ho, wo)
+    s1 = np.minimum(s0 + 1, w - 1)
+    row0 = (np.arange(n * groups).reshape(n, groups, 1, 1) * h + r0) * w
+    row1 = row0 + np.where(r0 < h - 1, w, 0)
+    corners = (row0 + s0, row0 + s1, row1 + s0, row1 + s1)
+    xl = x.reshape(n * groups, c // groups, h * w).transpose(0, 2, 1)
+    return np.ascontiguousarray(xl).reshape(-1, c // groups), corners, wr, ws
 
 
-def bilinear_sample_raw(x: np.ndarray, coords: np.ndarray) -> np.ndarray:
+def bilinear_sample_raw(x: np.ndarray, coords: np.ndarray,
+                        keep_plan: bool = False):
+    """Border-clamped grouped bilinear sampling; (y, plan) with `keep_plan`,
+    where the plan is what `bilinear_sample_grads` would otherwise rebuild."""
     require(coords.ndim == 5 and coords.shape[-1] == 2,
             f"sampling grid must be (N, groups, H, W, 2), got {coords.shape}")
     require_finite(x, "bilinear input")
     require_finite(coords, "bilinear grid")
-    (v00, v01, v10, v11), _, (wr, ws), dims = _bilinear_corners(x, coords)
-    n, groups, cg, _, _, ho, wo = dims
-    wr = wr[:, :, None]
-    ws = ws[:, :, None]
-    # nested lerp keeps constants exact and never leaves the corner range
-    top = v00 + ws * (v01 - v00)
-    bottom = v10 + ws * (v11 - v10)
-    y = top + wr * (bottom - top)
-    return np.ascontiguousarray(y.reshape(n, groups * cg, ho, wo))
+    plan = _bilinear_plan(x, coords)
+    xl, corners, wr, ws = plan
+    # (n, groups, ho, wo, cg) corner values: fresh copies, worked in place
+    v00, top, v10, y = (xl.take(i, axis=0) for i in corners)
+    # nested lerp a + t (b - a) into b, for the top row, the bottom row and
+    # between them: keeps constants exact and never leaves the corner range
+    for a, b, t in ((v00, top, ws), (v10, y, ws), (top, y, wr)):
+        b -= a
+        b *= t[..., None]
+        b += a
+    n, groups, ho, wo, cg = y.shape
+    y = np.ascontiguousarray(y.transpose(0, 1, 4, 2, 3)).reshape(
+        n, groups * cg, ho, wo)
+    return (y, plan) if keep_plan else y
 
 
 def bilinear_sample_grads(g: np.ndarray, x: np.ndarray, coords: np.ndarray,
-                          need_x: bool, need_grid: bool):
-    corners, (r0, s0, r1, s1), (wr, ws), dims = _bilinear_corners(x, coords)
-    v00, v01, v10, v11 = corners
-    n, groups, cg, h, w, ho, wo = dims
-    gg = g.reshape(n, groups, cg, ho, wo)
-    wrc = wr[:, :, None]
-    wsc = ws[:, :, None]
+                          need_x: bool, need_grid: bool, plan=None):
+    """Input and grid gradients of `bilinear_sample_raw`, from its plan when
+    the forward kept one (else a fresh one); None for a gradient not needed."""
+    xl, corners, wr, ws = plan if plan is not None else _bilinear_plan(
+        x, coords)
+    n, c, h, w = x.shape
+    groups, ho, wo = coords.shape[1:4]
+    cg = c // groups
+    gl = g.reshape(n, groups, cg, ho * wo).transpose(0, 1, 3, 2)
+    gl = np.ascontiguousarray(gl).reshape(n, groups, ho, wo, cg)
 
     gx = None
     if need_x:
-        # interpolation matrix (pixels x points), four entries per point
+        # interpolation matrix (rows of xl x points), four entries per point
         # column; duplicate clamped corners are summed by the product
         from scipy.sparse import csc_array
-        blocks, pts = n * groups, ho * wo
-        rows = np.stack([r0 * w + s0, r0 * w + s1, r1 * w + s0, r1 * w + s1],
-                        axis=-1).reshape(blocks, 4 * pts)
-        rows += np.arange(blocks).reshape(blocks, 1) * (h * w)
+        pts = n * groups * ho * wo
         wts = np.stack([(1 - wr) * (1 - ws), (1 - wr) * ws, wr * (1 - ws),
                         wr * ws], axis=-1)
-        interp = csc_array((wts.reshape(-1), rows.reshape(-1), np.arange(
-            0, 4 * blocks * pts + 1, 4)), shape=(blocks * h * w, blocks * pts))
-        cols = gg.reshape(blocks, cg, pts).transpose(0, 2, 1)
-        gx = (interp @ cols.reshape(blocks * pts, cg)).reshape(
-            n, groups, h * w, cg).transpose(0, 1, 3, 2)
-        gx = np.ascontiguousarray(gx).reshape(n, groups * cg, h, w)
+        interp = csc_array((wts.reshape(-1),
+                            np.stack(corners, axis=-1).reshape(-1),
+                            np.arange(0, 4 * pts + 1, 4)),
+                           shape=(xl.shape[0], pts))
+        gx = (interp @ gl.reshape(pts, cg)).reshape(n, groups, h * w, cg)
+        gx = np.ascontiguousarray(gx.transpose(0, 1, 3, 2)).reshape(
+            n, c, h, w)
 
     ggrid = None
     if need_grid:
-        # derivative of the interpolant wrt the clamped coordinate, summed
-        # over the channels in each group
-        dr = ((1 - wsc) * (v10 - v00) + wsc * (v11 - v01)) * gg
-        ds = ((1 - wrc) * (v01 - v00) + wrc * (v11 - v10)) * gg
-        dr = dr.sum(axis=2)
-        ds = ds.sum(axis=2)
+        # derivative of the interpolant wrt the clamped coordinate: corner
+        # differences dotted with g over each group's channels
+        v00, v01, v10, v11 = (xl.take(i, axis=0) for i in corners)
+
+        def dot(a, b):
+            return np.einsum("...c,...c->...", a - b, gl)
+        dr = (1 - ws) * dot(v10, v00) + ws * dot(v11, v01)
+        ds = (1 - wr) * dot(v01, v00) + wr * dot(v11, v10)
         # clamp subgradient: zero where the raw coordinate left the border
-        inside_r = ((coords[..., 0] >= 0.0)
-                    & (coords[..., 0] <= float(h - 1))).astype(x.dtype)
-        inside_s = ((coords[..., 1] >= 0.0)
-                    & (coords[..., 1] <= float(w - 1))).astype(x.dtype)
-        ggrid = np.stack([dr * inside_r, ds * inside_s], axis=-1)
+        inside = (coords >= 0.0) & (coords <= [h - 1.0, w - 1.0])
+        ggrid = np.stack([dr, ds], axis=-1) * inside.astype(x.dtype)
     return gx, ggrid
 
 

@@ -46,6 +46,12 @@ CONV_BLOCK_CASES = {
 }
 
 
+# Depthwise gradient cases at batch 2 as (input shape, kernel size): planes
+# of even and odd sides that are not powers of two, at each msgrb kernel size.
+DEPTHWISE_GRAD_CASES = [((2, 3, h, w), k) for h, w in ((6, 10), (9, 7))
+                        for k in (3, 5, 7)]
+
+
 def depthwise_naive(x, w):
     """Per-channel loop convolution, stride 1, padding k//2."""
     n, c, h, wd = x.shape
@@ -161,3 +167,34 @@ def bilinear_input_grad_naive(g, x_shape, coords):
                         for ch in range(gi * cg, (gi + 1) * cg):
                             gx[bi, ch, ri, si] += wt * g[bi, ch, i, j]
     return gx
+
+
+def bilinear_grid_grad_naive(g, x, coords):
+    """Coordinate gradient of border-clamped grouped bilinear sampling, one
+    sample point and one channel at a time; zero where a coordinate was
+    clamped."""
+    n, c, h, w = x.shape
+    groups, ho, wo = coords.shape[1:4]
+    cg = c // groups
+    out = np.zeros(coords.shape, dtype=g.dtype)
+    for bi in range(n):
+        for gi in range(groups):
+            for i in range(ho):
+                for j in range(wo):
+                    rr, ss = coords[bi, gi, i, j]
+                    r = min(max(rr, 0.0), h - 1.0)
+                    s = min(max(ss, 0.0), w - 1.0)
+                    r0, s0 = int(np.floor(r)), int(np.floor(s))
+                    r1, s1 = min(r0 + 1, h - 1), min(s0 + 1, w - 1)
+                    fr, fs = r - r0, s - s0
+                    dr = ds = 0.0
+                    for ch in range(gi * cg, (gi + 1) * cg):
+                        p = x[bi, ch]
+                        gv = g[bi, ch, i, j]
+                        dr += gv * ((1 - fs) * (p[r1, s0] - p[r0, s0])
+                                    + fs * (p[r1, s1] - p[r0, s1]))
+                        ds += gv * ((1 - fr) * (p[r0, s1] - p[r0, s0])
+                                    + fr * (p[r1, s1] - p[r1, s0]))
+                    out[bi, gi, i, j, 0] = dr if 0.0 <= rr <= h - 1.0 else 0.0
+                    out[bi, gi, i, j, 1] = ds if 0.0 <= ss <= w - 1.0 else 0.0
+    return out

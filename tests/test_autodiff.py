@@ -1,13 +1,20 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from sepkit import DimensionError, NumericError, Tape, gradcheck
+from sepkit import (Ca2neckParams, DimensionError, NumericError, Tape,
+                    ca2neck_forward, gradcheck)
 from sepkit import autodiff as ad
 from sepkit import spectral
 from sepkit import tensor as tc
+from sepkit.params import named_arrays, replace_vars
+from sepkit.props import run_properties
 from sepkit.rng import Stream
 
-from oracles import CONV_BLOCK_CASES, bilinear_input_grad_naive
+from oracles import (CONV_BLOCK_CASES, DEPTHWISE_GRAD_CASES,
+                     bilinear_grid_grad_naive, bilinear_input_grad_naive)
 
 
 def rand(seed, shape):
@@ -125,6 +132,26 @@ class TestGradcheckHarness:
                                 "b": rand(37, wshape[:1])}, seed=8)
         assert report.passed
         assert max(p.max_rel_err for p in report.params) <= 1e-6
+
+    @pytest.mark.parametrize("shape,k", DEPTHWISE_GRAD_CASES)
+    def test_depthwise_fft_grads(self, shape, k):
+        weights = rand(38, shape)
+
+        def fn(p):
+            return ad.sum_all(ad.mul(ad.depthwise_conv2d(p["x"], p["w"]),
+                                     weights))
+
+        report = gradcheck(fn, {"x": rand(39, shape),
+                                "w": rand(40, (shape[1], 1, k, k))}, seed=9)
+        assert report.passed
+        assert max(p.max_rel_err for p in report.params) <= 1e-6
+
+    def test_linear_gradcheck_property_over_seeds(self):
+        # the adjoint check holds on every seed, not only the default one
+        for seed in range(10):
+            results = run_properties("autodiff", seed=seed)
+            assert all(r.passed for r in results), [
+                r.as_dict() for r in results if not r.passed]
 
     def test_modulate_complex_weights(self):
         x = rand(12, (1, 2, 8, 8))
@@ -263,6 +290,26 @@ class TestEveryOpDifferentiates:
         assert report.passed
         assert max(p.max_rel_err for p in report.params) <= 1e-4
 
+    def test_bilinear_grid_grads_batched_grouped_clamped(self):
+        # off-lattice points; rows past 5 or below 0 and columns past 6 or
+        # below 0 clamp to the 6x7 border, where the gradient is zero
+        base = Stream(46).uniform((2, 2, 4, 5, 2)) * 10.0 - 2.0
+        coords = np.floor(base) + 0.3 + 0.4 * Stream(47).uniform(base.shape)
+        clamped = ((coords[..., 0] < 0) | (coords[..., 0] > 5)
+                   | (coords[..., 1] < 0) | (coords[..., 1] > 6))
+        assert clamped.any() and not clamped.all()
+        x = rand(48, (2, 4, 6, 7))
+        weights = rand(49, (2, 4, 4, 5))
+
+        def fn(p):
+            grid = ad.add(p["g"], coords)
+            return ad.sum_all(ad.mul(ad.bilinear_sample(x, grid), weights))
+
+        report = gradcheck(fn, {"g": np.zeros(coords.shape)}, seed=10,
+                           max_coords=160)
+        assert report.passed
+        assert max(p.max_rel_err for p in report.params) <= 1e-4
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bilinear_input_grads_match_scatter_oracle(self, dtype):
         coords = self._border_coords(43)
@@ -273,3 +320,64 @@ class TestEveryOpDifferentiates:
         assert gx.dtype == dtype and gx.flags.c_contiguous
         np.testing.assert_allclose(gx, ref,
                                    atol=1e-12 if dtype == np.float64 else 1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bilinear_grid_grads_match_pointwise_oracle(self, dtype):
+        coords = self._border_coords(50) + 0.2 * Stream(51).uniform(
+            (2, 2, 4, 5, 2))
+        x = rand(52, (2, 4, 6, 7)).astype(dtype)
+        g = rand(53, (2, 4, 4, 5)).astype(dtype)
+        _, ggrid = tc.bilinear_sample_grads(g, x, coords, False, True)
+        ref = bilinear_grid_grad_naive(g.astype(np.float64),
+                                       x.astype(np.float64), coords)
+        assert ggrid.dtype == dtype and ggrid.flags.c_contiguous
+        np.testing.assert_allclose(ggrid, ref,
+                                   atol=1e-12 if dtype == np.float64 else 1e-5)
+
+
+def _neck_record():
+    """A small ca2neck forward and loss recorded on a fresh tape."""
+    p = Ca2neckParams.init((8, 16, 32), rng=Stream(80))
+    tape = Tape()
+    leaves = {k: tape.leaf(v, k) for k, v in named_arrays(p).items()}
+    xs = [ad.Var(rand(81 + i, (1, c, 16 >> i, 16 >> i)))
+          for i, c in enumerate(p.channels)]
+    loss = None
+    for i, y in enumerate(ca2neck_forward(xs, replace_vars(p, leaves))):
+        term = ad.sum_all(ad.mul(y, rand(90 + i, y.value.shape)))
+        loss = term if loss is None else ad.add(loss, term)
+    return tape, loss
+
+
+class TestTapeLifetime:
+    def test_step_frees_tape_and_activations_without_gc(self):
+        def step(refs):
+            tape, loss = _neck_record()
+            largest = max((node.out.value for node in tape._nodes),
+                          key=lambda v: v.nbytes)
+            refs += [weakref.ref(tape), weakref.ref(largest)]
+            del largest
+            return tape.backward(loss)
+
+        gc.collect()
+        gc.disable()
+        try:
+            refs = []
+            grads = step(refs)
+            assert grads and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_second_backward_raises(self):
+        tape, loss = _neck_record()
+        tape.backward(loss)
+        with pytest.raises(ValueError, match="already ran"):
+            tape.backward(loss)
+
+    def test_record_length_kept_for_node_counts(self):
+        # a neck step records 160 nodes; the count survives backward
+        tape, loss = _neck_record()
+        tape.backward(loss)
+        assert len(tape._nodes) == 160
+        assert all(node.out is None and node.vjp is None
+                   for node in tape._nodes)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -149,3 +153,27 @@ class TestFddemGradients:
         assert set(grads) == set(named_arrays(p))
         for name, g in grads.items():
             assert np.abs(g).max() > 0.0, f"dead parameter {name}"
+
+
+def test_import_and_inference_leave_scipy_fft_unloaded():
+    # scipy.fft serves only the depthwise gradients, and scipy.signal
+    # nothing: neither should cost `import sepkit` or an inference run
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import sepkit\n"
+        "from sepkit.rng import Stream\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.startswith(('scipy.fft', 'scipy.signal')))\n"
+        "assert not loaded(), loaded()\n"
+        "p = sepkit.FddemParams.random(8, 20, 12, Stream(1),"
+        " dtype=np.float32)\n"
+        "sepkit.fddem_forward(np.ones((1, 8, 20, 12), np.float32), p)\n"
+        "assert not loaded(), loaded()\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -5,9 +5,12 @@ from sepkit import (DimensionError, NumericError, SamplingGrid, Tensor,
                     bilinear_sample, concat_channels, conv2d,
                     depthwise_conv2d, gelu, sigmoid, silu, split_channels)
 from sepkit.rng import Stream
-from sepkit.tensor import conv2d_grads, conv2d_raw, sigmoid_raw
+from sepkit.tensor import (bilinear_sample_grads, bilinear_sample_raw,
+                           conv2d_grads, conv2d_raw, depthwise_conv2d_grads,
+                           sigmoid_raw)
 
-from oracles import CONV_BLOCK_CASES, conv2d_naive, depthwise_naive
+from oracles import (CONV_BLOCK_CASES, DEPTHWISE_GRAD_CASES, conv2d_naive,
+                     depthwise_naive)
 
 
 def rand_tensor(seed, shape):
@@ -173,6 +176,31 @@ class TestDepthwise:
         with pytest.raises(DimensionError):
             depthwise_conv2d(x, w, padding=2)
 
+    @staticmethod
+    def _grad_case(shape, k, dtype=np.float64):
+        x = Stream(70).normal(shape).astype(dtype)
+        w = Stream(71).normal((shape[1], 1, k, k)).astype(dtype)
+        g = Stream(72).normal(shape).astype(dtype)
+        return x, w, g
+
+    @pytest.mark.parametrize("shape,k", DEPTHWISE_GRAD_CASES)
+    def test_fft_grads_are_oracle_adjoint(self, shape, k):
+        x, w, g = self._grad_case(shape, k)
+        gx, gw = depthwise_conv2d_grads(g, x, w)
+        ref = float((g * depthwise_naive(x, w)).sum())
+        assert float((gx * x).sum()) == pytest.approx(ref, rel=1e-12)
+        assert float((gw * w).sum()) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("shape,k", DEPTHWISE_GRAD_CASES)
+    def test_fft_grads_f32_stays_f32(self, shape, k):
+        x, w, g = self._grad_case(shape, k, np.float32)
+        grads = depthwise_conv2d_grads(g, x, w)
+        wide = depthwise_conv2d_grads(*(a.astype(np.float64)
+                                        for a in (g, x, w)))
+        for arr, ref in zip(grads, wide):
+            assert arr.dtype == np.float32 and arr.flags.c_contiguous
+            np.testing.assert_allclose(arr, ref, rtol=1e-5, atol=1e-5)
+
 
 class TestBilinear:
     def test_integer_coordinates_exact(self):
@@ -212,6 +240,20 @@ class TestBilinear:
         coords = Stream(17).uniform((1, 1, 5, 5, 2)) * 4.0 - 0.5
         y = bilinear_sample(x, SamplingGrid(coords))
         assert (y.data == 1.37).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_kept_plan_gives_fresh_plan_bytes(self, dtype):
+        # batch 2, groups 2, points inside, off the lattice and clamped
+        x = Stream(73).normal((2, 4, 6, 7)).astype(dtype)
+        coords = Stream(74).uniform((2, 2, 4, 5, 2)) * 10.0 - 2.0
+        g = Stream(75).normal((2, 4, 4, 5)).astype(dtype)
+        y, plan = bilinear_sample_raw(x, coords, keep_plan=True)
+        assert y.tobytes() == bilinear_sample_raw(x, coords).tobytes()
+        kept = bilinear_sample_grads(g, x, coords, True, True, plan)
+        fresh = bilinear_sample_grads(g, x, coords, True, True)
+        for a, b in zip(kept, fresh):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     def test_grouped_sampling(self):
         x = Stream(18).normal((1, 4, 4, 4))

@@ -1,0 +1,98 @@
+"""The benchmark tracer's view of sepkit matches sepkit.
+
+`perfbench/tracing.py` wraps sepkit functions by attribute name and reads
+work counts from their arguments by position or keyword.  A renamed kernel
+or a moved parameter would not fail the benchmark: the wrapper is skipped,
+or the count is read from the wrong argument, and a per-layer metric reads
+zero.  These tests load the tracer as it is, without changing it, and hold
+sepkit to it.
+"""
+
+import importlib.util
+import inspect
+import pathlib
+
+import numpy as np
+
+from sepkit import Ca2neckParams, Tape, ca2neck_forward
+from sepkit import autodiff as ad
+from sepkit import io as sio
+from sepkit import spectral
+from sepkit import tensor as tc
+from sepkit.params import named_arrays, replace_vars
+from sepkit.rng import Stream
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+    "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# counted argument of each counted target: (owner, attribute) -> (index,
+# name), as the tracer's count functions read it
+COUNTED = {
+    (spectral, "dft2_raw"): (0, "a"),
+    (spectral, "_naive_dft2_planes"): (0, "a"),
+    (tc, "depthwise_conv2d_raw"): (1, "w"),
+    (tc, "depthwise_conv2d_grads"): (2, "w"),
+    (tc, "bilinear_sample_raw"): (1, "coords"),
+    (tc, "bilinear_sample_grads"): (2, "coords"),
+    (sio, "read_tensor"): (0, "path"),
+    (sio, "write_tensor"): (0, "path"),
+}
+
+
+def test_every_target_exists():
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _, _ in load_tracing().TARGETS
+               if not hasattr(owner, attr)]
+    assert not missing
+
+
+def test_counted_arguments_sit_where_the_tracer_reads_them():
+    tracing = load_tracing()
+    counted = {(owner, attr) for owner, attr, _, count in tracing.TARGETS
+               if count is not None}
+    assert counted == set(COUNTED) | {(ad.Tape, "backward")}
+    for (owner, attr), (index, name) in COUNTED.items():
+        params = list(inspect.signature(getattr(owner, attr)).parameters)
+        assert params[index] == name, (attr, params)
+
+
+def test_traced_neck_step_counts_its_work():
+    tracing = load_tracing()
+    p = Ca2neckParams.init((8, 16, 32), rng=Stream(5), dtype=np.float32)
+    xs = [Stream(6 + i).normal((1, c, 16 >> i, 16 >> i)).astype(np.float32)
+          for i, c in enumerate(p.channels)]
+
+    def step():
+        tape = Tape()
+        leaves = {k: tape.leaf(v, k) for k, v in named_arrays(p).items()}
+        loss = None
+        for y in ca2neck_forward([ad.Var(x) for x in xs],
+                                 replace_vars(p, leaves)):
+            term = ad.sum_all(y)
+            loss = term if loss is None else ad.add(loss, term)
+        return tape.backward(loss)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.request(0, step)
+    finally:
+        tracer.uninstall()
+    counts = tracing.summarize(tracer.spans)[1][0]
+    # four msgrb blocks, one folded 7x7 depthwise each, forward and backward
+    assert counts["tensor.depthwise.taps"] == 8 * 49
+    # dysample 4->8 and 8->16, ldconv's 5 points at 8x8 and 4x4; each
+    # sampled once forward and once backward
+    assert counts["tensor.bilinear.points"] == 2 * (64 + 256 + 5 * (64 + 16))
+    # neck_train records 160 nodes; this loss has no cotangent mul nodes
+    assert counts["autodiff.nodes"] == 160 - 3
+    assert counts["tensor.conv2d.calls"] == 36
