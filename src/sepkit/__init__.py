@@ -3,8 +3,8 @@ refinement, and content-aware pyramid alignment, with reverse-mode
 differentiation and a gradient-certification harness.
 
 Layering, bottom to top: `tensor` (dense NCHW values and kernels),
-`autodiff` (tape, ops, gradcheck), `spectral` (DFT pair and complex
-modulation), then the composed blocks `fddem`, `msgrb`, `ca2neck`, and the
+`autodiff` (tape, ops, gradcheck), `spectral` (half-spectrum DFT pair
+and complex modulation), then the composed blocks `fddem`, `msgrb`, `ca2neck`, and the
 `cli`/`props` front end.
 """
 
@@ -17,18 +17,15 @@ from .fddem import FddemParams, dual_attention, fddem_forward
 from .msgrb import MsgrbParams, ms_gu, msdwconv, msgrb_forward
 from .params import ParamStore
 from .rng import Stream, derive_seed
-from .spectral import ComplexTensor, ComplexWeights
-from .tensor import (SamplingGrid, Tensor, bilinear_sample, concat_channels,
-                     conv2d, depthwise_conv2d, gelu, sigmoid, silu,
-                     split_channels)
+from .spectral import ComplexWeights
+from .tensor import SamplingGrid, Tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "SamplingGrid", "conv2d", "depthwise_conv2d", "bilinear_sample",
-    "gelu", "sigmoid", "silu", "split_channels", "concat_channels",
+    "Tensor", "SamplingGrid",
     "Tape", "Var", "GradReport", "gradcheck",
-    "ComplexTensor", "ComplexWeights",
+    "ComplexWeights",
     "FddemParams", "dual_attention", "fddem_forward",
     "MsgrbParams", "msdwconv", "ms_gu", "msgrb_forward",
     "LdconvParams", "DysampleParams", "Ca2neckParams", "ldconv_coords",

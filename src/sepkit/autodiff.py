@@ -11,6 +11,12 @@ use: `backward` frees each node's value, parents and vjp as it walks, so a
 step's activations go with the step's last reference instead of waiting
 for the cyclic garbage collector, and a second `backward` raises.
 
+Values may be complex (the spectral ops hold half spectra).  Gradients
+follow the convention of PyTorch: for a real loss L, the gradient of a
+complex value z is dL/dRe(z) + j*dL/dIm(z), so the vjp of z = a*b hands a
+the cotangent g*conj(b).  The spectral ops that cross between real and
+complex values hand their real operands real gradients.
+
 `gradcheck` certifies an analytic gradient against central differences,
 optionally on a seeded coordinate subsample for large parameters, and
 reports per-parameter absolute/relative error and cosine alignment.
@@ -29,7 +35,8 @@ from .tensor import Tensor, require, require_finite
 
 
 class Var:
-    """A value tracked (or not) by a tape; wraps one ndarray of any shape."""
+    """A value tracked (or not) by a tape; wraps one real or complex ndarray
+    of any shape."""
 
     __slots__ = ("value", "tape", "name")
 
@@ -194,8 +201,8 @@ def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
     av, bv = a.value, b.value
     return _apply(av * bv, (a, b),
-                  lambda g: (_unbroadcast(g * bv, av.shape),
-                             _unbroadcast(g * av, bv.shape)), "mul")
+                  lambda g: (_unbroadcast(g * bv.conj(), av.shape),
+                             _unbroadcast(g * av.conj(), bv.shape)), "mul")
 
 
 def neg(a) -> Var:
@@ -262,6 +269,10 @@ def transpose(a, axes) -> Var:
 
 def concat(parts, axis: int = 1) -> Var:
     parts = [as_var(p) for p in parts]
+    require(len(parts) >= 1 and len({
+        p.value.shape[:axis] + p.value.shape[axis + 1:] for p in parts}) == 1,
+        f"concat parts must agree outside axis {axis}, got "
+        f"{[p.value.shape for p in parts]}")
 
     def vjp(g):
         sl = [slice(None)] * g.ndim

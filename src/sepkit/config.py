@@ -157,9 +157,10 @@ def _fddem_params(o, dtype, rng):
 
 def _fft2_forward(x, params, o):
     naive = o["path"] == "naive"
-    spectrum = spectral.fft2_v(x, force_naive=naive)
-    return ad.wrap_like(x, spectral.ifft2_real_v(*spectrum,
-                                                 force_naive=naive))
+    xv = ad.as_var(x)
+    spectrum = spectral.rfft2_v(xv, force_naive=naive)
+    return ad.wrap_like(x, spectral.irfft2_v(spectrum, xv.value.shape[-1],
+                                             force_naive=naive))
 
 
 STAGES = {

@@ -5,9 +5,11 @@ Dual-branch block over a fixed (C, H, W) feature size:
   * spatial context branch: residual pair of shape-preserving 3x3
     convolutions with silu between, x + conv2(silu(conv1(x))), so the
     branch is an exact identity while conv2 is zero;
-  * frequency detail branch: per-branch spectrum modulation with
-    learnable complex weights, branches concatenated and compressed by a
-    zero-initialized 1x1 convolution;
+  * frequency detail branch: one half-spectrum DFT of the input, then per
+    branch a complex product with the Hermitian fold of that branch's
+    learnable (C, H, W) complex weights and one inverse transform, which
+    gives Re(ifft2(fft2(x) * W)) exactly; branches concatenated and
+    compressed by a zero-initialized 1x1 convolution;
   * dual attention: channel logits (global average + max pooling through
     a shared two-layer 1x1-conv MLP) and spatial logits (channel mean/max
     maps through a 7x7 convolution) are added under a single sigmoid,
@@ -138,6 +140,16 @@ def dual_attention(f, p: FddemParams):
     return ad.wrap_like(f, att)
 
 
+def frequency_branch(x, branches) -> list:
+    """Each branch's Re(ifft2(fft2(x) * W)), from one shared half spectrum."""
+    xv = ad.as_var(x)
+    width = xv.value.shape[-1]
+    spectrum = spectral.rfft2_v(xv)
+    return [spectral.irfft2_v(spectral.modulate_v(
+                spectrum, spectral.hermitian_fold_v(wb.re, wb.im)), width)
+            for wb in branches]
+
+
 def fddem_forward(x, p: FddemParams):
     """spatial_branch(x) + dual_attention(f) * f over the frequency feature f."""
     xv = ad.as_var(x)
@@ -151,12 +163,8 @@ def fddem_forward(x, p: FddemParams):
         ad.silu(ad.conv2d(xv, p.spatial1_w, p.spatial1_b, padding=1)),
         p.spatial2_w, p.spatial2_b, padding=1))
 
-    # one input spectrum, fanned out to every branch's modulation
-    sre, sim = spectral.fft2_v(xv)
-    enhanced = [spectral.ifft2_real_v(
-                    *spectral.modulate_v(sre, sim, wb.re, wb.im))
-                for wb in p.branches]
-    f = ad.conv2d(ad.concat(enhanced, axis=1), p.compress_w, p.compress_b)
+    f = ad.conv2d(ad.concat(frequency_branch(xv, p.branches), axis=1),
+                  p.compress_w, p.compress_b)
 
     att = dual_attention(f, p)
     out = ad.add(spatial, ad.mul(ad.as_var(att), f))

@@ -5,7 +5,8 @@ Tensor files ("SEPT"): magic, format version u32 LE = 1, dtype u8
 little-endian values row-major.  No compression or alignment padding.
 
 Complex files ("SEPC"): the magic followed by two consecutive SEPT blocks,
-real part then imaginary part.
+real part then imaginary part; they hold a complex64 (f32 blocks) or
+complex128 (f64 blocks) array.
 
 Parameter files ("SEPP"): the magic, a u32 LE entry count, then repeated
 [name length u16 LE, UTF-8 name, SEPT block] in insertion order.
@@ -28,8 +29,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .params import ParamStore
-from .spectral import ComplexTensor
-from .tensor import Tensor
+from .tensor import Tensor, require
 
 MAGIC_TENSOR = b"SEPT"
 MAGIC_COMPLEX = b"SEPC"
@@ -112,13 +112,14 @@ def read_tensor(path: str) -> Tensor:
     return Tensor(arr, copy=False)
 
 
-def write_complex(path: str, s: ComplexTensor) -> None:
-    data = MAGIC_COMPLEX + tensor_block_bytes(s.re.data) \
-        + tensor_block_bytes(s.im.data)
-    atomic_write(path, data)
+def write_complex(path: str, z: np.ndarray) -> None:
+    if not np.iscomplexobj(z):
+        raise DimensionError(f"SEPC files hold complex arrays, got {z.dtype}")
+    atomic_write(path, MAGIC_COMPLEX + tensor_block_bytes(z.real)
+                 + tensor_block_bytes(z.imag))
 
 
-def read_complex(path: str) -> ComplexTensor:
+def read_complex(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != MAGIC_COMPLEX:
@@ -127,7 +128,13 @@ def read_complex(path: str) -> ComplexTensor:
     im, end = read_tensor_block(buf, off)
     if end != len(buf):
         raise DimensionError(f"trailing bytes after complex blocks in {path}")
-    return ComplexTensor(Tensor(re, copy=False), Tensor(im, copy=False))
+    re, im = Tensor(re, copy=False).data, Tensor(im, copy=False).data
+    require(re.shape == im.shape and re.dtype == im.dtype,
+            f"complex parts must share shape and dtype, got {re.shape} "
+            f"{re.dtype} vs {im.shape} {im.dtype}")
+    z = np.empty(re.shape, dtype=np.result_type(re.dtype, np.complex64))
+    z.real, z.imag = re, im
+    return z
 
 
 def write_params(path: str, store: ParamStore) -> None:

@@ -1,11 +1,16 @@
-"""2D discrete Fourier transform pair and learnable complex-weight modulation.
+"""2D discrete Fourier transforms of real feature maps and learnable
+complex-weight modulation.
 
 The forward transform is the unnormalized DFT
 
     F[u, v] = sum_{x, y} X[x, y] * exp(-2j*pi*(u*x/H + v*y/W))
 
 applied independently per (batch, channel) plane; the inverse carries the
-1/(H*W) factor and returns the real part.  Every plane size goes through
+1/(H*W) factor.  A real plane's spectrum is Hermitian, F[-k] = conj(F[k]),
+so the differentiable ops keep only its half spectrum: the W//2 + 1
+non-negative column frequencies of every row.  The inverse maps a half
+spectrum back to a real plane of a stated width, as the real part of the
+full inverse of its Hermitian extension.  Every plane size goes through
 numpy's pocketfft.  A per-bin naive evaluation, deliberately O((H*W)^2)
 per plane, is kept behind `force_naive` as the always-correct reference
 and the benchmark baseline.
@@ -13,15 +18,21 @@ and the benchmark baseline.
 Modulation multiplies a spectrum elementwise by learnable complex weights,
 one (C, H, W) weight pair per enhancement branch: real parts scale
 amplitudes, imaginary parts rotate phases.  Weights initialize to 1+0j so
-an untrained branch is an identity map.
+an untrained branch is an identity map.  Only the Hermitian part of a
+weight map reaches a real output, which makes the half spectrum exact:
 
-The differentiable `fft2_v`, `modulate_v` and `ifft2_real_v` are the one
-execution path, with or without a tape; `dft2_raw` is the plain-array
-transform underneath them.
+    Re(ifft2(S * W)) = irfft2(S_half * Wh),  Wh[k] = (W[k] + conj(W[-k])) / 2
+
+A branch is `irfft2_v(modulate_v(rfft2_v(x), hermitian_fold_v(re, im)), W)`;
+the fold is a tape node, so every stored weight still gets its gradient.
+These four ops are the one execution path, with or without a tape, and
+carry complex values in `Var`s under the gradient convention stated in
+`autodiff`.  `dft2_raw` is the plain-array transform underneath them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var, as_var
 from .rng import Stream
-from .tensor import Tensor, require, require_finite
-
-_COMPLEX_FOR = {np.dtype(np.float32): np.complex64,
-                np.dtype(np.float64): np.complex128}
+from .tensor import require, require_finite
 
 # test-only fault hook: when set, modulate_v flips the sign of the
 # spectrum.im * weight.re term so harness checks can prove they catch it
@@ -58,48 +66,59 @@ def _naive_dft2_planes(a: np.ndarray, sign: int) -> np.ndarray:
     return out.reshape(a.shape)
 
 
+def _pairs(width: int) -> slice:
+    """Half-spectrum columns that stand for a conjugate pair of bins (all
+    but the zero and, at even width, the Nyquist column)."""
+    return slice(1, (width + 1) // 2)
+
+
+@functools.lru_cache(maxsize=64)
+def _mirror(h: int, w: int) -> np.ndarray:
+    """In-plane flat index of bin -k for each bin k of the half spectrum of
+    an (h, w) plane; k -> -k is one-to-one, so no index repeats."""
+    index = ((-np.arange(h) % h)[:, None] * w + -np.arange(w // 2 + 1) % w)
+    index = index.ravel()
+    index.setflags(write=False)
+    return index
+
+
 def dft2_raw(a: np.ndarray, inverse: bool = False,
-             force_naive: bool = False) -> np.ndarray:
-    """Complex 2D DFT over the last two axes of `a`, any plane size.
+             force_naive: bool = False, width: int | None = None):
+    """2D DFT over the last two axes of `a`, any plane size.
 
     Forward is unnormalized with the e^{-j...} convention; inverse applies
-    1/(H*W).  The result has the complex dtype matching `a` (complex64 for
-    float32 input).  `force_naive` selects the per-bin reference path.
+    1/(H*W).  Without `width` the transform is complex to complex.  With
+    it, the transform pairs a real (..., H, width) plane with its
+    (..., H, width // 2 + 1) half spectrum: forward takes the plane,
+    inverse the half spectrum.  Results keep `a`'s precision (complex64 or
+    float32 for 32-bit input).  `force_naive` selects the per-bin
+    reference path.
     """
-    if not np.iscomplexobj(a):
-        a = a.astype(_COMPLEX_FOR[np.dtype(a.dtype)])
+    h, w = a.shape[-2], width or a.shape[-1]
     if force_naive:
-        h, w = a.shape[-2:]
-        out = _naive_dft2_planes(a, +1 if inverse else -1)
-        return out / (h * w) if inverse else out
-    out = np.fft.ifft2(a) if inverse else np.fft.fft2(a)
-    # numpy < 2 computes in complex128 whatever the input precision
-    return out.astype(a.dtype, copy=False)
+        z = np.zeros(a.shape[:-1] + (w,), np.result_type(a, np.complex64))
+        z[..., :a.shape[-1]] = a
+        if inverse and width:
+            # the real part of the inverse of a one-sided spectrum whose
+            # pair columns count twice is the inverse of the half spectrum
+            z[..., _pairs(w)] *= 2
+        out = _naive_dft2_planes(z, +1 if inverse else -1)
+        out = out / (h * w) if inverse else out
+        if width:
+            out = out.real if inverse else out[..., :w // 2 + 1]
+    elif width:  # rfft2 / irfft2 without their n-d argument handling
+        out = (np.fft.irfft(np.fft.ifft(a, axis=-2), w) if inverse
+               else np.fft.fft(np.fft.rfft(a), axis=-2))
+    else:
+        out = np.fft.ifft2(a) if inverse else np.fft.fft2(a)
+    # numpy < 2 computes in double precision whatever the input precision
+    kind = np.complex64 if np.iscomplexobj(out) else np.float32
+    return out.astype(np.result_type(kind, a.real.dtype), copy=False)
 
 
 # ---------------------------------------------------------------------------
-# containers
+# weights
 # ---------------------------------------------------------------------------
-
-class ComplexTensor:
-    """Paired real/imaginary tensors of equal shape: a SEPC file's content."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Tensor, im: Tensor):
-        require(re.shape == im.shape,
-                f"complex parts must share a shape, got {re.shape} "
-                f"vs {im.shape}")
-        require(re.dtype == im.dtype,
-                f"complex parts must share a dtype, got {re.dtype} "
-                f"vs {im.dtype}")
-        self.re = re
-        self.im = im
-
-    @property
-    def shape(self) -> tuple:
-        return self.re.shape
-
 
 @dataclass
 class ComplexWeights:
@@ -142,70 +161,93 @@ class ComplexWeights:
 # differentiable ops (Var level)
 # ---------------------------------------------------------------------------
 
-def fft2_v(x, force_naive: bool = False) -> tuple:
-    """Differentiable forward DFT of a real (N, C, H, W) value.
+def rfft2_v(x, force_naive: bool = False) -> Var:
+    """Differentiable half-spectrum DFT of a real (N, C, H, W) value.
 
-    Returns (re, im).  The transform is linear, so the input gradient is
-    the forward transform of (g_re - 1j*g_im), real part taken (the DFT
-    matrix is symmetric).
+    The input gradient of a half-spectrum cotangent g is
+    Re(sum over the half bins of g[k] e^{+j...}): H*W times the inverse of
+    g with its conjugate-pair columns halved.
     """
     x = as_var(x)
     require_finite(x.value, "fft2 input")
-    spec = dft2_raw(x.value, inverse=False, force_naive=force_naive)
-    re_val = np.ascontiguousarray(spec.real)
-    im_val = np.ascontiguousarray(spec.imag)
-    tape = x.tape
-    if tape is None:
-        return Var(re_val), Var(im_val)
-
-    def vjp_re(g):
-        gz = g.astype(_COMPLEX_FOR[np.dtype(g.dtype)])
-        return (np.ascontiguousarray(
-            dft2_raw(gz, inverse=False, force_naive=force_naive).real),)
-
-    def vjp_im(g):
-        gz = (-1j * g).astype(_COMPLEX_FOR[np.dtype(g.dtype)])
-        return (np.ascontiguousarray(
-            dft2_raw(gz, inverse=False, force_naive=force_naive).real),)
-
-    re_var = tape._record(re_val, (x,), vjp_re, "fft2.re")
-    im_var = tape._record(im_val, (x,), vjp_im, "fft2.im")
-    return re_var, im_var
-
-
-def ifft2_real_v(re, im, force_naive: bool = False) -> Var:
-    """Differentiable inverse DFT keeping the real part only."""
-    re, im = as_var(re), as_var(im)
-    require(re.value.shape == im.value.shape,
-            f"spectrum parts must share a shape, got {re.value.shape} "
-            f"vs {im.value.shape}")
-    require_finite(re.value, "ifft2 input (re)")
-    require_finite(im.value, "ifft2 input (im)")
-    spec = re.value + 1j * im.value
-    value = np.ascontiguousarray(
-        dft2_raw(spec, inverse=True, force_naive=force_naive).real)
-    tape = ad._tape_of(re, im)
-    if tape is None:
-        return Var(value)
+    h, w = x.value.shape[-2:]
 
     def vjp(g):
-        z = dft2_raw(g.astype(_COMPLEX_FOR[np.dtype(g.dtype)]),
-                     inverse=True, force_naive=force_naive)
-        return (np.ascontiguousarray(z.real),
-                np.ascontiguousarray(-z.imag))
+        g = g.copy()
+        g[..., _pairs(w)] *= 0.5
+        return (dft2_raw(g, inverse=True, force_naive=force_naive, width=w)
+                * (h * w),)
+    return ad._apply(dft2_raw(x.value, force_naive=force_naive, width=w),
+                     (x,), vjp, "rfft2")
 
-    return tape._record(value, (re, im), vjp, "ifft2_real")
+
+def irfft2_v(spectrum, width: int, force_naive: bool = False) -> Var:
+    """Differentiable inverse of an (N, C, H, width // 2 + 1) half spectrum
+    to the real (N, C, H, width) plane.
+
+    The spectrum gradient of a real cotangent g is the half-spectrum DFT
+    of g over H*W, doubled on the conjugate-pair columns.
+    """
+    s = as_var(spectrum)
+    require(s.value.shape[-1] == width // 2 + 1,
+            f"a half spectrum of width {width} has {width // 2 + 1} "
+            f"columns, got {s.value.shape[-1]}")
+    require_finite(s.value, "ifft2 input")
+    h = s.value.shape[-2]
+
+    def vjp(g):
+        z = dft2_raw(g, force_naive=force_naive, width=width) / (h * width)
+        z[..., _pairs(width)] *= 2
+        return (z,)
+    return ad._apply(dft2_raw(s.value, inverse=True, force_naive=force_naive,
+                              width=width), (s,), vjp, "irfft2")
 
 
-def modulate_v(sre, sim, wre, wim) -> tuple:
-    """Differentiable complex product of an (N, C, H, W) spectrum with
-    (C, H, W) weights, shared across the batch."""
-    sre, sim, wre, wim = (as_var(v) for v in (sre, sim, wre, wim))
-    planes = sre.value.shape[1:]
-    require(wre.value.shape == planes and wim.value.shape == planes,
-            f"weights {wre.value.shape}/{wim.value.shape} do not match "
-            f"spectrum planes {planes}")
-    re = ad.sub(ad.mul(sre, wre), ad.mul(sim, wim))
-    cross = ad.sub if FAULT_MODULATE_SIGN else ad.add
-    im = cross(ad.mul(sre, wim), ad.mul(sim, wre))
-    return re, im
+def hermitian_fold_v(re, im) -> Var:
+    """Half-spectrum Hermitian part (W[k] + conj(W[-k])) / 2 of the (C, H, W)
+    weights W = re + j*im, shaped (C, H, W // 2 + 1)."""
+    re, im = as_var(re), as_var(im)
+    shape = re.value.shape
+    require(im.value.shape == shape,
+            f"weight parts must share a shape, got {shape} "
+            f"vs {im.value.shape}")
+    h, w = shape[-2:]
+    wh, mirror = w // 2 + 1, _mirror(h, w)
+    flat, half = shape[:-2] + (h * w,), shape[:-1] + (wh,)
+    value = np.empty(half, dtype=np.result_type(re.value, np.complex64))
+    value.real = 0.5 * (re.value[..., :wh]
+                        + re.value.reshape(flat).take(mirror, -1).reshape(half))
+    value.imag = 0.5 * (im.value[..., :wh]
+                        - im.value.reshape(flat).take(mirror, -1).reshape(half))
+
+    def vjp(g):
+        g_re, g_im = 0.5 * g.real, 0.5 * g.imag
+        d_re = np.zeros(shape, dtype=g_re.dtype)
+        d_im = np.zeros(shape, dtype=g_im.dtype)
+        d_re[..., :wh], d_im[..., :wh] = g_re, g_im
+        d_re.reshape(flat)[..., mirror] += g_re.reshape(flat[:-1] + (-1,))
+        d_im.reshape(flat)[..., mirror] -= g_im.reshape(flat[:-1] + (-1,))
+        return d_re, d_im
+    return ad._apply(value, (re, im), vjp, "hermitian_fold")
+
+
+def modulate_v(spectrum, weights) -> Var:
+    """Differentiable complex product of an (N, C, H, Wh) spectrum with
+    (C, H, Wh) weights, shared across the batch."""
+    s, wt = as_var(spectrum), as_var(weights)
+    sv, wv = s.value, wt.value
+    require(wv.shape == sv.shape[1:],
+            f"weights {wv.shape} do not match spectrum planes "
+            f"{sv.shape[1:]}")
+    fault = FAULT_MODULATE_SIGN
+    value = sv * wv
+    if fault:
+        value.imag -= 2 * (sv.imag * wv.real)
+
+    def vjp(g):
+        gs, gw = g * wv.conj(), (g * sv.conj()).sum(axis=0)
+        if fault:
+            gs.imag -= 2 * (g.imag * wv.real)
+            gw.real -= 2 * (g.imag * sv.imag).sum(axis=0)
+        return gs, gw
+    return ad._apply(value, (s, wt), vjp, "modulate")

@@ -1,19 +1,17 @@
 """Dense NCHW tensor type and the numerical primitives everything builds on.
 
 The `Tensor` is an immutable, contiguous, row-major (N, C, H, W) array in
-f32 or f64.  Operations are pure functions: zero-padded convolution,
-per-channel depthwise convolution, border-clamped bilinear grid sampling,
-the gelu/sigmoid/silu activation family, and channel split/concat.  Every
-operation validates shapes and rejects non-finite values at its boundary,
-so a NaN raises instead of propagating silently.
-
-The module also hosts the raw ndarray kernels (forward and gradient) that
-the reverse-mode layer records on its tape; the typed functions here are
-thin validated wrappers over the same kernels.  A conv and each of its
-gradients is one BLAS matmul over an im2col matrix (see `_conv_cols`).
-The depthwise forward is an exact shifted-window sum; its gradients are
-products of real FFTs (`scipy.fft`, loaded on the first gradient).  The
-bilinear forward can keep its plan (corner rows into a channels-last copy
+f32 or f64, the type files are read into and the blocks hand back.  The
+kernels are pure functions over ndarrays: zero-padded convolution,
+per-channel depthwise convolution, border-clamped bilinear grid sampling
+and the gelu/sigmoid/silu activation family, each with its gradients, for
+the reverse-mode layer to record on its tape.  Every kernel validates
+shapes and rejects non-finite values at its boundary, so a NaN raises
+instead of propagating silently.  A conv and each of its gradients is one
+BLAS matmul over an im2col matrix (see `_conv_cols`).  The depthwise
+forward is an exact shifted-window sum; its gradients are products of
+real FFTs (`scipy.fft`, loaded on the first gradient).  The bilinear
+forward can keep its plan (corner rows into a channels-last copy
 of x, and the fractional offsets), so its gradients rebuild nothing.
 """
 
@@ -359,70 +357,3 @@ def silu_raw(x: np.ndarray) -> np.ndarray:
 def silu_grad(x: np.ndarray) -> np.ndarray:
     s = sigmoid_raw(x)
     return s * (1.0 + x * (1.0 - s))
-
-
-# ---------------------------------------------------------------------------
-# typed surface
-# ---------------------------------------------------------------------------
-
-def conv2d(x: Tensor, weight: Tensor, bias=None, stride: int = 1,
-           padding: int = 0) -> Tensor:
-    """Zero-padded 2D cross-correlation with a (C_out, C_in, k, k) kernel."""
-    y = conv2d_raw(x.data, weight.data, bias, stride, padding)
-    return Tensor(y, copy=False)
-
-
-def depthwise_conv2d(x: Tensor, weight: Tensor, padding=None) -> Tensor:
-    """Shape-preserving per-channel convolution, stride 1, padding k//2."""
-    k = weight.data.shape[2]
-    if padding is not None:
-        require(padding == k // 2,
-                f"depthwise padding must be {k // 2} for k={k}, got {padding}")
-    y = depthwise_conv2d_raw(x.data, weight.data)
-    return Tensor(y, copy=False)
-
-
-def bilinear_sample(x: Tensor, grid: SamplingGrid) -> Tensor:
-    """Border-clamped bilinear interpolation of x at fractional coordinates."""
-    y = bilinear_sample_raw(x.data, grid.coords)
-    return Tensor(y, copy=False)
-
-
-def gelu(x: Tensor) -> Tensor:
-    return Tensor(gelu_raw(x.data), copy=False)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return Tensor(sigmoid_raw(x.data), copy=False)
-
-
-def silu(x: Tensor) -> Tensor:
-    return Tensor(silu_raw(x.data), copy=False)
-
-
-def split_channels(x: Tensor, sizes) -> list:
-    """Split along the channel axis into parts of the given sizes."""
-    sizes = list(sizes)
-    require(all(s >= 1 for s in sizes),
-            f"split sizes must be positive, got {sizes}")
-    c = x.shape[1]
-    require(sum(sizes) == c,
-            f"split sizes {sizes} must sum to channel count {c}")
-    parts = []
-    start = 0
-    for s in sizes:
-        parts.append(Tensor(x.data[:, start:start + s], copy=True))
-        start += s
-    return parts
-
-
-def concat_channels(parts) -> Tensor:
-    """Concatenate along the channel axis; inverse of split_channels."""
-    arrays = [p.data for p in parts]
-    require(len(arrays) >= 1, "concat needs at least one tensor")
-    base = arrays[0].shape
-    for a in arrays[1:]:
-        require(a.shape[0] == base[0] and a.shape[2:] == base[2:],
-                f"concat parts disagree outside the channel axis: "
-                f"{base} vs {a.shape}")
-    return Tensor(np.concatenate(arrays, axis=1), copy=False)

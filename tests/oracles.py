@@ -2,10 +2,15 @@
 
 Everything here is written the slow, obvious way (explicit loops, literal
 formulas) so it shares no code path with the library implementations it
-checks.
+checks.  The one exception is `frequency_branch_naive`, built on the
+library's per-bin reference DFT, which the spectral tests hold to the
+literal `dft2_literal` oracle and which shares nothing with the
+half-spectrum path it checks.
 """
 
 import numpy as np
+
+from sepkit.spectral import _naive_dft2_planes
 
 
 def conv2d_naive(x, w, b=None, stride=1, padding=0):
@@ -94,6 +99,20 @@ def idft2_literal(spec):
             phase = np.exp(2j * np.pi * (us * x / h + vs * y / w))
             out[x, y] = (spec * phase).sum() / (h * w)
     return out
+
+
+# Planes for the frequency-branch oracle: powers of two, an odd width (no
+# Nyquist column), and the non-power-of-two sides of detector necks.
+FREQUENCY_ORACLE_PLANES = [(8, 8), (9, 7), (12, 20), (20, 20), (40, 40)]
+
+
+def frequency_branch_naive(x, branches):
+    """Each branch's Re(ifft2(fft2(x) * W)) over the full complex spectrum,
+    every bin its defining sum (the library's per-bin reference DFT)."""
+    h, w = x.shape[-2:]
+    spec = _naive_dft2_planes(x.astype(np.complex128), -1)
+    return [_naive_dft2_planes(spec * (wb.re + 1j * wb.im), +1).real
+            / (h * w) for wb in branches]
 
 
 def bilinear_point(plane, r, c):

@@ -8,8 +8,12 @@ import pytest
 from sepkit import (DimensionError, FddemParams, Tensor, dual_attention,
                     fddem_forward, gradcheck)
 from sepkit import autodiff as ad
+from sepkit import fddem, spectral
+from sepkit.fddem import frequency_branch
 from sepkit.params import named_arrays, replace_vars
 from sepkit.rng import Stream
+
+from oracles import FREQUENCY_ORACLE_PLANES, frequency_branch_naive
 
 
 def rand_tensor(seed, shape):
@@ -102,14 +106,10 @@ class TestFddemForward:
         assert (y.data == 0).all()
 
     def test_frequency_contribution_bounded(self):
-        from sepkit import spectral
         from sepkit.tensor import conv2d_raw
         p = FddemParams.random(4, 8, 8, Stream(8))
         x = rand_tensor(9, (1, 4, 8, 8))
-        spectrum = spectral.fft2_v(x.data)
-        parts = [spectral.ifft2_real_v(
-                     *spectral.modulate_v(*spectrum, wb.re, wb.im)).value
-                 for wb in p.branches]
+        parts = [y.value for y in frequency_branch(x.data, p.branches)]
         f = conv2d_raw(np.concatenate(parts, axis=1), p.compress_w,
                        p.compress_b, 1, 0)
         att = dual_attention(Tensor(f), p).data
@@ -127,8 +127,8 @@ class TestFddemForward:
 
 
 class TestFddemGradients:
-    @pytest.mark.parametrize("h,w,batch", [(8, 8, 1), (6, 10, 2)],
-                             ids=["8x8-b1", "6x10-b2"])
+    @pytest.mark.parametrize("h,w,batch", [(8, 8, 1), (6, 10, 2), (7, 9, 2)],
+                             ids=["8x8-b1", "6x10-b2", "7x9-b2"])
     def test_gradcheck_all_params(self, h, w, batch):
         p = FddemParams.random(4, h, w, Stream(14), branches=2, reduction=2)
         x = Stream(15).normal((batch, 4, h, w))
@@ -153,6 +153,42 @@ class TestFddemGradients:
         assert set(grads) == set(named_arrays(p))
         for name, g in grads.items():
             assert np.abs(g).max() > 0.0, f"dead parameter {name}"
+
+
+class TestFrequencyBranchOracle:
+    """The half-spectrum branch against Re(ifft2(fft2(x) * W)) computed bin
+    by bin on the full spectrum, batch 2, f64."""
+
+    @pytest.mark.parametrize("h,w", FREQUENCY_ORACLE_PLANES)
+    def test_branches_match_full_spectrum_oracle(self, h, w):
+        p = FddemParams.random(4, h, w, Stream(h * 100 + w))
+        x = Stream(h + w).normal((2, 4, h, w))
+        refs = frequency_branch_naive(x, p.branches)
+        for y, ref in zip(frequency_branch(x, p.branches), refs, strict=True):
+            assert np.abs(y.value - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("h,w", FREQUENCY_ORACLE_PLANES)
+    def test_block_matches_block_on_oracle_branch(self, h, w, monkeypatch):
+        p = FddemParams.random(4, h, w, Stream(h * 100 + w + 1))
+        x = Stream(h + w + 1).normal((2, 4, h, w))
+        y = fddem_forward(x, p).value
+        monkeypatch.setattr(fddem, "frequency_branch", lambda xv, branches: [
+            ad.Var(r) for r in frequency_branch_naive(xv.value, branches)])
+        ref = fddem_forward(x, p).value
+        assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_modulate_sign_fault_moves_the_block_output():
+    p = FddemParams.random(4, 9, 7, Stream(40))
+    x = Stream(41).normal((2, 4, 9, 7))
+    clean = fddem_forward(x, p).value
+    old = spectral.FAULT_MODULATE_SIGN
+    spectral.FAULT_MODULATE_SIGN = True
+    try:
+        faulted = fddem_forward(x, p).value
+    finally:
+        spectral.FAULT_MODULATE_SIGN = old
+    assert np.linalg.norm(faulted - clean) > 0.1 * np.linalg.norm(clean)
 
 
 def test_import_and_inference_leave_scipy_fft_unloaded():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepkit import (ComplexTensor, DimensionError, MsgrbParams, ParamStore,
+from sepkit import (DimensionError, MsgrbParams, ParamStore,
                     Tensor)
 from sepkit import io as sio
 from sepkit.cli import main
@@ -64,11 +65,40 @@ class TestComplexFormat:
     def test_round_trip(self, tmp_path):
         re, im = rand_tensor(2, (1, 2, 4, 4)), rand_tensor(3, (1, 2, 4, 4))
         path = str(tmp_path / "s.sepc")
-        sio.write_complex(path, ComplexTensor(re, im))
+        sio.write_complex(path, re.data + 1j * im.data)
         back = sio.read_complex(path)
-        assert np.array_equal(back.re.data, re.data)
-        assert np.array_equal(back.im.data, im.data)
+        assert back.dtype == np.complex128
+        assert np.array_equal(back.real, re.data)
+        assert np.array_equal(back.imag, im.data)
         assert open(path, "rb").read()[:4] == b"SEPC"
+
+    # SHA-256 of the SEPC files written for the arrays below by the earlier
+    # writer, which took a pair of real tensors
+    KNOWN_BYTES = {
+        "float32": (280, "68944e33c746788c0a30ced9312f367274c6852d9d78180b"
+                         "90530a4666350c1c"),
+        "float64": (472, "d141a27684c9658d6e7f044a8e0d34087203c187791fd5f9"
+                         "7700d9a88b03a030"),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_unchanged_from_the_tensor_pair_encoding(self, tmp_path,
+                                                            dtype):
+        grid = np.arange(24, dtype=dtype).reshape(1, 2, 3, 4)
+        re, im = (grid - 11.5) / 8, grid[..., ::-1] * 0.25 - 1
+        z = np.empty(re.shape, dtype=np.result_type(dtype, np.complex64))
+        z.real, z.imag = re, im
+        path = str(tmp_path / "k.sepc")
+        sio.write_complex(path, z)
+        raw = open(path, "rb").read()
+        size, digest = self.KNOWN_BYTES[np.dtype(dtype).name]
+        assert (len(raw), hashlib.sha256(raw).hexdigest()) == (size, digest)
+        back = sio.read_complex(path)
+        assert back.dtype == z.dtype and np.array_equal(back, z)
+
+    def test_real_array_rejected(self, tmp_path):
+        with pytest.raises(DimensionError):
+            sio.write_complex(str(tmp_path / "r.sepc"), np.zeros((1, 1, 2, 2)))
 
 
 class TestParamsFormat:
@@ -114,7 +144,7 @@ def sample_file(tmp_path, kind):
         sio.write_tensor(path, t)
         return path, sio.read_tensor
     if kind == "sepc":
-        sio.write_complex(path, ComplexTensor(t, rand_tensor(21, t.shape)))
+        sio.write_complex(path, t.data + 1j * rand_tensor(21, t.shape).data)
         return path, sio.read_complex
     store = ParamStore()
     store.put("conv.w", Stream(22).normal((3, 2, 3, 3)))

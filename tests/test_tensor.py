@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from sepkit import (DimensionError, NumericError, SamplingGrid, Tensor,
-                    bilinear_sample, concat_channels, conv2d,
-                    depthwise_conv2d, gelu, sigmoid, silu, split_channels)
+from sepkit import DimensionError, NumericError, SamplingGrid, Tensor
+from sepkit import autodiff as ad
 from sepkit.rng import Stream
 from sepkit.tensor import (bilinear_sample_grads, bilinear_sample_raw,
                            conv2d_grads, conv2d_raw, depthwise_conv2d_grads,
@@ -15,6 +14,39 @@ from oracles import (CONV_BLOCK_CASES, DEPTHWISE_GRAD_CASES, conv2d_naive,
 
 def rand_tensor(seed, shape):
     return Tensor(Stream(seed).normal(shape))
+
+
+# the Var ops, on Tensors or ndarrays, returning the value array
+def conv2d(x, w, bias=None, stride=1, padding=0):
+    return ad.conv2d(x, w, bias, stride, padding).value
+
+
+def depthwise_conv2d(x, w):
+    return ad.depthwise_conv2d(x, w).value
+
+
+def bilinear_sample(x, grid):
+    return ad.bilinear_sample(x, grid.coords).value
+
+
+def gelu(x):
+    return ad.gelu(x).value
+
+
+def sigmoid(x):
+    return ad.sigmoid(x).value
+
+
+def silu(x):
+    return ad.silu(x).value
+
+
+def split(x, sizes):
+    return [v.value for v in ad.split(x, sizes, axis=1)]
+
+
+def concat(parts):
+    return ad.concat(parts, axis=1).value
 
 
 class TestTensorType:
@@ -53,22 +85,22 @@ class TestConv2d:
         x = rand_tensor(0, (1, 3, 5, 5))
         w = Tensor(np.eye(3).reshape(3, 3, 1, 1))
         y = conv2d(x, w)
-        assert np.array_equal(y.data, x.data)
+        assert np.array_equal(y, x.data)
 
     def test_ones_kernel_center_is_nine(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
         w = Tensor(np.ones((1, 1, 3, 3)))
         y = conv2d(x, w, padding=1)
-        assert y.data[0, 0, 1, 1] == pytest.approx(9.0, abs=1e-12)
+        assert y[0, 0, 1, 1] == pytest.approx(9.0, abs=1e-12)
         # frozen from the quadruple-loop oracle: corners see 4 taps, edges 6
         expected = np.array([[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
-        np.testing.assert_allclose(y.data[0, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(y[0, 0], expected, atol=1e-12)
 
     def test_matches_naive_oracle(self):
         x = Stream(1).normal((1, 1, 4, 4))
         w = Stream(2).normal((1, 1, 3, 3))
         y = conv2d(Tensor(x), Tensor(w))
-        np.testing.assert_allclose(y.data, conv2d_naive(x, w), atol=1e-12)
+        np.testing.assert_allclose(y, conv2d_naive(x, w), atol=1e-12)
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0),
                                                 (2, 1), (3, 2)])
@@ -80,7 +112,7 @@ class TestConv2d:
                    padding=padding)
         ref = conv2d_naive(x, w, b, stride, padding)
         assert y.shape == ref.shape
-        np.testing.assert_allclose(y.data, ref, atol=1e-12)
+        np.testing.assert_allclose(y, ref, atol=1e-12)
 
     def test_linearity(self):
         x = Stream(6).normal((1, 2, 6, 6))
@@ -88,9 +120,9 @@ class TestConv2d:
         w = Tensor(Stream(8).normal((3, 2, 3, 3)))
         a, b = 1.25, -0.5
         lhs = conv2d(Tensor(a * x + b * y), w, padding=1)
-        rhs = a * conv2d(Tensor(x), w, padding=1).data \
-            + b * conv2d(Tensor(y), w, padding=1).data
-        np.testing.assert_allclose(lhs.data, rhs, atol=1e-10)
+        rhs = a * conv2d(Tensor(x), w, padding=1) \
+            + b * conv2d(Tensor(y), w, padding=1)
+        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     @staticmethod
     def _block_case(name, dtype=np.float64):
@@ -146,7 +178,7 @@ class TestDepthwise:
         w = np.zeros((3, 1, 3, 3))
         w[:, 0, 1, 1] = 1.0
         y = depthwise_conv2d(x, Tensor(w))
-        assert np.array_equal(y.data, x.data)
+        assert np.array_equal(y, x.data)
 
     def test_cross_channel_independence(self):
         w = Tensor(Stream(10).normal((3, 1, 3, 3)))
@@ -155,14 +187,14 @@ class TestDepthwise:
         x2[0, 0] += 0.7
         y1 = depthwise_conv2d(Tensor(x), w)
         y2 = depthwise_conv2d(Tensor(x2), w)
-        assert np.array_equal(y1.data[:, 1:], y2.data[:, 1:])
-        assert not np.array_equal(y1.data[:, :1], y2.data[:, :1])
+        assert np.array_equal(y1[:, 1:], y2[:, 1:])
+        assert not np.array_equal(y1[:, :1], y2[:, :1])
 
     def test_matches_per_channel_oracle(self):
         x = Stream(12).normal((1, 2, 5, 5))
         w = Stream(13).normal((2, 1, 3, 3))
         y = depthwise_conv2d(Tensor(x), Tensor(w))
-        np.testing.assert_allclose(y.data, depthwise_naive(x, w), atol=1e-12)
+        np.testing.assert_allclose(y, depthwise_naive(x, w), atol=1e-12)
 
     def test_channel_count_mismatch(self):
         with pytest.raises(DimensionError):
@@ -170,11 +202,13 @@ class TestDepthwise:
                              rand_tensor(1, (2, 1, 3, 3)))
 
     def test_padding_contract(self):
+        # the padding is k // 2, so every odd square kernel keeps the plane
         x = rand_tensor(0, (1, 2, 4, 4))
-        w = rand_tensor(1, (2, 1, 3, 3))
-        assert depthwise_conv2d(x, w, padding=1).shape == x.shape
+        for k in (1, 3, 5):
+            w = rand_tensor(1, (2, 1, k, k))
+            assert depthwise_conv2d(x, w).shape == x.shape
         with pytest.raises(DimensionError):
-            depthwise_conv2d(x, w, padding=2)
+            depthwise_conv2d(x, rand_tensor(1, (2, 1, 3, 2)))
 
     @staticmethod
     def _grad_case(shape, k, dtype=np.float64):
@@ -208,19 +242,19 @@ class TestBilinear:
         rr, cc = np.meshgrid(np.arange(4.0), np.arange(5.0), indexing="ij")
         grid = SamplingGrid(np.stack([rr, cc], axis=-1)[None, None])
         y = bilinear_sample(x, grid)
-        assert np.array_equal(y.data, x.data)
+        assert np.array_equal(y, x.data)
 
     def test_half_pixel_average(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
         grid = SamplingGrid(np.array([0.5, 0.5]).reshape(1, 1, 1, 1, 2))
         y = bilinear_sample(x, grid)
-        assert y.data[0, 0, 0, 0] == pytest.approx(2.5, abs=1e-15)
+        assert y[0, 0, 0, 0] == pytest.approx(2.5, abs=1e-15)
 
     def test_border_clamp(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
         grid = SamplingGrid(np.array([-5.0, -5.0]).reshape(1, 1, 1, 1, 2))
         y = bilinear_sample(x, grid)
-        assert y.data[0, 0, 0, 0] == 1.0
+        assert y[0, 0, 0, 0] == 1.0
 
     def test_bad_last_dim(self):
         with pytest.raises(DimensionError):
@@ -239,7 +273,7 @@ class TestBilinear:
         x = Tensor(np.full((1, 3, 4, 4), 1.37))
         coords = Stream(17).uniform((1, 1, 5, 5, 2)) * 4.0 - 0.5
         y = bilinear_sample(x, SamplingGrid(coords))
-        assert (y.data == 1.37).all()
+        assert (y == 1.37).all()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_kept_plan_gives_fresh_plan_bytes(self, dtype):
@@ -270,16 +304,16 @@ class TestBilinear:
 class TestActivations:
     def test_sigmoid_zero(self):
         x = Tensor(np.zeros((1, 1, 2, 2)))
-        assert (sigmoid(x).data == 0.5).all()
+        assert (sigmoid(x) == 0.5).all()
 
     def test_gelu_silu_zero(self):
         x = Tensor(np.zeros((1, 1, 2, 2)))
-        assert (gelu(x).data == 0.0).all()
-        assert (silu(x).data == 0.0).all()
+        assert (gelu(x) == 0.0).all()
+        assert (silu(x) == 0.0).all()
 
     def test_sigmoid_large_negative_no_underflow(self):
         x = Tensor(np.full((1, 1, 1, 1), -50.0))
-        v = sigmoid(x).data[0, 0, 0, 0]
+        v = sigmoid(x)[0, 0, 0, 0]
         assert 0.0 < v <= 2e-22
         assert np.isfinite(v)
 
@@ -295,7 +329,7 @@ class TestActivations:
 
     def test_sigmoid_range(self):
         x = rand_tensor(19, (1, 2, 8, 8))
-        v = sigmoid(x).data
+        v = sigmoid(x)
         assert (v > 0).all() and (v < 1).all()
 
     def test_gelu_matches_reference_points(self):
@@ -303,32 +337,31 @@ class TestActivations:
         x = Tensor(np.array([1.0, -1.0, 0.5, 2.0]).reshape(1, 1, 2, 2))
         expected = np.array([0.84134474606854293, -0.15865525393145707,
                              0.34573123063700656, 1.9544997361036416])
-        np.testing.assert_allclose(gelu(x).data.reshape(-1), expected,
+        np.testing.assert_allclose(gelu(x).reshape(-1), expected,
                                    rtol=1e-14)
 
 
 class TestSplitConcat:
     def test_round_trip_bit_exact(self):
         x = rand_tensor(20, (2, 8, 3, 3))
-        assert np.array_equal(
-            concat_channels(split_channels(x, [4, 4])).data, x.data)
+        assert np.array_equal(concat(split(x, [4, 4])), x.data)
 
     def test_split_blocks_are_leading_channels(self):
         x = rand_tensor(21, (1, 8, 2, 2))
-        first, second = split_channels(x, [3, 5])
-        assert np.array_equal(first.data, x.data[:, :3])
-        assert np.array_equal(second.data, x.data[:, 3:])
+        first, second = split(x, [3, 5])
+        assert np.array_equal(first, x.data[:, :3])
+        assert np.array_equal(second, x.data[:, 3:])
 
     def test_concat_shape(self):
         a = rand_tensor(22, (1, 2, 4, 4))
         b = rand_tensor(23, (1, 6, 4, 4))
-        assert concat_channels([a, b]).shape == (1, 8, 4, 4)
+        assert concat([a, b]).shape == (1, 8, 4, 4)
 
     def test_bad_sizes(self):
         with pytest.raises(DimensionError):
-            split_channels(rand_tensor(0, (1, 8, 2, 2)), [3, 4])
+            split(rand_tensor(0, (1, 8, 2, 2)), [3, 4])
 
     def test_concat_disagreement(self):
         with pytest.raises(DimensionError):
-            concat_channels([rand_tensor(0, (1, 2, 4, 4)),
-                             rand_tensor(1, (1, 2, 3, 4))])
+            concat([rand_tensor(0, (1, 2, 4, 4)),
+                    rand_tensor(1, (1, 2, 3, 4))])

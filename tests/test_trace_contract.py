@@ -13,9 +13,11 @@ import inspect
 import pathlib
 
 import numpy as np
+import pytest
 
-from sepkit import Ca2neckParams, Tape, ca2neck_forward
+from sepkit import Ca2neckParams, FddemParams, Tape, ca2neck_forward
 from sepkit import autodiff as ad
+from sepkit import fddem
 from sepkit import io as sio
 from sepkit import spectral
 from sepkit import tensor as tc
@@ -96,3 +98,26 @@ def test_traced_neck_step_counts_its_work():
     # neck_train records 160 nodes; this loss has no cotangent mul nodes
     assert counts["autodiff.nodes"] == 160 - 3
     assert counts["tensor.conv2d.calls"] == 36
+
+
+@pytest.mark.parametrize("branches", [1, 3])
+def test_traced_fddem_forward_runs_one_transform_per_branch_and_one_more(
+        branches):
+    # one half-spectrum transform of the input and one inverse per branch:
+    # the benchmark's fddem_infer request (four maps, N = 1, C = 16, three
+    # branches) reads spectral.dft2.calls 16 and .planes 256 from this
+    tracing = load_tracing()
+    n, c = 2, 4
+    p = FddemParams.random(c, 9, 7, Stream(7), branches=branches,
+                           dtype=np.float32)
+    x = Stream(8).normal((n, c, 9, 7)).astype(np.float32)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.request(0, lambda: fddem.fddem_forward(x, p))
+    finally:
+        tracer.uninstall()
+    counts = tracing.summarize(tracer.spans)[1][0]
+    assert counts["spectral.dft2.calls"] == 1 + branches
+    assert counts["spectral.dft2.planes"] == (1 + branches) * n * c
+    assert counts["spectral.dft2.naive_planes"] == 0
