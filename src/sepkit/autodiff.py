@@ -312,17 +312,6 @@ def split(a, sizes, axis: int = 1) -> list:
     return outs
 
 
-def stack_last(a, b) -> Var:
-    """Stack two equal-shape values along a new trailing axis of size 2."""
-    a, b = as_var(a), as_var(b)
-    require(a.value.shape == b.value.shape,
-            f"stack_last operands must share shape, got {a.value.shape} "
-            f"vs {b.value.shape}")
-    return _apply(np.stack([a.value, b.value], axis=-1), (a, b),
-                  lambda g: (np.ascontiguousarray(g[..., 0]),
-                             np.ascontiguousarray(g[..., 1])), "stack_last")
-
-
 # -- activations -------------------------------------------------------------
 
 def gelu(a) -> Var:

@@ -5,7 +5,9 @@ anchors at (i*stride, j*stride), samples N content-shifted points around
 it (a deterministic zero-mean point layout plus offsets predicted by a
 3x3 convolution), and mixes the N*C_in sampled values into C_out channels
 with a 1x1 projection.  Stored mixing weights per output channel are
-exactly C_in*N, so capacity grows linearly in the point count.
+exactly C_in*N, so capacity grows linearly in the point count.  All N
+points are sampled by one bilinear call, so each LDConv builds one
+sampling plan (one channels-last copy of its input).
 
 DySample replaces interpolation on the way up: a base grid places scale^2
 output points uniformly inside every source cell (zero offsets reproduce
@@ -27,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .msgrb import MsgrbParams, msgrb_forward
 from .rng import Stream
-from .tensor import SamplingGrid, Tensor, require
+from .tensor import SamplingGrid, require
 
 DEFAULT_SCOPE = 0.25
 
@@ -117,28 +119,35 @@ class LdconvParams:
 
 
 def ldconv_forward(x, p: LdconvParams):
-    """Deformable N-point downsampling; output is ceil(H/s) x ceil(W/s)."""
+    """Deformable N-point downsampling; output is ceil(H/s) x ceil(W/s).
+
+    The (N, 2P, Ho, Wo) offset map plus the anchors and the point layout
+    is one (N, 1, P*Ho, Wo, 2) grid, so all P points are sampled by one
+    bilinear call; the samples are then reordered point-major
+    (N, P*C, Ho, Wo) for the mixing conv."""
     xv = ad.as_var(x)
     n, c, h, w = xv.value.shape
     require(c == p.in_channels,
             f"input has {c} channels, params expect {p.in_channels}")
     offsets = ad.conv2d(xv, p.offset_w, p.offset_b, stride=p.stride,
                         padding=1)
-    ho, wo = offsets.value.shape[2], offsets.value.shape[3]
-    base = ldconv_coords(p.n_points)
-    anchor_r = (np.arange(ho, dtype=xv.value.dtype) * p.stride
-                ).reshape(1, 1, ho, 1)
-    anchor_c = (np.arange(wo, dtype=xv.value.dtype) * p.stride
-                ).reshape(1, 1, 1, wo)
-    per_point = ad.split(offsets, [2] * p.n_points, axis=1)
-    sampled = []
-    for k in range(p.n_points):
-        d_r, d_c = ad.split(per_point[k], [1, 1], axis=1)
-        rows = ad.add(d_r, anchor_r + base[k, 0])
-        cols = ad.add(d_c, anchor_c + base[k, 1])
-        grid = ad.stack_last(rows, cols)  # (N, 1, ho, wo, 2)
-        sampled.append(ad.bilinear_sample(xv, grid))
-    stacked = ad.concat(sampled, axis=1)  # point-major (N, n_points*C, ho, wo)
+    pts = p.n_points
+    ho, wo = offsets.value.shape[2:]
+    dt = xv.value.dtype
+    anchors = np.stack(np.broadcast_arrays(
+        np.arange(ho, dtype=dt)[:, None] * p.stride,
+        np.arange(wo, dtype=dt)[None, :] * p.stride))  # (2, ho, wo)
+    base = ldconv_coords(pts)
+    # the dtype of an anchor array plus a float64 scalar: float32 under
+    # NumPy 1's value-based casting, float64 under NumPy 2
+    base = base.astype(np.result_type(dt, base[0, 0]))
+    layout = anchors + base[:, :, None, None]  # (P, 2, ho, wo)
+    coords = ad.add(ad.reshape(offsets, (n, pts, 2, ho, wo)), layout)
+    grid = ad.reshape(ad.transpose(coords, (0, 1, 3, 4, 2)),
+                      (n, 1, pts * ho, wo, 2))
+    sampled = ad.reshape(ad.bilinear_sample(xv, grid), (n, c, pts, ho, wo))
+    stacked = ad.reshape(ad.transpose(sampled, (0, 2, 1, 3, 4)),
+                         (n, pts * c, ho, wo))
     out = ad.conv2d(stacked, p.mix_w)
     return ad.wrap_like(x, out)
 
@@ -205,36 +214,32 @@ def dysample_grid_from_offsets(offsets, h: int, w: int,
     rearrangement places pair (si, sj) at output (i*s + si, j*s + sj).
     """
     ov = ad.as_var(offsets)
-    n = ov.value.shape[0]
     s, g = p.scale, p.groups
-    require(ov.value.shape[1] == 2 * g * s * s,
-            f"offset head produced {ov.value.shape[1]} channels, expected "
-            f"{2 * g * s * s}")
+    require(ov.value.ndim == 4 and ov.value.shape[1:] == (2 * g * s * s, h, w),
+            f"offset map must be (N, {2 * g * s * s}, {h}, {w}), got "
+            f"{ov.value.shape}")
+    n = ov.value.shape[0]
     shaped = ad.reshape(ov, (n, g, 2, s, s, h, w))
-    shuffled = ad.transpose(shaped, (0, 1, 2, 5, 3, 6, 4))
-    maps = ad.reshape(shuffled, (n, g, 2, s * h, s * w))
-    d_r, d_c = ad.split(maps, [1, 1], axis=2)
-    d_r = ad.reshape(d_r, (n, g, s * h, s * w))
-    d_c = ad.reshape(d_c, (n, g, s * h, s * w))
+    # (n, g, h, si, w, sj, axis) -> (n, g, s*h, s*w, 2)
+    pairs = ad.reshape(ad.transpose(shaped, (0, 1, 5, 3, 6, 4, 2)),
+                       (n, g, s * h, s * w, 2))
     base = dysample_base_grid(h, w, s, g, dtype=ov.value.dtype)
-    rows = ad.add(ad.scale(d_r, p.scope), base[..., 0])
-    cols = ad.add(ad.scale(d_c, p.scope), base[..., 1])
-    return ad.stack_last(rows, cols)
+    return ad.add(ad.scale(pairs, p.scope), base)
 
 
-def dysample_grid(x: Tensor, p: DysampleParams) -> SamplingGrid:
+def dysample_grid(x, p: DysampleParams) -> SamplingGrid:
     """Typed sampling grid the upsampler would use for `x`."""
-    offs = dysample_offsets(x, p)
-    grid = dysample_grid_from_offsets(offs.data, x.shape[2], x.shape[3], p)
+    xv = ad.as_var(x)
+    offs = dysample_offsets(xv, p)
+    grid = dysample_grid_from_offsets(offs, *xv.value.shape[2:], p)
     return SamplingGrid(grid.value, copy=False)
 
 
 def dysample_forward(x, p: DysampleParams):
     """Content-aware point-sampling upsampler, (N, C, H, W) -> (N, C, sH, sW)."""
     xv = ad.as_var(x)
-    h, w = xv.value.shape[2], xv.value.shape[3]
     offs = dysample_offsets(xv, p)
-    grid = dysample_grid_from_offsets(offs, h, w, p)
+    grid = dysample_grid_from_offsets(offs, *xv.value.shape[2:], p)
     out = ad.bilinear_sample(xv, grid)
     return ad.wrap_like(x, out)
 

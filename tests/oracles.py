@@ -2,14 +2,19 @@
 
 Everything here is written the slow, obvious way (explicit loops, literal
 formulas) so it shares no code path with the library implementations it
-checks.  The one exception is `frequency_branch_naive`, built on the
+checks.  Two exceptions: `frequency_branch_naive`, built on the
 library's per-bin reference DFT, which the spectral tests hold to the
 literal `dft2_literal` oracle and which shares nothing with the
-half-spectrum path it checks.
+half-spectrum path it checks; and `ldconv_per_point`, built on the
+library's raw sampling and conv kernels, which checks only how LDConv
+assembles its grid and orders its samples, so it can be held to equal
+bytes.
 """
 
 import numpy as np
 
+from sepkit import tensor as tc
+from sepkit.ca2neck import ldconv_coords
 from sepkit.spectral import _naive_dft2_planes
 
 
@@ -217,3 +222,44 @@ def bilinear_grid_grad_naive(g, x, coords):
                     out[bi, gi, i, j, 0] = dr if 0.0 <= rr <= h - 1.0 else 0.0
                     out[bi, gi, i, j, 1] = ds if 0.0 <= ss <= w - 1.0 else 0.0
     return out
+
+
+def ldconv_per_point(x, p):
+    """LDConv forward one sampling point at a time: point k's grid is its
+    (row, col) offset pair plus its anchor and layout cell, sampled on its
+    own; the samples are concatenated point-major before the mixing conv."""
+    offsets = tc.conv2d_raw(x, p.offset_w, p.offset_b, p.stride, 1)
+    ho, wo = offsets.shape[2:]
+    base = ldconv_coords(p.n_points)
+    anchor_r = (np.arange(ho, dtype=x.dtype) * p.stride).reshape(1, 1, ho, 1)
+    anchor_c = (np.arange(wo, dtype=x.dtype) * p.stride).reshape(1, 1, 1, wo)
+    sampled = []
+    for k in range(p.n_points):
+        rows = offsets[:, 2 * k:2 * k + 1] + (anchor_r + base[k, 0])
+        cols = offsets[:, 2 * k + 1:2 * k + 2] + (anchor_c + base[k, 1])
+        grid = np.stack([rows, cols], axis=-1)  # (N, 1, ho, wo, 2)
+        sampled.append(tc.bilinear_sample_raw(x, grid))
+    return tc.conv2d_raw(np.concatenate(sampled, axis=1), p.mix_w, None, 1, 0)
+
+
+def dysample_grid_naive(offsets, h, w, p):
+    """DySample grid written out coordinate by coordinate from the channel
+    rule ((group*2 + axis)*s + si)*s + sj: pair (si, sj) of source pixel
+    (i, j) lands at output (i*s + si, j*s + sj), on top of the base grid
+    ((o + 0.5)/s - 0.5)."""
+    n = offsets.shape[0]
+    s, g = p.scale, p.groups
+    grid = np.zeros((n, g, s * h, s * w, 2), dtype=offsets.dtype)
+    for bi in range(n):
+        for gi in range(g):
+            for axis in range(2):
+                for si in range(s):
+                    for sj in range(s):
+                        ch = ((gi * 2 + axis) * s + si) * s + sj
+                        for i in range(h):
+                            for j in range(w):
+                                out = (i * s + si, j * s + sj)
+                                base = (out[axis] + 0.5) / s - 0.5
+                                grid[bi, gi, out[0], out[1], axis] = (
+                                    offsets[bi, ch, i, j] * p.scope + base)
+    return grid

@@ -246,7 +246,6 @@ OP_CASES = [
                                          axis=1)),
     ("depthwise", lambda x: ad.depthwise_conv2d(
         x, Stream(99).normal((8, 1, 3, 3)))),
-    ("stack_last", lambda x: ad.stack_last(x, ad.scale(x, 0.5))),
     ("fft_roundtrip", lambda x: spectral.irfft2_v(spectral.rfft2_v(x), 16)),
 ]
 
@@ -389,9 +388,16 @@ class TestTapeLifetime:
             tape.backward(loss)
 
     def test_record_length_kept_for_node_counts(self):
-        # a neck step records 160 nodes; the count survives backward
+        # a neck step records 90 nodes; the count survives backward.
+        # dysample 7 each (head conv2d, reshape, transpose, reshape, scale,
+        # add, bilinear_sample), ldconv 10 each (offset conv2d, reshape,
+        # add, transpose, reshape, bilinear_sample, reshape, transpose,
+        # reshape, mix conv2d), merge 2 each (concat, conv2d), msgrb 10
+        # each (conv2d, 2 split, gelu, fold_kernels, depthwise_conv2d,
+        # sigmoid, mul, conv2d, add), loss 8 (3 mul, 3 sum_all, 2 add):
+        # 2*7 + 2*10 + 4*2 + 4*10 + 8 = 90
         tape, loss = _neck_record()
         tape.backward(loss)
-        assert len(tape._nodes) == 160
+        assert len(tape._nodes) == 90
         assert all(node.out is None and node.vjp is None
                    for node in tape._nodes)

@@ -6,10 +6,14 @@ from sepkit import (Ca2neckParams, DimensionError, DysampleParams,
                     gradcheck, ldconv_coords, ldconv_forward)
 from sepkit import autodiff as ad
 from sepkit import ca2neck as neck
+from sepkit.cli import _synth_input, stage_gradcheck
+from sepkit.config import build_chain, parse_config
 from sepkit.params import named_arrays, replace_vars
 from sepkit.rng import Stream
+from sepkit.tensor import SamplingGrid
 
-from oracles import bilinear_resize, clamped_conv3x3, conv2d_naive
+from oracles import (bilinear_resize, clamped_conv3x3, conv2d_naive,
+                     dysample_grid_naive, ldconv_per_point)
 
 
 def rand_tensor(seed, shape):
@@ -92,6 +96,42 @@ class TestLdconv:
         assert max(q.max_rel_err for q in report.params) <= 1e-4
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("points", [1, 5, 9, 13])
+    def test_one_call_matches_per_point_oracle_bytes(self, points, stride,
+                                                     dtype):
+        p = LdconvParams.init(3, 4, n_points=points, stride=stride,
+                              rng=Stream(50 + points), dtype=dtype)
+        # offsets up to ~2 pixels that vary per pixel: off the lattice,
+        # and some points clamp at the border
+        p.offset_w = Stream(51).normal(p.offset_w.shape,
+                                       scale=0.3).astype(dtype)
+        p.offset_b = (4.0 * Stream(52).uniform(p.offset_b.shape)
+                      - 2.0).astype(dtype)
+        x = Stream(53).normal((2, 3, 7, 9)).astype(dtype)
+        y = ldconv_forward(x, p).value
+        ref = ldconv_per_point(x, p)
+        assert y.dtype == ref.dtype == dtype and y.shape == ref.shape
+        assert y.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("points", [5, 9])
+    def test_gradcheck_input_and_params_batch2(self, points):
+        # every sample point reads x through one sampling call, so x's
+        # gradient sums all points in one product: certify it too
+        p = LdconvParams.init(2, 3, n_points=points, stride=2,
+                              rng=Stream(54 + points))
+        x = Stream(56).normal((2, 2, 7, 9))
+
+        def fn(leaves):
+            live = replace_vars(p, leaves)
+            return ad.sum_all(ldconv_forward(leaves["x"], live))
+
+        report = gradcheck(fn, {**named_arrays(p), "x": x}, seed=57)
+        assert report.passed, report.as_dict()
+        assert max(q.max_rel_err for q in report.params) <= 1e-4
+
+
 class TestDysample:
     def test_zero_head_equals_bilinear_resize(self):
         p = DysampleParams.init(3, scale=2)
@@ -142,6 +182,32 @@ class TestDysample:
         grid = neck.dysample_grid_from_offsets(clamped, 4, 4, p)
         base = neck.dysample_base_grid(4, 4, 2, 1)
         assert np.abs(grid.value - base).max() <= p.scope
+
+    def test_grid_layout_matches_channel_rule(self):
+        p = DysampleParams.init(4, scale=3, groups=2)
+        offs = Stream(58).normal((2, 2 * 2 * 3 * 3, 5, 7))
+        grid = neck.dysample_grid_from_offsets(offs, 5, 7, p)
+        ref = dysample_grid_naive(offs, 5, 7, p)
+        assert grid.value.shape == ref.shape == (2, 2, 15, 21, 2)
+        assert np.array_equal(grid.value, ref)
+
+    @pytest.mark.parametrize("shape", [(1, 8, 4, 5), (1, 8, 5, 4),
+                                       (1, 8, 2, 2), (8, 4, 4)])
+    def test_offset_plane_mismatch_raises_dimension_error(self, shape):
+        p = DysampleParams.init(2, scale=2)
+        with pytest.raises(DimensionError):
+            neck.dysample_grid_from_offsets(np.zeros(shape), 4, 4, p)
+
+    @pytest.mark.parametrize("wrap", [np.asarray, ad.Var, Tensor],
+                             ids=["ndarray", "Var", "Tensor"])
+    def test_grid_takes_any_input(self, wrap):
+        p = DysampleParams.init(2, scale=2, rng=Stream(59))
+        x = Stream(60).normal((2, 2, 4, 5))
+        grid = neck.dysample_grid(wrap(x), p)
+        ref = neck.dysample_grid_from_offsets(
+            neck.dysample_offsets(x, p), 4, 5, p)
+        assert isinstance(grid, SamplingGrid)
+        assert np.array_equal(grid.coords, ref.value)
 
     def test_grouped_offsets(self):
         p = DysampleParams.init(4, scale=2, groups=2, rng=Stream(19))
@@ -203,6 +269,19 @@ class TestPyramid:
         np.testing.assert_allclose(ys[0].data, t0, atol=1e-10)
         np.testing.assert_allclose(ys[1].data, b1, atol=1e-10)
         np.testing.assert_allclose(ys[2].data, b2, atol=1e-10)
+
+    def test_gradcheck_batch2(self, tmp_path):
+        cfg = tmp_path / "neck.cfg"
+        cfg.write_text("[chain]\nseed = 61\ndtype = f64\n\n[ca2neck]\n"
+                       "channels = 2,4,8\nheight = 8\nwidth = 8\n"
+                       "batch = 2\nparams = random\n")
+        stage, = build_chain(parse_config(str(cfg)), 61)
+        x = _synth_input(stage, 61, "f64")
+        assert [t.shape for t in x] == [(2, 2, 8, 8), (2, 4, 4, 4),
+                                        (2, 8, 2, 2)]
+        report = stage_gradcheck(stage, x, 61)
+        assert report.passed, report.as_dict()
+        assert max(q.max_rel_err for q in report.params) <= 1e-4
 
     def test_level_size_mismatch_rejected(self):
         p = Ca2neckParams.init((4, 8, 16), rng=Stream(32))

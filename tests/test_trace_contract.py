@@ -15,9 +15,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from sepkit import Ca2neckParams, FddemParams, Tape, ca2neck_forward
+from sepkit import (Ca2neckParams, FddemParams, LdconvParams, Tape,
+                    ca2neck_forward)
 from sepkit import autodiff as ad
-from sepkit import fddem
+from sepkit import ca2neck, fddem
 from sepkit import io as sio
 from sepkit import spectral
 from sepkit import tensor as tc
@@ -95,9 +96,41 @@ def test_traced_neck_step_counts_its_work():
     # dysample 4->8 and 8->16, ldconv's 5 points at 8x8 and 4x4; each
     # sampled once forward and once backward
     assert counts["tensor.bilinear.points"] == 2 * (64 + 256 + 5 * (64 + 16))
-    # neck_train records 160 nodes; this loss has no cotangent mul nodes
-    assert counts["autodiff.nodes"] == 160 - 3
+    # neck_train records 90 nodes (per-block derivation at
+    # test_autodiff's test_record_length_kept_for_node_counts); this loss
+    # has no cotangent mul nodes
+    assert counts["autodiff.nodes"] == 90 - 3
     assert counts["tensor.conv2d.calls"] == 36
+
+
+@pytest.mark.parametrize("points", [1, 5, 9])
+def test_traced_ldconv_step_samples_every_point_in_one_call_each_way(points):
+    tracing = load_tracing()
+    p = LdconvParams.init(3, 4, n_points=points, stride=2, rng=Stream(9),
+                          dtype=np.float32)
+    x = Stream(10).normal((2, 3, 9, 7)).astype(np.float32)
+
+    def step():
+        tape = Tape()
+        leaves = {k: tape.leaf(v, k) for k, v in named_arrays(p).items()}
+        leaves["x"] = tape.leaf(x, "x")
+        y = ca2neck.ldconv_forward(leaves["x"], replace_vars(p, leaves))
+        return tape.backward(ad.sum_all(y))
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.request(0, step)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    backward = {i for i, s in enumerate(spans) if s[0] == "autodiff.backward"}
+    in_backward = [s[3] in backward for s in spans
+                   if s[0] == "tensor.bilinear"]
+    assert sorted(in_backward) == [False, True]
+    counts = tracing.summarize(spans)[1][0]
+    # every point of the 5x4 output plane, batch 2, forward and backward
+    assert counts["tensor.bilinear.points"] == 2 * points * 2 * 5 * 4
 
 
 @pytest.mark.parametrize("branches", [1, 3])
