@@ -7,9 +7,10 @@ Dual-branch block over a fixed (C, H, W) feature size:
     branch is an exact identity while conv2 is zero;
   * frequency detail branch: one half-spectrum DFT of the input, then per
     branch a complex product with the Hermitian fold of that branch's
-    learnable (C, H, W) complex weights and one inverse transform, which
-    gives Re(ifft2(fft2(x) * W)) exactly; branches concatenated and
-    compressed by a zero-initialized 1x1 convolution;
+    learnable (C, H, W) complex weights (folded once, on first use); the B
+    products are concatenated on the channel axis and inverted by one
+    transform, which gives each branch's Re(ifft2(fft2(x) * W)) exactly,
+    and compressed by a zero-initialized 1x1 convolution;
   * dual attention: channel logits (global average + max pooling through
     a shared two-layer 1x1-conv MLP) and spatial logits (channel mean/max
     maps through a 7x7 convolution) are added under a single sigmoid,
@@ -140,14 +141,17 @@ def dual_attention(f, p: FddemParams):
     return ad.wrap_like(f, att)
 
 
-def frequency_branch(x, branches) -> list:
-    """Each branch's Re(ifft2(fft2(x) * W)), from one shared half spectrum."""
+def frequency_branch(x, branches) -> ad.Var:
+    """Every branch's Re(ifft2(fft2(x) * W)), stacked branch-major on the
+    channel axis as one (N, B*C, H, W) Var.
+
+    One half-spectrum transform of x, one complex product per branch with
+    its folded weights, and one inverse transform for all B products.
+    """
     xv = ad.as_var(x)
-    width = xv.value.shape[-1]
     spectrum = spectral.rfft2_v(xv)
-    return [spectral.irfft2_v(spectral.modulate_v(
-                spectrum, spectral.hermitian_fold_v(wb.re, wb.im)), width)
-            for wb in branches]
+    products = [spectral.modulate_v(spectrum, wb.fold()) for wb in branches]
+    return spectral.irfft2_v(ad.concat(products, axis=1), xv.value.shape[-1])
 
 
 def fddem_forward(x, p: FddemParams):
@@ -163,8 +167,8 @@ def fddem_forward(x, p: FddemParams):
         ad.silu(ad.conv2d(xv, p.spatial1_w, p.spatial1_b, padding=1)),
         p.spatial2_w, p.spatial2_b, padding=1))
 
-    f = ad.conv2d(ad.concat(frequency_branch(xv, p.branches), axis=1),
-                  p.compress_w, p.compress_b)
+    f = ad.conv2d(frequency_branch(xv, p.branches), p.compress_w,
+                  p.compress_b)
 
     att = dual_attention(f, p)
     out = ad.add(spatial, ad.mul(ad.as_var(att), f))

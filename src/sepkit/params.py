@@ -34,6 +34,8 @@ def _walk(obj, fn, prefix: str):
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
             updates[f.name] = _walk(value, fn, f"{prefix}{f.name}.")
+        if all(v is getattr(obj, k) for k, v in updates.items()):
+            return obj  # nothing swapped: no copy of immutable weights
         return dataclasses.replace(obj, **updates)
     if isinstance(obj, list):
         return [_walk(v, fn, f"{prefix}{i}.") for i, v in enumerate(obj)]

@@ -233,7 +233,7 @@ def _modulate_identity_roundtrip(seed):
     rng = Stream(seed)
     x = _rand(rng, (1, 2, 8, 8))
     w = spectral.ComplexWeights.identity(2, 8, 8)
-    y = fd.frequency_branch(x, [w])[0]
+    y = fd.frequency_branch(x, [w])
     err = float(np.abs(y.value - x).max())
     return err <= 1e-10, err
 
@@ -262,8 +262,7 @@ def _fddem_freq_path_bounded(seed):
     rng = Stream(seed)
     p = fd.FddemParams.random(4, 8, 8, rng)
     enhanced = fd.frequency_branch(_rand(rng, (1, 4, 8, 8)), p.branches)
-    f = tc.conv2d_raw(np.concatenate([e.value for e in enhanced], axis=1),
-                      p.compress_w, p.compress_b, 1, 0)
+    f = tc.conv2d_raw(enhanced.value, p.compress_w, p.compress_b, 1, 0)
     att = fd.dual_attention(Tensor(f), p)
     excess = float((np.abs(att.data * f) - np.abs(f)).max())
     in_range = bool((att.data > 0).all() and (att.data < 1).all())

@@ -23,10 +23,13 @@ weight map reaches a real output, which makes the half spectrum exact:
 
     Re(ifft2(S * W)) = irfft2(S_half * Wh),  Wh[k] = (W[k] + conj(W[-k])) / 2
 
-A branch is `irfft2_v(modulate_v(rfft2_v(x), hermitian_fold_v(re, im)), W)`;
-the fold is a tape node, so every stored weight still gets its gradient.
-These four ops are the one execution path, with or without a tape, and
-carry complex values in `Var`s under the gradient convention stated in
+A branch is `irfft2_v(modulate_v(rfft2_v(x), Wh), W)` with `Wh` from
+`ComplexWeights.fold()`: computed once for array weights, a
+`hermitian_fold_v` tape node for lifted ones, so every stored weight
+still gets its gradient.  The inverse is planewise, so the products of
+several branches stacked on the channel axis share one `irfft2_v`.  These
+four ops are the one execution path, with or without a tape, and carry
+complex values in `Var`s under the gradient convention stated in
 `autodiff`.  `dft2_raw` is the plain-array transform underneath them.
 """
 
@@ -120,9 +123,20 @@ def dft2_raw(a: np.ndarray, inverse: bool = False,
 # weights
 # ---------------------------------------------------------------------------
 
-@dataclass
+def _read_only_copy(a) -> np.ndarray:
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
 class ComplexWeights:
-    """Learnable (C, H, W) complex weights for one enhancement branch."""
+    """Learnable (C, H, W) complex weights for one enhancement branch.
+
+    Immutable.  Built from arrays, it owns read-only copies of both parts
+    and folds them once, on the first `fold()`; built from lifted `Var`
+    parts, each `fold()` records the fold on the tape.
+    """
 
     re: np.ndarray
     im: np.ndarray
@@ -130,15 +144,33 @@ class ComplexWeights:
     def __post_init__(self):
         if isinstance(self.re, Var) or isinstance(self.im, Var):
             return  # lifted onto a tape; shapes were validated at build time
-        self.re = np.asarray(self.re)
-        self.im = np.asarray(self.im)
-        require(self.re.ndim == 3,
-                f"complex weights must be (C, H, W), got {self.re.shape}")
-        require(self.re.shape == self.im.shape,
-                f"weight parts must share a shape, got {self.re.shape} "
-                f"vs {self.im.shape}")
-        require_finite(self.re, "complex weights (re)")
-        require_finite(self.im, "complex weights (im)")
+        re, im = _read_only_copy(self.re), _read_only_copy(self.im)
+        require(re.ndim == 3,
+                f"complex weights must be (C, H, W), got {re.shape}")
+        require(re.shape == im.shape,
+                f"weight parts must share a shape, got {re.shape} "
+                f"vs {im.shape}")
+        require_finite(re, "complex weights (re)")
+        require_finite(im, "complex weights (im)")
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def fold(self):
+        """The (C, H, W // 2 + 1) Hermitian half that `modulate_v` takes:
+        the stored array, or a `hermitian_fold_v` node for lifted parts."""
+        if isinstance(self.re, Var) or isinstance(self.im, Var):
+            return hermitian_fold_v(self.re, self.im)
+        return self._folded
+
+    @functools.cached_property
+    def _folded(self) -> np.ndarray:
+        # on first use, not at construction: weights that never run a
+        # forward off the tape (a template refilled from a SEPP file, the
+        # copies the `params` helpers rebuild) never fold or hold a fold;
+        # concurrent first calls may both fold, and store equal bytes
+        folded = hermitian_fold_v(self.re, self.im).value
+        folded.setflags(write=False)
+        return folded
 
     @staticmethod
     def identity(channels: int, height: int, width: int,

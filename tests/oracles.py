@@ -2,17 +2,18 @@
 
 Everything here is written the slow, obvious way (explicit loops, literal
 formulas) so it shares no code path with the library implementations it
-checks.  Two exceptions: `frequency_branch_naive`, built on the
+checks.  Three exceptions: `frequency_branch_naive`, built on the
 library's per-bin reference DFT, which the spectral tests hold to the
 literal `dft2_literal` oracle and which shares nothing with the
-half-spectrum path it checks; and `ldconv_per_point`, built on the
-library's raw sampling and conv kernels, which checks only how LDConv
-assembles its grid and orders its samples, so it can be held to equal
-bytes.
+half-spectrum path it checks; and `frequency_branch_per_branch` and
+`ldconv_per_point`, built on the library's own kernels, which check only
+how the frequency branch and LDConv batch their work, so they can be held
+to equal bytes.
 """
 
 import numpy as np
 
+from sepkit import spectral
 from sepkit import tensor as tc
 from sepkit.ca2neck import ldconv_coords
 from sepkit.spectral import _naive_dft2_planes
@@ -118,6 +119,20 @@ def frequency_branch_naive(x, branches):
     spec = _naive_dft2_planes(x.astype(np.complex128), -1)
     return [_naive_dft2_planes(spec * (wb.re + 1j * wb.im), +1).real
             / (h * w) for wb in branches]
+
+
+def frequency_branch_per_branch(x, branches):
+    """The frequency branch one branch at a time: for each, rfft2 of x, the
+    Hermitian fold of its stored parts, the complex product and its own
+    irfft2; the real outputs concatenated branch-major on the channel axis."""
+    width = x.shape[-1]
+    outs = []
+    for wb in branches:
+        spectrum = spectral.rfft2_v(x)
+        folded = spectral.hermitian_fold_v(wb.re, wb.im)
+        outs.append(spectral.irfft2_v(spectral.modulate_v(spectrum, folded),
+                                      width).value)
+    return np.concatenate(outs, axis=1)
 
 
 def bilinear_point(plane, r, c):

@@ -173,7 +173,7 @@ class TestGradcheckHarness:
 
         def fn(p):
             w = spectral.ComplexWeights(p["wre"], p["wim"])
-            return ad.sum_all(frequency_branch(x, [w])[0])
+            return ad.sum_all(frequency_branch(x, [w]))
 
         report = gradcheck(fn, {"wre": 1.0 + rand(13, (2, 8, 8)),
                                 "wim": rand(14, (2, 8, 8))})

@@ -3,9 +3,12 @@
 The README promises that pure operations on distinct inputs are safe to
 issue concurrently.  Every conv runs through BLAS, so this checks that
 an fddem forward and a ca2neck forward+backward, run two at a time, give
-outputs and gradients byte-equal to the same calls run one after another.
+outputs and gradients byte-equal to the same calls run one after another,
+and that fddem forwards sharing one parameter object (whose complex
+weights hold their fold) do too.
 """
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -49,3 +52,25 @@ def test_threaded_calls_match_serial_bytes():
         for a, b in zip(want, got):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+
+
+def test_threaded_fddem_forwards_on_shared_params_match_serial_bytes():
+    def params():
+        return FddemParams.random(8, 20, 12, Stream(5), dtype=np.float32)
+
+    xs = [Stream(6 + i).normal((2, 8, 20, 12)).astype(np.float32)
+          for i in range(6)]
+    serial_params = params()
+    serial = [fddem_forward(x, serial_params).value for x in xs]
+    shared = params()  # not yet folded: the threads race to fold it first
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        # three workers and a short switch interval interleave the calls
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(fddem_forward, x, shared) for x in xs]
+            threaded = [f.result(timeout=300).value for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

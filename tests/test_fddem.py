@@ -13,7 +13,8 @@ from sepkit.fddem import frequency_branch
 from sepkit.params import named_arrays, replace_vars
 from sepkit.rng import Stream
 
-from oracles import FREQUENCY_ORACLE_PLANES, frequency_branch_naive
+from oracles import (FREQUENCY_ORACLE_PLANES, frequency_branch_naive,
+                     frequency_branch_per_branch)
 
 
 def rand_tensor(seed, shape):
@@ -109,9 +110,8 @@ class TestFddemForward:
         from sepkit.tensor import conv2d_raw
         p = FddemParams.random(4, 8, 8, Stream(8))
         x = rand_tensor(9, (1, 4, 8, 8))
-        parts = [y.value for y in frequency_branch(x.data, p.branches)]
-        f = conv2d_raw(np.concatenate(parts, axis=1), p.compress_w,
-                       p.compress_b, 1, 0)
+        f = conv2d_raw(frequency_branch(x.data, p.branches).value,
+                       p.compress_w, p.compress_b, 1, 0)
         att = dual_attention(Tensor(f), p).data
         assert (np.abs(att * f) <= np.abs(f)).all()
 
@@ -164,18 +164,49 @@ class TestFrequencyBranchOracle:
         p = FddemParams.random(4, h, w, Stream(h * 100 + w))
         x = Stream(h + w).normal((2, 4, h, w))
         refs = frequency_branch_naive(x, p.branches)
-        for y, ref in zip(frequency_branch(x, p.branches), refs, strict=True):
-            assert np.abs(y.value - ref).max() <= 1e-12 * np.abs(ref).max()
+        ys = np.split(frequency_branch(x, p.branches).value, len(refs), axis=1)
+        for y, ref in zip(ys, refs, strict=True):
+            assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("h,w", FREQUENCY_ORACLE_PLANES)
     def test_block_matches_block_on_oracle_branch(self, h, w, monkeypatch):
         p = FddemParams.random(4, h, w, Stream(h * 100 + w + 1))
         x = Stream(h + w + 1).normal((2, 4, h, w))
         y = fddem_forward(x, p).value
-        monkeypatch.setattr(fddem, "frequency_branch", lambda xv, branches: [
-            ad.Var(r) for r in frequency_branch_naive(xv.value, branches)])
+        monkeypatch.setattr(fddem, "frequency_branch", lambda xv, branches:
+                            ad.Var(np.concatenate(frequency_branch_naive(
+                                xv.value, branches), axis=1)))
         ref = fddem_forward(x, p).value
         assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestFrequencyBranchBytes:
+    """Weights folded once and one inverse transform for all branches give
+    the bytes of folding, modulating and inverting each branch on its own."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["f32", "f64"])
+    @pytest.mark.parametrize("h,w", [(8, 8), (9, 7), (6, 10), (40, 40),
+                                     (64, 64)])
+    def test_stacked_branches_match_per_branch_composition(
+            self, h, w, dtype, monkeypatch):
+        for batch in (1, 2):
+            for branches in (1, 2, 3):
+                seed = 1000 * h + 10 * w + branches
+                p = FddemParams.random(4, h, w, Stream(seed),
+                                       branches=branches, reduction=2,
+                                       dtype=dtype)
+                x = Stream(seed + batch).normal((batch, 4, h, w)).astype(dtype)
+                y = frequency_branch(x, p.branches).value
+                ref = frequency_branch_per_branch(x, p.branches)
+                assert y.dtype == ref.dtype and np.array_equal(y, ref)
+
+                block = fddem_forward(x, p).value
+                with monkeypatch.context() as m:
+                    m.setattr(fddem, "frequency_branch", lambda xv, bs: ad.Var(
+                        frequency_branch_per_branch(xv.value, bs)))
+                    block_ref = fddem_forward(x, p).value
+                assert np.array_equal(block, block_ref)
 
 
 def test_modulate_sign_fault_moves_the_block_output():

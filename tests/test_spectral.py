@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sepkit import ComplexWeights, DimensionError, FddemParams, NumericError
+from sepkit import (ComplexWeights, DimensionError, FddemParams,
+                    NumericError, Tape)
 from sepkit import autodiff as ad
 from sepkit import spectral
 from sepkit.fddem import frequency_branch
+from sepkit.io import read_params, write_params
+from sepkit.params import ParamStore, lift, named_arrays, replace_arrays
 from sepkit.rng import Stream
 
 from oracles import dft2_literal, idft2_literal
@@ -42,8 +47,8 @@ def residue(spec):
 
 
 def enhance(x, weights):
-    """One input spectrum, modulated and inverted once per branch."""
-    return [y.value for y in frequency_branch(x, weights)]
+    """Each branch's output, split from the stacked frequency branch."""
+    return np.split(frequency_branch(x, weights).value, len(weights), axis=1)
 
 
 class TestForwardDft:
@@ -261,6 +266,59 @@ class TestMultiBranch:
             FddemParams.identity(4, 4, 4, branches=0)
 
 
+class TestComplexWeightsImmutable:
+    """Weights built from arrays own read-only parts and fold them once;
+    every rebuild folds its new parts."""
+
+    def test_parts_and_fold_are_read_only_copies(self):
+        re, im = Stream(30).normal((2, 6, 5)), Stream(31).normal((2, 6, 5))
+        w = ComplexWeights(re, im)
+        for part in (w.re, w.im, w.fold()):
+            with pytest.raises(ValueError):
+                part[0, 0, 0] = 7.0
+        re[0, 0, 0] = 7.0  # the caller's array is not the stored one
+        assert w.re[0, 0, 0] != 7.0
+
+    def test_fields_cannot_be_reassigned(self):
+        w = ComplexWeights.identity(2, 4, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.re = np.zeros((2, 4, 4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.im = np.zeros((2, 4, 4))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["f32", "f64"])
+    @pytest.mark.parametrize("h,w", [(8, 8), (9, 7), (6, 10)])
+    def test_fold_bytes_equal_the_fold_op(self, h, w, dtype):
+        wt = ComplexWeights.random(3, h, w, Stream(h * w), dtype=dtype)
+        ref = spectral.hermitian_fold_v(wt.re, wt.im).value
+        assert wt.fold().dtype == ref.dtype
+        assert np.array_equal(wt.fold(), ref)
+
+    def test_rebuilds_fold_their_new_parts(self, tmp_path):
+        old = FddemParams.random(4, 9, 7, Stream(32), branches=2)
+        new = FddemParams.random(4, 9, 7, Stream(33), branches=2)
+        path = str(tmp_path / "new.sepp")
+        write_params(path, ParamStore.from_params(new))
+        rebuilt = {
+            "replace": [dataclasses.replace(wo, re=wn.re, im=wn.im)
+                        for wo, wn in zip(old.branches, new.branches)],
+            "replace_arrays": replace_arrays(old, named_arrays(new)).branches,
+            "sepp": read_params(path).to_params(old).branches,
+        }
+        for how, branches in rebuilt.items():
+            for wo, wn, wb in zip(old.branches, new.branches, branches):
+                ref = spectral.hermitian_fold_v(wn.re, wn.im).value
+                assert np.array_equal(wb.fold(), ref), how
+                assert not np.array_equal(wb.fold(), wo.fold()), how
+
+    def test_lifted_parts_fold_on_the_tape(self):
+        tape = Tape()
+        live = lift(FddemParams.random(4, 9, 7, Stream(34)), tape)
+        folded = live.branches[0].fold()
+        assert isinstance(folded, ad.Var) and folded.tape is tape
+
+
 class TestComplexWeightsInit:
     def test_identity_init_values(self):
         w = ComplexWeights.identity(3, 4, 5)
@@ -273,7 +331,7 @@ class TestComplexWeightsInit:
 
         def fn(p):
             w = ComplexWeights(p["wre"], p["wim"])
-            return ad.sum_all(frequency_branch(ad.add(p["x"], x), [w])[0])
+            return ad.sum_all(frequency_branch(ad.add(p["x"], x), [w]))
 
         report = gradcheck(fn, {
             "x": Stream(20).normal((1, 2, 8, 8)),

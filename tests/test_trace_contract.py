@@ -134,11 +134,11 @@ def test_traced_ldconv_step_samples_every_point_in_one_call_each_way(points):
 
 
 @pytest.mark.parametrize("branches", [1, 3])
-def test_traced_fddem_forward_runs_one_transform_per_branch_and_one_more(
-        branches):
-    # one half-spectrum transform of the input and one inverse per branch:
-    # the benchmark's fddem_infer request (four maps, N = 1, C = 16, three
-    # branches) reads spectral.dft2.calls 16 and .planes 256 from this
+def test_traced_fddem_forward_runs_two_transforms_per_block(branches):
+    # one half-spectrum transform of the input and one inverse of all the
+    # branch products stacked, which are the same planes as one inverse per
+    # branch: the benchmark's fddem_infer request (four maps, N = 1, C = 16,
+    # three branches) reads spectral.dft2.calls 8 and .planes 256 from this
     tracing = load_tracing()
     n, c = 2, 4
     p = FddemParams.random(c, 9, 7, Stream(7), branches=branches,
@@ -151,6 +151,6 @@ def test_traced_fddem_forward_runs_one_transform_per_branch_and_one_more(
     finally:
         tracer.uninstall()
     counts = tracing.summarize(tracer.spans)[1][0]
-    assert counts["spectral.dft2.calls"] == 1 + branches
+    assert counts["spectral.dft2.calls"] == 2
     assert counts["spectral.dft2.planes"] == (1 + branches) * n * c
     assert counts["spectral.dft2.naive_planes"] == 0
