@@ -18,12 +18,12 @@ from .msgrb import MsgrbParams, ms_gu, msdwconv, msgrb_forward
 from .params import ParamStore
 from .rng import Stream, derive_seed
 from .spectral import ComplexWeights
-from .tensor import SamplingGrid, Tensor
+from .tensor import Tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "SamplingGrid",
+    "Tensor",
     "Tape", "Var", "GradReport", "gradcheck",
     "ComplexWeights",
     "FddemParams", "dual_attention", "fddem_forward",

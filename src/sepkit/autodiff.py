@@ -31,7 +31,7 @@ import numpy as np
 from . import tensor as tc
 from .errors import DimensionError, NumericError
 from .rng import Stream
-from .tensor import Tensor, require, require_finite
+from .tensor import require, require_finite
 
 
 class Var:
@@ -137,17 +137,13 @@ class Tape:
 
 
 def as_var(x) -> Var:
+    """`x` itself if it is a Var; an ndarray wrapped as it is; anything else
+    (lists, scalars) as f64.  Ops and blocks take any of these and return
+    a Var; a file `Tensor` is unwrapped at the edge, by its `.data`."""
     if isinstance(x, Var):
         return x
-    if isinstance(x, Tensor):
-        return Var(x.data)
     return Var(np.asarray(x, dtype=np.float64)
                if not isinstance(x, np.ndarray) else x)
-
-
-def wrap_like(x, out: Var):
-    """Hand `out` back as a Tensor when the caller passed one in."""
-    return Tensor(out.value, copy=False) if isinstance(x, Tensor) else out
 
 
 def _tape_of(*vars_) -> Tape | None:

@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .msgrb import MsgrbParams, msgrb_forward
 from .rng import Stream
-from .tensor import SamplingGrid, require
+from .tensor import require
 
 DEFAULT_SCOPE = 0.25
 
@@ -69,8 +69,7 @@ class LdconvParams:
 
     @property
     def weights_per_output_channel(self) -> int:
-        w = self.mix_w.value if isinstance(self.mix_w, ad.Var) else self.mix_w
-        return int(np.prod(w.shape[1:]))
+        return int(np.prod(self.mix_w.shape[1:]))
 
     @staticmethod
     def init(in_channels: int, out_channels: int, n_points: int = 5,
@@ -118,7 +117,7 @@ class LdconvParams:
         return p
 
 
-def ldconv_forward(x, p: LdconvParams):
+def ldconv_forward(x, p: LdconvParams) -> ad.Var:
     """Deformable N-point downsampling; output is ceil(H/s) x ceil(W/s).
 
     The (N, 2P, Ho, Wo) offset map plus the anchors and the point layout
@@ -148,8 +147,7 @@ def ldconv_forward(x, p: LdconvParams):
     sampled = ad.reshape(ad.bilinear_sample(xv, grid), (n, c, pts, ho, wo))
     stacked = ad.reshape(ad.transpose(sampled, (0, 2, 1, 3, 4)),
                          (n, pts * c, ho, wo))
-    out = ad.conv2d(stacked, p.mix_w)
-    return ad.wrap_like(x, out)
+    return ad.conv2d(stacked, p.mix_w)
 
 
 @dataclass
@@ -195,19 +193,18 @@ def dysample_base_grid(h: int, w: int, scale: int, groups: int,
     return np.broadcast_to(grid, (1, groups) + grid.shape).copy()
 
 
-def dysample_offsets(x, p: DysampleParams):
+def dysample_offsets(x, p: DysampleParams) -> ad.Var:
     """Raw offset-head output at input resolution, (N, 2*g*s^2, H, W)."""
     xv = ad.as_var(x)
     require(xv.value.shape[1] == p.channels,
             f"input has {xv.value.shape[1]} channels, params expect "
             f"{p.channels}")
-    out = ad.conv2d(xv, p.offset_w, p.offset_b)
-    return ad.wrap_like(x, out)
+    return ad.conv2d(xv, p.offset_w, p.offset_b)
 
 
 def dysample_grid_from_offsets(offsets, h: int, w: int,
-                               p: DysampleParams):
-    """Base grid plus scope-scaled offsets, as a (N, g, s*h, s*w, 2) value.
+                               p: DysampleParams) -> ad.Var:
+    """Base grid plus scope-scaled offsets, as a (N, g, s*h, s*w, 2) Var.
 
     Offset channels are laid out ((group*2 + axis)*s + si)*s + sj, i.e.
     one (row, col) pair per group and per sub-cell position; the pixel
@@ -227,21 +224,17 @@ def dysample_grid_from_offsets(offsets, h: int, w: int,
     return ad.add(ad.scale(pairs, p.scope), base)
 
 
-def dysample_grid(x, p: DysampleParams) -> SamplingGrid:
-    """Typed sampling grid the upsampler would use for `x`."""
+def dysample_grid(x, p: DysampleParams) -> ad.Var:
+    """The (N, g, s*H, s*W, 2) sampling grid the upsampler uses for `x`."""
     xv = ad.as_var(x)
-    offs = dysample_offsets(xv, p)
-    grid = dysample_grid_from_offsets(offs, *xv.value.shape[2:], p)
-    return SamplingGrid(grid.value, copy=False)
+    return dysample_grid_from_offsets(dysample_offsets(xv, p),
+                                      *xv.value.shape[2:], p)
 
 
-def dysample_forward(x, p: DysampleParams):
+def dysample_forward(x, p: DysampleParams) -> ad.Var:
     """Content-aware point-sampling upsampler, (N, C, H, W) -> (N, C, sH, sW)."""
     xv = ad.as_var(x)
-    offs = dysample_offsets(xv, p)
-    grid = dysample_grid_from_offsets(offs, *xv.value.shape[2:], p)
-    out = ad.bilinear_sample(xv, grid)
-    return ad.wrap_like(x, out)
+    return ad.bilinear_sample(xv, dysample_grid(xv, p))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +306,7 @@ class Ca2neckParams:
         )
 
 
-def ca2neck_forward(features, p: Ca2neckParams):
+def ca2neck_forward(features, p: Ca2neckParams) -> list:
     """Refine a 3-level pyramid (shallow to deep, sizes halving by level)."""
     require(len(features) == 3,
             f"expected 3 pyramid levels, got {len(features)}")
@@ -344,4 +337,4 @@ def ca2neck_forward(features, p: Ca2neckParams):
     b2 = merge(ldconv_forward(b1, p.ld_bu2), c2,
                p.merge_bu2_w, p.merge_bu2_b, p.fuse_bu2)
 
-    return [ad.wrap_like(features[0], o) for o in (t0, b1, b2)]
+    return [t0, b1, b2]

@@ -4,9 +4,9 @@ Commands: `forward` (run a configured chain on a tensor file), `props`
 (run the registered property catalog), `gradcheck` (certify every
 parameter of a configured chain against central differences), and `bench`
 (per-stage wall times).  All reports are JSON on stdout with the seed
-echoed; errors go to stderr with exit codes 2 (config/arguments), 3
-(shape or malformed file), 4 (numerics), 1 (a property or tolerance
-failure).
+echoed; errors go to stderr with exit codes 2 (config/arguments, or a
+named path that cannot be opened), 3 (shape or malformed file), 4
+(numerics), 1 (a property or tolerance failure).
 
 Every stage runs through the `config.STAGES` table, so these commands
 know no stage kind by name; a pyramid stage reads and writes one
@@ -155,7 +155,8 @@ def cmd_gradcheck(args) -> int:
 def stage_gradcheck(stage, x, seed: int) -> ad.GradReport:
     """Certify every parameter of one built stage on the given input."""
     forward = STAGES[stage.kind].forward
-    xv = [ad.as_var(t) for t in x] if isinstance(x, list) else ad.as_var(x)
+    xv = ([ad.Var(t.data) for t in x] if isinstance(x, list)
+          else ad.Var(x.data))
 
     def fn(leaves):
         live = replace_vars(stage.params, leaves)
@@ -244,8 +245,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"sepkit: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"sepkit: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"sepkit: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return EXIT_CONFIG
     except DimensionError as exc:
         print(f"sepkit: {exc}", file=sys.stderr)

@@ -56,7 +56,7 @@ from . import spectral
 from .errors import ConfigError, DimensionError
 from .io import read_params
 from .rng import Stream, derive_seed
-from .tensor import DTYPES
+from .tensor import DTYPES, Tensor
 
 _REQUIRED = object()
 
@@ -103,10 +103,11 @@ class Stage:
     `keys` maps each key to (default or _REQUIRED, parser).  With `o` the
     resolved options, `params(o, dtype, rng)` builds the parameters; rng
     None gives the declared identity init, which is also the template a
-    SEPP file fills.  `forward(x, params, o)` runs the stage and
-    `shapes(o)` gives (in_shape, out_shape).  A `pyramid` stage maps three
-    levels to three.  Forwards look the block functions up at call time,
-    so wrappers installed on the block modules see every call.
+    SEPP file fills.  `forward(x, params, o)` runs the stage on a `Var`
+    and returns a `Var`, and `shapes(o)` gives (in_shape, out_shape).  A
+    `pyramid` stage maps three levels to three.  Forwards look the block
+    functions up at call time, so wrappers installed on the block modules
+    see every call.
     """
 
     keys: dict
@@ -157,10 +158,8 @@ def _fddem_params(o, dtype, rng):
 
 def _fft2_forward(x, params, o):
     naive = o["path"] == "naive"
-    xv = ad.as_var(x)
-    spectrum = spectral.rfft2_v(xv, force_naive=naive)
-    return ad.wrap_like(x, spectral.irfft2_v(spectrum, xv.value.shape[-1],
-                                             force_naive=naive))
+    spectrum = spectral.rfft2_v(x, force_naive=naive)
+    return spectral.irfft2_v(spectrum, x.shape[-1], force_naive=naive)
 
 
 STAGES = {
@@ -313,7 +312,17 @@ class ChainModule:
         self.out_shape = out_shape
 
     def forward(self, x):
-        return STAGES[self.kind].forward(x, self.params, self.options)
+        """Run the stage on a `Tensor` (a list of three for a pyramid stage)
+        and hand back read-only `Tensor`s of `out_shape`.  This is the one
+        place where file values become `Var`s and back; the blocks below
+        it take and return `Var`s only."""
+        stage = STAGES[self.kind]
+        if stage.pyramid:
+            outs = stage.forward([ad.Var(t.data) for t in x], self.params,
+                                 self.options)
+            return [Tensor(o.value, copy=False) for o in outs]
+        out = stage.forward(ad.Var(x.data), self.params, self.options)
+        return Tensor(out.value, copy=False)
 
 
 def _build_params(stage: Stage, o: dict, dtype, rng: Stream, lineno: int):

@@ -56,13 +56,10 @@ class FddemParams:
 
     @property
     def plane(self) -> tuple:
-        w = self.branches[0]
-        shape = w.re.shape if not hasattr(w.re, "value") else w.re.value.shape
-        return shape[1], shape[2]
+        return self.branches[0].re.shape[1:]
 
     @staticmethod
-    def _shapes(channels: int, height: int, width: int, branches: int,
-                reduction: int):
+    def _shapes(channels: int, branches: int, reduction: int):
         require(branches >= 1, f"need at least one branch, got {branches}")
         require(reduction >= 1, f"reduction must be >= 1, got {reduction}")
         require(channels >= reduction,
@@ -73,7 +70,7 @@ class FddemParams:
     def identity(channels: int, height: int, width: int, branches: int = 3,
                  reduction: int = 4, dtype=np.float64) -> "FddemParams":
         """Declared init: identity complex weights, zero everything else."""
-        cr = FddemParams._shapes(channels, height, width, branches, reduction)
+        cr = FddemParams._shapes(channels, branches, reduction)
         z = lambda *s: np.zeros(s, dtype=dtype)
         return FddemParams(
             spatial1_w=z(channels, channels, 3, 3), spatial1_b=z(channels),
@@ -92,7 +89,7 @@ class FddemParams:
                branches: int = 3, reduction: int = 4,
                dtype=np.float64) -> "FddemParams":
         """Generic nonzero parameters (for gradient tests and benchmarks)."""
-        cr = FddemParams._shapes(channels, height, width, branches, reduction)
+        cr = FddemParams._shapes(channels, branches, reduction)
         g = lambda scale, *s: rng.normal(s, scale=scale).astype(dtype)
         return FddemParams(
             spatial1_w=g(1.0 / (3.0 * np.sqrt(channels)),
@@ -116,7 +113,7 @@ class FddemParams:
         )
 
 
-def dual_attention(f, p: FddemParams):
+def dual_attention(f, p: FddemParams) -> ad.Var:
     """Frequency-guided attention map in (0, 1), shaped like the input.
 
     Channel logits come from global average and max pooling through a
@@ -137,8 +134,7 @@ def dual_attention(f, p: FddemParams):
     cmax = ad.amax_axes(fv, (1,))
     spatial_logits = ad.conv2d(ad.concat([cmean, cmax], axis=1),
                                p.sa_w, p.sa_b, padding=3)  # (N, 1, H, W)
-    att = ad.sigmoid(ad.add(channel_logits, spatial_logits))
-    return ad.wrap_like(f, att)
+    return ad.sigmoid(ad.add(channel_logits, spatial_logits))
 
 
 def frequency_branch(x, branches) -> ad.Var:
@@ -154,7 +150,7 @@ def frequency_branch(x, branches) -> ad.Var:
     return spectral.irfft2_v(ad.concat(products, axis=1), xv.value.shape[-1])
 
 
-def fddem_forward(x, p: FddemParams):
+def fddem_forward(x, p: FddemParams) -> ad.Var:
     """spatial_branch(x) + dual_attention(f) * f over the frequency feature f."""
     xv = ad.as_var(x)
     n, c, h, w = xv.value.shape
@@ -170,6 +166,4 @@ def fddem_forward(x, p: FddemParams):
     f = ad.conv2d(frequency_branch(xv, p.branches), p.compress_w,
                   p.compress_b)
 
-    att = dual_attention(f, p)
-    out = ad.add(spatial, ad.mul(ad.as_var(att), f))
-    return ad.wrap_like(x, out)
+    return ad.add(spatial, ad.mul(dual_attention(f, p), f))

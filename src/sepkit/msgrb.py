@@ -72,14 +72,14 @@ class MsgrbParams:
         )
 
 
-def msdwconv(x, dw3, dw5, dw7):
+def msdwconv(x, dw3, dw5, dw7) -> ad.Var:
     """Sum of shape-preserving depthwise convolutions at sizes 3, 5, 7,
     computed as one 7x7 pass of the center-padded kernel sum."""
     w = ad.fold_kernels((dw3, dw5, dw7), KERNEL_SIZES)
-    return ad.wrap_like(x, ad.depthwise_conv2d(x, w))
+    return ad.depthwise_conv2d(x, w)
 
 
-def ms_gu(x, p: MsgrbParams):
+def ms_gu(x, p: MsgrbParams) -> ad.Var:
     """Expand, split, refine-and-gate, shrink; no residual."""
     xv = ad.as_var(x)
     hidden = p.hidden
@@ -90,11 +90,9 @@ def ms_gu(x, p: MsgrbParams):
     x_k, v_k = ad.split(e, [hidden, hidden], axis=1)
     refined = msdwconv(ad.gelu(x_k), p.dw3, p.dw5, p.dw7)
     gated = ad.mul(refined, ad.sigmoid(v_k))
-    out = ad.conv2d(gated, p.shrink_w)
-    return ad.wrap_like(x, out)
+    return ad.conv2d(gated, p.shrink_w)
 
 
-def msgrb_forward(x, p: MsgrbParams):
+def msgrb_forward(x, p: MsgrbParams) -> ad.Var:
     """Residual wrapper: y = x + ms_gu(x)."""
-    out = ad.add(ad.as_var(x), ad.as_var(ms_gu(x, p)))
-    return ad.wrap_like(x, out)
+    return ad.add(x, ms_gu(x, p))

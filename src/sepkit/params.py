@@ -85,11 +85,10 @@ def replace_vars(template, leaves: dict, prefix: str = ""):
         if name not in leaves:
             raise KeyError(f"missing parameter {name!r}")
         v = leaves[name]
-        old = arr.value if isinstance(arr, Var) else arr
-        if v.value.shape != old.shape:
+        if v.shape != arr.shape:
             raise DimensionError(
-                f"parameter {name!r} has shape {v.value.shape}, expected "
-                f"{old.shape}")
+                f"parameter {name!r} has shape {v.shape}, expected "
+                f"{arr.shape}")
         return v
     return _walk(template, fn, prefix)
 

@@ -243,7 +243,7 @@ def _modulate_identity_roundtrip(seed):
 def _fddem_shape_preserved(seed):
     rng = Stream(seed)
     p = fd.FddemParams.random(4, 8, 8, rng)
-    x = Tensor(_rand(rng, (2, 4, 8, 8)))
+    x = _rand(rng, (2, 4, 8, 8))
     y = fd.fddem_forward(x, p)
     return y.shape == x.shape, 0.0 if y.shape == x.shape else 1.0
 
@@ -253,8 +253,8 @@ def _fddem_zero_input(seed):
     p = fd.FddemParams.random(4, 8, 8, rng)
     for name in ("spatial1_b", "spatial2_b", "compress_b"):
         setattr(p, name, np.zeros_like(getattr(p, name)))
-    y = fd.fddem_forward(Tensor(np.zeros((1, 4, 8, 8))), p)
-    err = float(np.abs(y.data).max())
+    y = fd.fddem_forward(np.zeros((1, 4, 8, 8)), p)
+    err = float(np.abs(y.value).max())
     return err == 0.0, err
 
 
@@ -263,18 +263,17 @@ def _fddem_freq_path_bounded(seed):
     p = fd.FddemParams.random(4, 8, 8, rng)
     enhanced = fd.frequency_branch(_rand(rng, (1, 4, 8, 8)), p.branches)
     f = tc.conv2d_raw(enhanced.value, p.compress_w, p.compress_b, 1, 0)
-    att = fd.dual_attention(Tensor(f), p)
-    excess = float((np.abs(att.data * f) - np.abs(f)).max())
-    in_range = bool((att.data > 0).all() and (att.data < 1).all())
+    att = fd.dual_attention(f, p).value
+    excess = float((np.abs(att * f) - np.abs(f)).max())
+    in_range = bool((att > 0).all() and (att < 1).all())
     return excess <= 0.0 and in_range, excess
 
 
 def _fddem_identity_at_init(seed):
     rng = Stream(seed)
     p = fd.FddemParams.identity(4, 8, 8)
-    x = Tensor(_rand(rng, (1, 4, 8, 8)))
-    y = fd.fddem_forward(x, p)
-    err = float(np.abs(y.data - x.data).max())
+    x = _rand(rng, (1, 4, 8, 8))
+    err = float(np.abs(fd.fddem_forward(x, p).value - x).max())
     return err == 0.0, err
 
 
@@ -284,10 +283,10 @@ def _msgrb_identity_zero_shrink(seed):
     rng = Stream(seed)
     p = ms.MsgrbParams.random(4, rng)
     p.shrink_w = np.zeros_like(p.shrink_w)
-    x = Tensor(_rand(rng, (1, 4, 6, 6)))
-    y = ms.msgrb_forward(x, p)
-    same = np.array_equal(y.data, x.data)
-    return same, 0.0 if same else float(np.abs(y.data - x.data).max())
+    x = _rand(rng, (1, 4, 6, 6))
+    y = ms.msgrb_forward(x, p).value
+    same = np.array_equal(y, x)
+    return same, 0.0 if same else float(np.abs(y - x).max())
 
 
 def _msgrb_closed_gate(seed):
@@ -299,19 +298,19 @@ def _msgrb_closed_gate(seed):
     w[hidden:] = 0.0   # gate half sees only its bias
     b[hidden:] = -50.0
     p.expand_w, p.expand_b = w, b
-    x = Tensor(_rand(rng, (1, 4, 6, 6)))
-    err = float(np.abs(ms.ms_gu(x, p).data).max())
+    x = _rand(rng, (1, 4, 6, 6))
+    err = float(np.abs(ms.ms_gu(x, p).value).max())
     return err <= 1e-20, err
 
 
 def _msgrb_decomposition(seed):
     rng = Stream(seed)
     p = ms.MsgrbParams.random(4, rng)
-    x = Tensor(_rand(rng, (1, 4, 8, 8)))
-    y = ms.msgrb_forward(x, p)
-    expected = x.data + ms.ms_gu(x, p).data
-    same = np.array_equal(y.data, expected)
-    return same, 0.0 if same else float(np.abs(y.data - expected).max())
+    x = _rand(rng, (1, 4, 8, 8))
+    y = ms.msgrb_forward(x, p).value
+    expected = x + ms.ms_gu(x, p).value
+    same = np.array_equal(y, expected)
+    return same, 0.0 if same else float(np.abs(y - expected).max())
 
 
 def _msdw_channel_locality(seed):
@@ -320,10 +319,10 @@ def _msdw_channel_locality(seed):
     x = _rand(rng, (1, 3, 9, 9))
     x2 = x.copy()
     x2[0, 0] += 1.0
-    y1 = ms.msdwconv(Tensor(x), *kernels)
-    y2 = ms.msdwconv(Tensor(x2), *kernels)
-    same = np.array_equal(y1.data[:, 1:], y2.data[:, 1:])
-    changed = not np.array_equal(y1.data[:, :1], y2.data[:, :1])
+    y1 = ms.msdwconv(x, *kernels).value
+    y2 = ms.msdwconv(x2, *kernels).value
+    same = np.array_equal(y1[:, 1:], y2[:, 1:])
+    changed = not np.array_equal(y1[:, :1], y2[:, :1])
     return same and changed, 0.0 if same else 1.0
 
 
@@ -358,8 +357,8 @@ def _dysample_constant_preserved(seed):
     rng = Stream(seed)
     p = neck.DysampleParams.init(3, rng=rng)
     c = 2.75
-    y = neck.dysample_forward(Tensor(np.full((1, 3, 4, 4), c)), p)
-    err = float(np.abs(y.data - c).max())
+    y = neck.dysample_forward(np.full((1, 3, 4, 4), c), p)
+    err = float(np.abs(y.value - c).max())
     return err == 0.0, err
 
 
@@ -370,10 +369,9 @@ def _dysample_scope_bound(seed):
         p = neck.DysampleParams.init(2, rng=rng)
         p.offset_w = np.zeros_like(p.offset_w)
         p.offset_b = np.full_like(p.offset_b, bias_value)
-        x = Tensor(_rand(rng, (1, 2, 4, 4)))
-        grid = neck.dysample_grid(x, p)
+        grid = neck.dysample_grid(_rand(rng, (1, 2, 4, 4)), p)
         base = neck.dysample_base_grid(4, 4, p.scale, p.groups)
-        dev = float(np.abs(grid.coords - base).max())
+        dev = float(np.abs(grid.value - base).max())
         if abs(dev - p.scope * abs(bias_value)) > 0.0:
             return False, dev
         worst = max(worst, dev)
@@ -383,9 +381,8 @@ def _dysample_scope_bound(seed):
 def _pyramid_shapes_preserved(seed):
     rng = Stream(seed)
     p = neck.Ca2neckParams.init((4, 8, 16), rng=rng)
-    xs = [Tensor(_rand(rng, (1, 4, 8, 8))),
-          Tensor(_rand(rng, (1, 8, 4, 4))),
-          Tensor(_rand(rng, (1, 16, 2, 2)))]
+    xs = [_rand(rng, (1, 4, 8, 8)), _rand(rng, (1, 8, 4, 4)),
+          _rand(rng, (1, 16, 2, 2))]
     ys = neck.ca2neck_forward(xs, p)
     ok = len(ys) == 3 and all(y.shape == x.shape for x, y in zip(xs, ys))
     return ok, 0.0 if ok else 1.0

@@ -1,11 +1,13 @@
 """Dense NCHW tensor type and the numerical primitives everything builds on.
 
 The `Tensor` is an immutable, contiguous, row-major (N, C, H, W) array in
-f32 or f64, the type files are read into and the blocks hand back.  The
-kernels are pure functions over ndarrays: zero-padded convolution,
-per-channel depthwise convolution, border-clamped bilinear grid sampling
-and the gelu/sigmoid/silu activation family, each with its gradients, for
-the reverse-mode layer to record on its tape.  Every kernel validates
+f32 or f64: the type files are read into and written from, and the type
+`config.ChainModule.forward` takes and returns.  The blocks themselves
+take ndarrays or autodiff `Var`s and return `Var`s.  The kernels are pure
+functions over ndarrays: zero-padded convolution, per-channel depthwise
+convolution, border-clamped bilinear grid sampling and the
+gelu/sigmoid/silu activation family, each with its gradients, for the
+reverse-mode layer to record on its tape.  Every kernel validates
 shapes and rejects non-finite values at its boundary, so a NaN raises
 instead of propagating silently.  A conv and each of its gradients is one
 BLAS matmul over an im2col matrix (see `_conv_cols`).  The depthwise
@@ -41,22 +43,17 @@ def require_finite(array: np.ndarray, what: str) -> None:
         raise NumericError(f"non-finite values in {what}")
 
 
-def _as_float_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(DTYPES.get(dtype, dtype), copy=False)
-    elif arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
-    return arr
-
-
 class Tensor:
     """Immutable dense (N, C, H, W) value, row-major, f32 or f64."""
 
     __slots__ = ("data",)
 
     def __init__(self, data, dtype=None, copy=True):
-        arr = _as_float_array(data, dtype)
+        arr = np.asarray(data)
+        if dtype is not None:
+            arr = arr.astype(DTYPES.get(dtype, dtype), copy=False)
+        elif arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(np.float64)
         if copy:
             arr = arr.copy()
         require(arr.ndim == 4,
@@ -76,47 +73,8 @@ class Tensor:
     def dtype(self) -> str:
         return _DTYPE_NAMES[self.data.dtype]
 
-    def astype(self, dtype: str) -> "Tensor":
-        return Tensor(self.data, dtype=dtype)
-
-    def numpy(self) -> np.ndarray:
-        """Writable copy of the underlying values."""
-        return self.data.copy()
-
-    @staticmethod
-    def zeros(shape, dtype="f64") -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=DTYPES[dtype]), copy=False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
-
-
-class SamplingGrid:
-    """Fractional (row, col) source coordinates for bilinear sampling.
-
-    Shape is (N, groups, H_out, W_out, 2) with the last axis fixed to
-    (row, col) in source-pixel units.  Coordinates may lie outside the
-    source extent; the sampler clamps them to the border.
-    """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords, copy=True):
-        arr = _as_float_array(coords)
-        if copy:
-            arr = arr.copy()
-        require(arr.ndim == 5,
-                f"SamplingGrid must be 5D (N, groups, H, W, 2), got {arr.shape}")
-        require(arr.shape[-1] == 2,
-                f"SamplingGrid last dim must be 2 (row, col), got {arr.shape[-1]}")
-        require_finite(arr, "sampling grid")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        self.coords = arr
-
-    @property
-    def shape(self) -> tuple:
-        return self.coords.shape
 
 
 # ---------------------------------------------------------------------------

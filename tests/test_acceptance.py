@@ -77,25 +77,25 @@ def test_parseval_100_planes():
 
 def test_identity_at_initialization():
     rng = Stream(derive_seed(BASE_SEED, 3000))
-    x = Tensor(rng.normal((1, 4, 8, 8)))
+    x = rng.normal((1, 4, 8, 8))
 
     fddem_err = float(np.abs(
-        fddem_forward(x, FddemParams.identity(4, 8, 8)).data - x.data).max())
+        fddem_forward(x, FddemParams.identity(4, 8, 8)).value - x).max())
     msgrb_err = float(np.abs(
-        msgrb_forward(x, MsgrbParams.identity(4)).data - x.data).max())
+        msgrb_forward(x, MsgrbParams.identity(4)).value - x).max())
 
     xd = rng.normal((1, 3, 6, 6))
     dys_err = float(np.abs(
-        dysample_forward(Tensor(xd), DysampleParams.init(3)).data
+        dysample_forward(xd, DysampleParams.init(3)).value
         - bilinear_resize(xd, 2)).max())
 
     kernel = rng.normal((3, 2, 3, 3))
     xl = rng.normal((1, 2, 8, 8))
-    y = ldconv_forward(Tensor(xl), LdconvParams.from_conv_kernel(kernel))
-    ld_err = float(np.abs(y.data[:, :, 1:-1, 1:-1]
+    y = ldconv_forward(xl, LdconvParams.from_conv_kernel(kernel))
+    ld_err = float(np.abs(y.value[:, :, 1:-1, 1:-1]
                           - conv2d_naive(xl, kernel, padding=1)
                           [:, :, 1:-1, 1:-1]).max())
-    ld_border_err = float(np.abs(y.data - clamped_conv3x3(xl, kernel)).max())
+    ld_border_err = float(np.abs(y.value - clamped_conv3x3(xl, kernel)).max())
 
     ok = (fddem_err <= 1e-12 and msgrb_err == 0.0 and dys_err <= 1e-10
           and ld_err <= 1e-10 and ld_border_err <= 1e-10)
@@ -195,18 +195,18 @@ def test_scope_factor_bound():
     for bias in (-1.0, -0.5, 0.25, 0.5, 1.0):
         p = DysampleParams.init(2, scale=2)
         p.offset_b = np.full_like(p.offset_b, bias)
-        x = Tensor(Stream(derive_seed(BASE_SEED, 4000)).normal((1, 2, 4, 4)))
+        x = Stream(derive_seed(BASE_SEED, 4000)).normal((1, 2, 4, 4))
         grid = neck.dysample_grid(x, p)
         base = neck.dysample_base_grid(4, 4, 2, 1)
-        dev = float(np.abs(grid.coords - base).max())
+        dev = float(np.abs(grid.value - base).max())
         exact = exact and dev == p.scope * abs(bias)
         worst = max(worst, dev)
     # clamped random head stays inside the scope radius too
     p = DysampleParams.init(2, scale=2, rng=Stream(derive_seed(BASE_SEED,
                                                                4001)))
-    x = Tensor(Stream(derive_seed(BASE_SEED, 4002)).normal((1, 2, 4, 4)))
+    x = Stream(derive_seed(BASE_SEED, 4002)).normal((1, 2, 4, 4))
     raw = neck.dysample_offsets(x, p)
-    grid = neck.dysample_grid_from_offsets(np.clip(raw.data, -1, 1), 4, 4, p)
+    grid = neck.dysample_grid_from_offsets(np.clip(raw.value, -1, 1), 4, 4, p)
     clamped_dev = float(np.abs(grid.value
                                - neck.dysample_base_grid(4, 4, 2, 1)).max())
     ok = exact and worst == 0.25 and clamped_dev <= 0.25

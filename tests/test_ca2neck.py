@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sepkit import (Ca2neckParams, DimensionError, DysampleParams,
-                    LdconvParams, Tensor, ca2neck_forward, dysample_forward,
+                    LdconvParams, ca2neck_forward, dysample_forward,
                     gradcheck, ldconv_coords, ldconv_forward)
 from sepkit import autodiff as ad
 from sepkit import ca2neck as neck
@@ -10,14 +10,13 @@ from sepkit.cli import _synth_input, stage_gradcheck
 from sepkit.config import build_chain, parse_config
 from sepkit.params import named_arrays, replace_vars
 from sepkit.rng import Stream
-from sepkit.tensor import SamplingGrid
 
 from oracles import (bilinear_resize, clamped_conv3x3, conv2d_naive,
                      dysample_grid_naive, ldconv_per_point)
 
 
-def rand_tensor(seed, shape):
-    return Tensor(Stream(seed).normal(shape))
+def rand_array(seed, shape):
+    return Stream(seed).normal(shape)
 
 
 class TestCoords:
@@ -49,28 +48,28 @@ class TestLdconv:
         kernel = Stream(1).normal((3, 2, 3, 3))
         p = LdconvParams.from_conv_kernel(kernel, stride=1)
         x = Stream(2).normal((1, 2, 8, 8))
-        y = ldconv_forward(Tensor(x), p)
+        y = ldconv_forward(x, p)
         ref_interior = conv2d_naive(x, kernel, padding=1)
-        np.testing.assert_allclose(y.data[:, :, 1:-1, 1:-1],
+        np.testing.assert_allclose(y.value[:, :, 1:-1, 1:-1],
                                    ref_interior[:, :, 1:-1, 1:-1],
                                    atol=1e-10)
         # border pixels follow border-clamped sampling, not zero padding
         ref_border = clamped_conv3x3(x, kernel)
-        np.testing.assert_allclose(y.data, ref_border, atol=1e-10)
+        np.testing.assert_allclose(y.value, ref_border, atol=1e-10)
 
     def test_single_point_stride2_subsamples(self):
         p = LdconvParams.init(2, 2, n_points=1, stride=2)
         p.mix_w = np.eye(2).reshape(2, 2, 1, 1).astype(np.float64)
-        x = rand_tensor(3, (1, 2, 8, 8))
+        x = rand_array(3, (1, 2, 8, 8))
         y = ldconv_forward(x, p)
-        assert np.array_equal(y.data, x.data[:, :, ::2, ::2])
+        assert np.array_equal(y.value, x[:, :, ::2, ::2])
 
     def test_output_size_is_ceil_division(self):
         p = LdconvParams.init(2, 4, n_points=5, stride=2)
-        assert ldconv_forward(rand_tensor(4, (1, 2, 7, 9)), p).shape \
+        assert ldconv_forward(rand_array(4, (1, 2, 7, 9)), p).shape \
             == (1, 4, 4, 5)
         p3 = LdconvParams.init(2, 4, n_points=5, stride=3)
-        assert ldconv_forward(rand_tensor(5, (1, 2, 7, 9)), p3).shape \
+        assert ldconv_forward(rand_array(5, (1, 2, 7, 9)), p3).shape \
             == (1, 4, 3, 3)
 
     def test_linear_parameter_growth(self):
@@ -81,7 +80,7 @@ class TestLdconv:
     def test_channel_mismatch(self):
         p = LdconvParams.init(3, 4, n_points=5)
         with pytest.raises(DimensionError):
-            ldconv_forward(rand_tensor(6, (1, 2, 8, 8)), p)
+            ldconv_forward(rand_array(6, (1, 2, 8, 8)), p)
 
     def test_gradcheck_off_lattice(self):
         p = LdconvParams.init(2, 3, n_points=5, stride=1, rng=Stream(7))
@@ -136,30 +135,30 @@ class TestDysample:
     def test_zero_head_equals_bilinear_resize(self):
         p = DysampleParams.init(3, scale=2)
         x = Stream(10).normal((1, 3, 6, 6))
-        y = dysample_forward(Tensor(x), p)
-        np.testing.assert_allclose(y.data, bilinear_resize(x, 2), atol=1e-10)
+        y = dysample_forward(x, p)
+        np.testing.assert_allclose(y.value, bilinear_resize(x, 2), atol=1e-10)
 
     def test_zero_head_scale3(self):
         p = DysampleParams.init(2, scale=3)
         x = Stream(11).normal((1, 2, 4, 4))
-        y = dysample_forward(Tensor(x), p)
-        np.testing.assert_allclose(y.data, bilinear_resize(x, 3), atol=1e-10)
+        y = dysample_forward(x, p)
+        np.testing.assert_allclose(y.value, bilinear_resize(x, 3), atol=1e-10)
 
     def test_constant_preserved_exactly(self):
         p = DysampleParams.init(3, rng=Stream(12))
-        y = dysample_forward(Tensor(np.full((1, 3, 4, 4), -0.8125)), p)
-        assert (y.data == -0.8125).all()
+        y = dysample_forward(np.full((1, 3, 4, 4), -0.8125), p)
+        assert (y.value == -0.8125).all()
 
     def test_shape_contract(self):
         p = DysampleParams.init(3, scale=2)
-        y = dysample_forward(rand_tensor(13, (1, 3, 8, 8)), p)
+        y = dysample_forward(rand_array(13, (1, 3, 8, 8)), p)
         assert y.shape == (1, 3, 16, 16)
 
     def test_output_within_input_range(self):
         p = DysampleParams.init(2, rng=Stream(14))
         x = Stream(15).normal((1, 2, 6, 6))
-        y = dysample_forward(Tensor(x), p)
-        assert y.data.max() <= x.max() and y.data.min() >= x.min()
+        y = dysample_forward(x, p)
+        assert y.value.max() <= x.max() and y.value.min() >= x.min()
 
     def test_scope_bound_with_clamped_head_outputs(self):
         # offset-head outputs pinned inside [-1, 1]: grid deviation from
@@ -167,18 +166,18 @@ class TestDysample:
         for bias in (-1.0, -0.5, 0.25, 1.0):
             p = DysampleParams.init(2, scale=2)
             p.offset_b = np.full_like(p.offset_b, bias)
-            x = rand_tensor(16, (1, 2, 4, 4))
+            x = rand_array(16, (1, 2, 4, 4))
             grid = neck.dysample_grid(x, p)
             base = neck.dysample_base_grid(4, 4, 2, 1)
-            dev = np.abs(grid.coords - base)
+            dev = np.abs(grid.value - base)
             assert dev.max() == p.scope * abs(bias)
             assert dev.max() <= 0.25
 
     def test_scope_bound_with_random_head_clamped(self):
         p = DysampleParams.init(2, scale=2, rng=Stream(17))
-        x = rand_tensor(18, (1, 2, 4, 4))
+        x = rand_array(18, (1, 2, 4, 4))
         raw = neck.dysample_offsets(x, p)
-        clamped = np.clip(raw.data, -1.0, 1.0)
+        clamped = np.clip(raw.value, -1.0, 1.0)
         grid = neck.dysample_grid_from_offsets(clamped, 4, 4, p)
         base = neck.dysample_base_grid(4, 4, 2, 1)
         assert np.abs(grid.value - base).max() <= p.scope
@@ -198,26 +197,26 @@ class TestDysample:
         with pytest.raises(DimensionError):
             neck.dysample_grid_from_offsets(np.zeros(shape), 4, 4, p)
 
-    @pytest.mark.parametrize("wrap", [np.asarray, ad.Var, Tensor],
-                             ids=["ndarray", "Var", "Tensor"])
+    @pytest.mark.parametrize("wrap", [np.asarray, ad.Var],
+                             ids=["ndarray", "Var"])
     def test_grid_takes_any_input(self, wrap):
         p = DysampleParams.init(2, scale=2, rng=Stream(59))
         x = Stream(60).normal((2, 2, 4, 5))
         grid = neck.dysample_grid(wrap(x), p)
         ref = neck.dysample_grid_from_offsets(
             neck.dysample_offsets(x, p), 4, 5, p)
-        assert isinstance(grid, SamplingGrid)
-        assert np.array_equal(grid.coords, ref.value)
+        assert isinstance(grid, ad.Var)
+        assert np.array_equal(grid.value, ref.value)
 
     def test_grouped_offsets(self):
         p = DysampleParams.init(4, scale=2, groups=2, rng=Stream(19))
-        y = dysample_forward(rand_tensor(20, (1, 4, 4, 4)), p)
+        y = dysample_forward(rand_array(20, (1, 4, 4, 4)), p)
         assert y.shape == (1, 4, 8, 8)
 
     def test_head_channel_mismatch(self):
         p = DysampleParams.init(4, scale=2)
         with pytest.raises(DimensionError):
-            dysample_forward(rand_tensor(21, (1, 3, 4, 4)), p)
+            dysample_forward(rand_array(21, (1, 3, 4, 4)), p)
 
     def test_gradcheck(self):
         p = DysampleParams.init(2, scale=2, rng=Stream(22))
@@ -235,9 +234,9 @@ class TestDysample:
 class TestPyramid:
     def test_shape_contract_paper_scale(self):
         p = Ca2neckParams.init((32, 64, 128), rng=Stream(25))
-        xs = [rand_tensor(26, (1, 32, 32, 32)),
-              rand_tensor(27, (1, 64, 16, 16)),
-              rand_tensor(28, (1, 128, 8, 8))]
+        xs = [rand_array(26, (1, 32, 32, 32)),
+              rand_array(27, (1, 64, 16, 16)),
+              rand_array(28, (1, 128, 8, 8))]
         ys = ca2neck_forward(xs, p)
         assert [y.shape for y in ys] == [x.shape for x in xs]
 
@@ -260,15 +259,15 @@ class TestPyramid:
         x0 = Stream(29).normal((1, c, 8, 8))
         x1 = Stream(30).normal((1, c, 4, 4))
         x2 = Stream(31).normal((1, c, 2, 2))
-        ys = ca2neck_forward([Tensor(x0), Tensor(x1), Tensor(x2)], p)
+        ys = ca2neck_forward([x0, x1, x2], p)
 
         t1 = 0.5 * bilinear_resize(x2, 2) + 0.5 * x1
         t0 = 0.5 * bilinear_resize(t1, 2) + 0.5 * x0
         b1 = 0.5 * t0[:, :, ::2, ::2] + 0.5 * t1
         b2 = 0.5 * b1[:, :, ::2, ::2] + 0.5 * x2
-        np.testing.assert_allclose(ys[0].data, t0, atol=1e-10)
-        np.testing.assert_allclose(ys[1].data, b1, atol=1e-10)
-        np.testing.assert_allclose(ys[2].data, b2, atol=1e-10)
+        np.testing.assert_allclose(ys[0].value, t0, atol=1e-10)
+        np.testing.assert_allclose(ys[1].value, b1, atol=1e-10)
+        np.testing.assert_allclose(ys[2].value, b2, atol=1e-10)
 
     def test_gradcheck_batch2(self, tmp_path):
         cfg = tmp_path / "neck.cfg"
@@ -285,21 +284,21 @@ class TestPyramid:
 
     def test_level_size_mismatch_rejected(self):
         p = Ca2neckParams.init((4, 8, 16), rng=Stream(32))
-        xs = [rand_tensor(33, (1, 4, 8, 8)),
-              rand_tensor(34, (1, 8, 4, 4)),
-              rand_tensor(35, (1, 16, 3, 3))]
+        xs = [rand_array(33, (1, 4, 8, 8)),
+              rand_array(34, (1, 8, 4, 4)),
+              rand_array(35, (1, 16, 3, 3))]
         with pytest.raises(DimensionError):
             ca2neck_forward(xs, p)
 
     def test_channel_mismatch_rejected(self):
         p = Ca2neckParams.init((4, 8, 16), rng=Stream(36))
-        xs = [rand_tensor(37, (1, 4, 8, 8)),
-              rand_tensor(38, (1, 9, 4, 4)),
-              rand_tensor(39, (1, 16, 2, 2))]
+        xs = [rand_array(37, (1, 4, 8, 8)),
+              rand_array(38, (1, 9, 4, 4)),
+              rand_array(39, (1, 16, 2, 2))]
         with pytest.raises(DimensionError):
             ca2neck_forward(xs, p)
 
     def test_level_count_enforced(self):
         p = Ca2neckParams.init((4, 8, 16), rng=Stream(40))
         with pytest.raises(DimensionError):
-            ca2neck_forward([rand_tensor(41, (1, 4, 8, 8))], p)
+            ca2neck_forward([rand_array(41, (1, 4, 8, 8))], p)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sepkit import (DimensionError, FddemParams, Tensor, dual_attention,
+from sepkit import (DimensionError, FddemParams, dual_attention,
                     fddem_forward, gradcheck)
 from sepkit import autodiff as ad
 from sepkit import fddem, spectral
@@ -17,8 +17,8 @@ from oracles import (FREQUENCY_ORACLE_PLANES, frequency_branch_naive,
                      frequency_branch_per_branch)
 
 
-def rand_tensor(seed, shape):
-    return Tensor(Stream(seed).normal(shape))
+def rand_array(seed, shape):
+    return Stream(seed).normal(shape)
 
 
 def sigmoid(v):
@@ -32,14 +32,14 @@ def silu(v):
 class TestDualAttention:
     def test_zero_weights_give_half(self):
         p = FddemParams.identity(4, 8, 8)
-        f = Tensor(np.full((1, 4, 8, 8), 3.25))
+        f = np.full((1, 4, 8, 8), 3.25)
         att = dual_attention(f, p)
-        assert (att.data == 0.5).all()
+        assert (att.value == 0.5).all()
 
     def test_output_strictly_in_unit_interval(self):
         p = FddemParams.random(4, 8, 8, Stream(1))
-        att = dual_attention(rand_tensor(2, (2, 4, 8, 8)), p)
-        assert (att.data > 0).all() and (att.data < 1).all()
+        att = dual_attention(rand_array(2, (2, 4, 8, 8)), p)
+        assert (att.value > 0).all() and (att.value < 1).all()
         assert att.shape == (2, 4, 8, 8)
 
     def test_hand_computed_single_channel_case(self):
@@ -56,7 +56,7 @@ class TestDualAttention:
         p.sa_w, p.sa_b = sa, np.array([-0.05])
 
         plane = np.array([[0.4, -1.2], [2.0, 0.6]])
-        f = Tensor(plane[None, None])
+        f = plane[None, None]
         att = dual_attention(f, p)
 
         def mlp(v):
@@ -65,7 +65,7 @@ class TestDualAttention:
         channel_logit = mlp(plane.mean()) + mlp(plane.max())
         spatial_logit = 0.5 * plane + 0.25 * plane - 0.05
         expected = sigmoid(channel_logit + spatial_logit)
-        np.testing.assert_allclose(att.data[0, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(att.value[0, 0], expected, atol=1e-12)
 
     def test_reduction_larger_than_channels_rejected(self):
         with pytest.raises(DimensionError):
@@ -75,14 +75,14 @@ class TestDualAttention:
 class TestFddemForward:
     def test_shape_contract(self):
         p = FddemParams.random(8, 16, 16, Stream(3))
-        x = rand_tensor(4, (1, 8, 16, 16))
+        x = rand_array(4, (1, 8, 16, 16))
         assert fddem_forward(x, p).shape == (1, 8, 16, 16)
 
     def test_identity_at_init_exact(self):
         p = FddemParams.identity(4, 8, 8)
-        x = rand_tensor(5, (2, 4, 8, 8))
+        x = rand_array(5, (2, 4, 8, 8))
         y = fddem_forward(x, p)
-        assert np.array_equal(y.data, x.data)
+        assert np.array_equal(y.value, x)
 
     def test_composed_fixed_parameter_chain_is_1p5x(self):
         # identity complex weights, compression = mean over branches,
@@ -95,35 +95,35 @@ class TestFddemForward:
             for c in range(2):
                 compress[c, b * 2 + c, 0, 0] = 1.0 / branches
         p.compress_w = compress
-        x = rand_tensor(6, (1, 2, 8, 8))
+        x = rand_array(6, (1, 2, 8, 8))
         y = fddem_forward(x, p)
-        np.testing.assert_allclose(y.data, 1.5 * x.data, atol=1e-9)
+        np.testing.assert_allclose(y.value, 1.5 * x, atol=1e-9)
 
     def test_zero_input_zero_biases_zero_output(self):
         p = FddemParams.random(4, 8, 8, Stream(7))
         for name in ("spatial1_b", "spatial2_b", "compress_b"):
             setattr(p, name, np.zeros_like(getattr(p, name)))
-        y = fddem_forward(Tensor(np.zeros((1, 4, 8, 8))), p)
-        assert (y.data == 0).all()
+        y = fddem_forward(np.zeros((1, 4, 8, 8)), p)
+        assert (y.value == 0).all()
 
     def test_frequency_contribution_bounded(self):
         from sepkit.tensor import conv2d_raw
         p = FddemParams.random(4, 8, 8, Stream(8))
-        x = rand_tensor(9, (1, 4, 8, 8))
-        f = conv2d_raw(frequency_branch(x.data, p.branches).value,
+        x = rand_array(9, (1, 4, 8, 8))
+        f = conv2d_raw(frequency_branch(x, p.branches).value,
                        p.compress_w, p.compress_b, 1, 0)
-        att = dual_attention(Tensor(f), p).data
+        att = dual_attention(f, p).value
         assert (np.abs(att * f) <= np.abs(f)).all()
 
     def test_wrong_plane_rejected(self):
         p = FddemParams.random(4, 8, 8, Stream(10))
         with pytest.raises(DimensionError):
-            fddem_forward(rand_tensor(11, (1, 4, 16, 16)), p)
+            fddem_forward(rand_array(11, (1, 4, 16, 16)), p)
 
     def test_wrong_channels_rejected(self):
         p = FddemParams.random(4, 8, 8, Stream(12))
         with pytest.raises(DimensionError):
-            fddem_forward(rand_tensor(13, (1, 3, 8, 8)), p)
+            fddem_forward(rand_array(13, (1, 3, 8, 8)), p)
 
 
 class TestFddemGradients:

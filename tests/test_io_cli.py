@@ -377,6 +377,20 @@ params = zeros
                      "--output", str(tmp_path / "o.sept")]) == 2
         assert "nope.sept" in capsys.readouterr().err
 
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        assert main(["forward", "--config", str(tmp_path),
+                     "--input", write_input(tmp_path),
+                     "--output", str(tmp_path / "o.sept")]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_directory_as_input_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, IDENTITY_MSGRB)
+        indir = tmp_path / "in"
+        indir.mkdir()
+        assert main(["forward", "--config", cfg, "--input", str(indir),
+                     "--output", str(tmp_path / "o.sept")]) == 2
+        assert str(indir) in capsys.readouterr().err
+
     def test_wrong_shape_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, IDENTITY_MSGRB)
         inp = write_input(tmp_path, shape=(1, 3, 8, 8))
@@ -479,8 +493,8 @@ params = file:{ppath}
         out = str(tmp_path / "out.sept")
         assert main(["forward", "--config", cfg, "--input", inp,
                      "--output", out]) == 0
-        expected = msgrb_forward(sio.read_tensor(inp), p)
-        assert np.array_equal(sio.read_tensor(out).data, expected.data)
+        expected = msgrb_forward(sio.read_tensor(inp).data, p)
+        assert np.array_equal(sio.read_tensor(out).data, expected.value)
 
     def test_params_file_missing_parameter_exits_2(self, tmp_path, capsys):
         store = PS.from_params(MsgrbParams.random(4, Stream(62)))
@@ -568,6 +582,37 @@ params = file:{ppath}
             else:
                 outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("section", [
+        "[msgrb]\nchannels = 4\nheight = 6\nwidth = 10\nbatch = 2\n"
+        "params = random\n",
+        "[fddem]\nchannels = 4\nheight = 6\nwidth = 10\nreduction = 2\n"
+        "params = random\n",
+        "[ldconv]\nin_channels = 4\nout_channels = 3\nheight = 7\n"
+        "width = 9\nparams = random\n",
+        "[dysample]\nchannels = 4\nheight = 5\nwidth = 6\n"
+        "params = random\n",
+        "[fft2]\nchannels = 2\nheight = 6\nwidth = 10\n",
+        "[ca2neck]\nchannels = 4,6,8\nheight = 8\nwidth = 12\n"
+        "params = random\n",
+    ], ids=["msgrb", "fddem", "ldconv", "dysample", "fft2", "ca2neck"])
+    def test_stage_forward_returns_read_only_tensors(self, tmp_path, section,
+                                                     dtype):
+        # the chain stage is the edge: Tensors in, read-only Tensors out
+        cfg = write_cfg(tmp_path, f"[chain]\ndtype = {dtype}\n{section}")
+        stage = build_chain(parse_config(cfg), 3)[0]
+        pyramid = section.startswith("[ca2neck]")
+        shapes = stage.in_shape if pyramid else (stage.in_shape,)
+        xs = [rand_tensor(80 + i, s, dtype) for i, s in enumerate(shapes)]
+        out = stage.forward(xs if pyramid else xs[0])
+        outs = out if pyramid else [out]
+        assert len(outs) == (3 if pyramid else 1)
+        assert [type(t) for t in outs] == [Tensor] * len(outs)
+        assert tuple(t.shape for t in outs) == (
+            stage.out_shape if pyramid else (stage.out_shape,))
+        assert all(t.dtype == dtype for t in outs)
+        assert not any(t.data.flags.writeable for t in outs)
 
     def test_seed_override_changes_random_params(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepkit import (DimensionError, MsgrbParams, Tensor, gradcheck, ms_gu,
+from sepkit import (DimensionError, MsgrbParams, gradcheck, ms_gu,
                     msdwconv, msgrb_forward)
 from sepkit import autodiff as ad
 from sepkit.params import named_arrays, replace_vars
@@ -10,36 +10,36 @@ from sepkit.rng import Stream
 from oracles import depthwise_naive
 
 
-def rand_tensor(seed, shape):
-    return Tensor(Stream(seed).normal(shape))
+def rand_array(seed, shape):
+    return Stream(seed).normal(shape)
 
 
 class TestMsdwconv:
     def test_delta_k3_identity(self):
-        x = rand_tensor(0, (1, 2, 5, 5))
+        x = rand_array(0, (1, 2, 5, 5))
         k3 = np.zeros((2, 1, 3, 3))
         k3[:, 0, 1, 1] = 1.0
         y = msdwconv(x, k3, np.zeros((2, 1, 5, 5)), np.zeros((2, 1, 7, 7)))
-        assert np.array_equal(y.data, x.data)
+        assert np.array_equal(y.value, x)
 
     def test_all_zero_kernels(self):
-        x = rand_tensor(1, (1, 2, 5, 5))
+        x = rand_array(1, (1, 2, 5, 5))
         y = msdwconv(x, np.zeros((2, 1, 3, 3)), np.zeros((2, 1, 5, 5)),
                      np.zeros((2, 1, 7, 7)))
-        assert (y.data == 0).all()
+        assert (y.value == 0).all()
 
     def test_matches_summed_naive_oracles(self):
         x = Stream(2).normal((1, 2, 9, 9))
         k3 = Stream(3).normal((2, 1, 3, 3))
         k5 = Stream(4).normal((2, 1, 5, 5))
         k7 = Stream(5).normal((2, 1, 7, 7))
-        y = msdwconv(Tensor(x), k3, k5, k7)
+        y = msdwconv(x, k3, k5, k7)
         ref = depthwise_naive(x, k3) + depthwise_naive(x, k5) \
             + depthwise_naive(x, k7)
-        np.testing.assert_allclose(y.data, ref, atol=1e-12)
+        np.testing.assert_allclose(y.value, ref, atol=1e-12)
 
     def test_kernel_channel_mismatch(self):
-        x = rand_tensor(6, (1, 3, 5, 5))
+        x = rand_array(6, (1, 3, 5, 5))
         with pytest.raises(DimensionError):
             msdwconv(x, np.zeros((2, 1, 3, 3)), np.zeros((2, 1, 5, 5)),
                      np.zeros((2, 1, 7, 7)))
@@ -73,7 +73,7 @@ class TestMsdwconv:
                                        atol=1e-12)
 
     def test_fold_rejects_bad_kernel_shapes(self):
-        x = rand_tensor(33, (1, 4, 5, 5))
+        x = rand_array(33, (1, 4, 5, 5))
         dw3, dw5, dw7 = self._branches(34)
         with pytest.raises(DimensionError):
             msdwconv(x, dw3, np.zeros((1, 1, 5, 5)), dw7)
@@ -88,8 +88,8 @@ class TestMsGu:
         w[p.hidden:] = 0.0
         b[p.hidden:] = -50.0   # gate input pinned at -50, sigmoid ~ 1.9e-22
         p.expand_w, p.expand_b = w, b
-        x = rand_tensor(8, (1, 4, 8, 8))
-        assert np.abs(ms_gu(x, p).data).max() <= 1e-20
+        x = rand_array(8, (1, 4, 8, 8))
+        assert np.abs(ms_gu(x, p).value).max() <= 1e-20
 
     def test_open_gate_matches_ungated_chain(self):
         p = MsgrbParams.random(4, Stream(9))
@@ -97,14 +97,14 @@ class TestMsGu:
         w[p.hidden:] = 0.0
         b[p.hidden:] = 50.0    # gate saturates at 1
         p.expand_w, p.expand_b = w, b
-        x = rand_tensor(10, (1, 4, 8, 8))
+        x = rand_array(10, (1, 4, 8, 8))
         y = ms_gu(x, p)
         # separately composed chain with the gate removed
-        e = ad.conv2d(x.data, p.expand_w, p.expand_b)
+        e = ad.conv2d(x, p.expand_w, p.expand_b)
         x_k = ad.split(e, [p.hidden, p.hidden], axis=1)[0]
         ungated = ad.conv2d(
             msdwconv(ad.gelu(x_k), p.dw3, p.dw5, p.dw7), p.shrink_w)
-        np.testing.assert_allclose(y.data, ungated.value, atol=1e-12)
+        np.testing.assert_allclose(y.value, ungated.value, atol=1e-12)
 
     def test_gradcheck_all_params(self):
         p = MsgrbParams.random(4, Stream(11))
@@ -121,13 +121,13 @@ class TestMsGu:
     def test_hidden_channel_locality(self):
         # before the shrink mix, hidden channel j only sees X_k channel j
         p = MsgrbParams.random(3, Stream(14))
-        x = rand_tensor(15, (1, 3, 6, 6))
-        e = ad.conv2d(x.data, p.expand_w, p.expand_b)
+        x = rand_array(15, (1, 3, 6, 6))
+        e = ad.conv2d(x, p.expand_w, p.expand_b)
         x_k = ad.split(e, [3, 3], axis=1)[0].value
         bumped = x_k.copy()
         bumped[0, 1] += 1.0
-        base = msdwconv(Tensor(x_k), p.dw3, p.dw5, p.dw7).data
-        moved = msdwconv(Tensor(bumped), p.dw3, p.dw5, p.dw7).data
+        base = msdwconv(x_k, p.dw3, p.dw5, p.dw7).value
+        moved = msdwconv(bumped, p.dw3, p.dw5, p.dw7).value
         assert np.array_equal(base[:, [0, 2]], moved[:, [0, 2]])
         assert not np.array_equal(base[:, 1], moved[:, 1])
 
@@ -139,32 +139,32 @@ class TestMsgrbForward:
         w[p.hidden:] = 0.0
         b[p.hidden:] = -50.0
         p.expand_w, p.expand_b = w, b
-        x = rand_tensor(17, (1, 4, 8, 8))
+        x = rand_array(17, (1, 4, 8, 8))
         y = msgrb_forward(x, p)
-        assert np.abs(y.data - x.data).max() <= 1e-18
+        assert np.abs(y.value - x).max() <= 1e-18
 
     def test_zero_shrink_exact_identity(self):
         p = MsgrbParams.random(4, Stream(18))
         p.shrink_w = np.zeros_like(p.shrink_w)
-        x = rand_tensor(19, (1, 4, 8, 8))
+        x = rand_array(19, (1, 4, 8, 8))
         y = msgrb_forward(x, p)
-        assert np.array_equal(y.data, x.data)
+        assert np.array_equal(y.value, x)
 
     def test_fresh_params_are_identity(self):
         p = MsgrbParams.identity(6)
-        x = rand_tensor(20, (2, 6, 5, 5))
-        assert np.array_equal(msgrb_forward(x, p).data, x.data)
+        x = rand_array(20, (2, 6, 5, 5))
+        assert np.array_equal(msgrb_forward(x, p).value, x)
 
     def test_definitional_decomposition(self):
         p = MsgrbParams.random(4, Stream(21))
-        x = rand_tensor(22, (1, 4, 8, 8))
+        x = rand_array(22, (1, 4, 8, 8))
         y = msgrb_forward(x, p)
-        assert np.array_equal(y.data, x.data + ms_gu(x, p).data)
+        assert np.array_equal(y.value, x + ms_gu(x, p).value)
 
     def test_gate_bounds_path_magnitude(self):
         p = MsgrbParams.random(4, Stream(23))
-        x = rand_tensor(24, (1, 4, 8, 8))
-        e = ad.conv2d(x.data, p.expand_w, p.expand_b)
+        x = rand_array(24, (1, 4, 8, 8))
+        e = ad.conv2d(x, p.expand_w, p.expand_b)
         x_k, v_k = ad.split(e, [p.hidden, p.hidden], axis=1)
         refined = msdwconv(ad.gelu(x_k), p.dw3, p.dw5, p.dw7).value
         gate = ad.sigmoid(v_k).value
@@ -174,10 +174,10 @@ class TestMsgrbForward:
     def test_channel_mismatch(self):
         p = MsgrbParams.random(4, Stream(25))
         with pytest.raises(DimensionError):
-            msgrb_forward(rand_tensor(26, (1, 3, 4, 4)), p)
+            msgrb_forward(rand_array(26, (1, 3, 4, 4)), p)
 
     def test_shape_preserved(self):
         for c, h, w in ((2, 4, 6), (5, 9, 7), (1, 3, 3)):
             p = MsgrbParams.random(c, Stream(c))
-            x = rand_tensor(27 + c, (1, c, h, w))
+            x = rand_array(27 + c, (1, c, h, w))
             assert msgrb_forward(x, p).shape == x.shape

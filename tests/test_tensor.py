@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepkit import DimensionError, NumericError, SamplingGrid, Tensor
+from sepkit import DimensionError, NumericError, Tensor
 from sepkit import autodiff as ad
 from sepkit.rng import Stream
 from sepkit.tensor import (bilinear_sample_grads, bilinear_sample_raw,
@@ -12,11 +12,11 @@ from oracles import (CONV_BLOCK_CASES, DEPTHWISE_GRAD_CASES, conv2d_naive,
                      depthwise_naive)
 
 
-def rand_tensor(seed, shape):
-    return Tensor(Stream(seed).normal(shape))
+def rand_array(seed, shape):
+    return Stream(seed).normal(shape)
 
 
-# the Var ops, on Tensors or ndarrays, returning the value array
+# the Var ops, on ndarrays, returning the value array
 def conv2d(x, w, bias=None, stride=1, padding=0):
     return ad.conv2d(x, w, bias, stride, padding).value
 
@@ -26,7 +26,7 @@ def depthwise_conv2d(x, w):
 
 
 def bilinear_sample(x, grid):
-    return ad.bilinear_sample(x, grid.coords).value
+    return ad.bilinear_sample(x, grid).value
 
 
 def gelu(x):
@@ -82,14 +82,14 @@ class TestTensorType:
 
 class TestConv2d:
     def test_identity_1x1(self):
-        x = rand_tensor(0, (1, 3, 5, 5))
-        w = Tensor(np.eye(3).reshape(3, 3, 1, 1))
+        x = rand_array(0, (1, 3, 5, 5))
+        w = np.eye(3).reshape(3, 3, 1, 1)
         y = conv2d(x, w)
-        assert np.array_equal(y, x.data)
+        assert np.array_equal(y, x)
 
     def test_ones_kernel_center_is_nine(self):
-        x = Tensor(np.ones((1, 1, 3, 3)))
-        w = Tensor(np.ones((1, 1, 3, 3)))
+        x = np.ones((1, 1, 3, 3))
+        w = np.ones((1, 1, 3, 3))
         y = conv2d(x, w, padding=1)
         assert y[0, 0, 1, 1] == pytest.approx(9.0, abs=1e-12)
         # frozen from the quadruple-loop oracle: corners see 4 taps, edges 6
@@ -99,7 +99,7 @@ class TestConv2d:
     def test_matches_naive_oracle(self):
         x = Stream(1).normal((1, 1, 4, 4))
         w = Stream(2).normal((1, 1, 3, 3))
-        y = conv2d(Tensor(x), Tensor(w))
+        y = conv2d(x, w)
         np.testing.assert_allclose(y, conv2d_naive(x, w), atol=1e-12)
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0),
@@ -108,8 +108,7 @@ class TestConv2d:
         x = Stream(3).normal((2, 3, 7, 6))
         w = Stream(4).normal((4, 3, 3, 3))
         b = Stream(5).normal((4,))
-        y = conv2d(Tensor(x), Tensor(w), bias=b, stride=stride,
-                   padding=padding)
+        y = conv2d(x, w, bias=b, stride=stride, padding=padding)
         ref = conv2d_naive(x, w, b, stride, padding)
         assert y.shape == ref.shape
         np.testing.assert_allclose(y, ref, atol=1e-12)
@@ -117,11 +116,11 @@ class TestConv2d:
     def test_linearity(self):
         x = Stream(6).normal((1, 2, 6, 6))
         y = Stream(7).normal((1, 2, 6, 6))
-        w = Tensor(Stream(8).normal((3, 2, 3, 3)))
+        w = Stream(8).normal((3, 2, 3, 3))
         a, b = 1.25, -0.5
-        lhs = conv2d(Tensor(a * x + b * y), w, padding=1)
-        rhs = a * conv2d(Tensor(x), w, padding=1) \
-            + b * conv2d(Tensor(y), w, padding=1)
+        lhs = conv2d(a * x + b * y, w, padding=1)
+        rhs = a * conv2d(x, w, padding=1) \
+            + b * conv2d(y, w, padding=1)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     @staticmethod
@@ -160,55 +159,55 @@ class TestConv2d:
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(DimensionError):
-            conv2d(rand_tensor(0, (1, 3, 4, 4)),
-                   rand_tensor(1, (2, 4, 3, 3)))
+            conv2d(rand_array(0, (1, 3, 4, 4)),
+                   rand_array(1, (2, 4, 3, 3)))
 
     def test_nan_weights_raise(self):
-        x = rand_tensor(0, (1, 1, 4, 4))
+        x = rand_array(0, (1, 1, 4, 4))
         w = np.ones((1, 1, 3, 3))
         w[0, 0, 0, 0] = np.nan
         from sepkit.tensor import conv2d_raw
         with pytest.raises(NumericError):
-            conv2d_raw(x.data, w, None, 1, 1)
+            conv2d_raw(x, w, None, 1, 1)
 
 
 class TestDepthwise:
     def test_center_delta_is_identity(self):
-        x = rand_tensor(9, (1, 3, 5, 5))
+        x = rand_array(9, (1, 3, 5, 5))
         w = np.zeros((3, 1, 3, 3))
         w[:, 0, 1, 1] = 1.0
-        y = depthwise_conv2d(x, Tensor(w))
-        assert np.array_equal(y, x.data)
+        y = depthwise_conv2d(x, w)
+        assert np.array_equal(y, x)
 
     def test_cross_channel_independence(self):
-        w = Tensor(Stream(10).normal((3, 1, 3, 3)))
+        w = Stream(10).normal((3, 1, 3, 3))
         x = Stream(11).normal((1, 3, 5, 5))
         x2 = x.copy()
         x2[0, 0] += 0.7
-        y1 = depthwise_conv2d(Tensor(x), w)
-        y2 = depthwise_conv2d(Tensor(x2), w)
+        y1 = depthwise_conv2d(x, w)
+        y2 = depthwise_conv2d(x2, w)
         assert np.array_equal(y1[:, 1:], y2[:, 1:])
         assert not np.array_equal(y1[:, :1], y2[:, :1])
 
     def test_matches_per_channel_oracle(self):
         x = Stream(12).normal((1, 2, 5, 5))
         w = Stream(13).normal((2, 1, 3, 3))
-        y = depthwise_conv2d(Tensor(x), Tensor(w))
+        y = depthwise_conv2d(x, w)
         np.testing.assert_allclose(y, depthwise_naive(x, w), atol=1e-12)
 
     def test_channel_count_mismatch(self):
         with pytest.raises(DimensionError):
-            depthwise_conv2d(rand_tensor(0, (1, 3, 4, 4)),
-                             rand_tensor(1, (2, 1, 3, 3)))
+            depthwise_conv2d(rand_array(0, (1, 3, 4, 4)),
+                             rand_array(1, (2, 1, 3, 3)))
 
     def test_padding_contract(self):
         # the padding is k // 2, so every odd square kernel keeps the plane
-        x = rand_tensor(0, (1, 2, 4, 4))
+        x = rand_array(0, (1, 2, 4, 4))
         for k in (1, 3, 5):
-            w = rand_tensor(1, (2, 1, k, k))
+            w = rand_array(1, (2, 1, k, k))
             assert depthwise_conv2d(x, w).shape == x.shape
         with pytest.raises(DimensionError):
-            depthwise_conv2d(x, rand_tensor(1, (2, 1, 3, 2)))
+            depthwise_conv2d(x, rand_array(1, (2, 1, 3, 2)))
 
     @staticmethod
     def _grad_case(shape, k, dtype=np.float64):
@@ -238,27 +237,28 @@ class TestDepthwise:
 
 class TestBilinear:
     def test_integer_coordinates_exact(self):
-        x = rand_tensor(14, (1, 2, 4, 5))
+        x = rand_array(14, (1, 2, 4, 5))
         rr, cc = np.meshgrid(np.arange(4.0), np.arange(5.0), indexing="ij")
-        grid = SamplingGrid(np.stack([rr, cc], axis=-1)[None, None])
+        grid = np.stack([rr, cc], axis=-1)[None, None]
         y = bilinear_sample(x, grid)
-        assert np.array_equal(y, x.data)
+        assert np.array_equal(y, x)
 
     def test_half_pixel_average(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-        grid = SamplingGrid(np.array([0.5, 0.5]).reshape(1, 1, 1, 1, 2))
+        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
+        grid = np.array([0.5, 0.5]).reshape(1, 1, 1, 1, 2)
         y = bilinear_sample(x, grid)
         assert y[0, 0, 0, 0] == pytest.approx(2.5, abs=1e-15)
 
     def test_border_clamp(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-        grid = SamplingGrid(np.array([-5.0, -5.0]).reshape(1, 1, 1, 1, 2))
+        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
+        grid = np.array([-5.0, -5.0]).reshape(1, 1, 1, 1, 2)
         y = bilinear_sample(x, grid)
         assert y[0, 0, 0, 0] == 1.0
 
     def test_bad_last_dim(self):
         with pytest.raises(DimensionError):
-            SamplingGrid(np.zeros((1, 1, 2, 2, 3)))
+            ad.bilinear_sample(np.zeros((1, 1, 2, 2)),
+                               np.zeros((1, 1, 2, 2, 3)))
 
     def test_bounded_by_input_range(self):
         x = Stream(15).normal((2, 4, 6, 6))
@@ -270,9 +270,9 @@ class TestBilinear:
         assert (y <= hi).all() and (y >= lo).all()
 
     def test_constant_preserved_exactly(self):
-        x = Tensor(np.full((1, 3, 4, 4), 1.37))
+        x = np.full((1, 3, 4, 4), 1.37)
         coords = Stream(17).uniform((1, 1, 5, 5, 2)) * 4.0 - 0.5
-        y = bilinear_sample(x, SamplingGrid(coords))
+        y = bilinear_sample(x, coords)
         assert (y == 1.37).all()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -303,16 +303,16 @@ class TestBilinear:
 
 class TestActivations:
     def test_sigmoid_zero(self):
-        x = Tensor(np.zeros((1, 1, 2, 2)))
+        x = np.zeros((1, 1, 2, 2))
         assert (sigmoid(x) == 0.5).all()
 
     def test_gelu_silu_zero(self):
-        x = Tensor(np.zeros((1, 1, 2, 2)))
+        x = np.zeros((1, 1, 2, 2))
         assert (gelu(x) == 0.0).all()
         assert (silu(x) == 0.0).all()
 
     def test_sigmoid_large_negative_no_underflow(self):
-        x = Tensor(np.full((1, 1, 1, 1), -50.0))
+        x = np.full((1, 1, 1, 1), -50.0)
         v = sigmoid(x)[0, 0, 0, 0]
         assert 0.0 < v <= 2e-22
         assert np.isfinite(v)
@@ -328,13 +328,13 @@ class TestActivations:
             sigmoid_raw(np.full((1, 1, 1, 1), np.nan))
 
     def test_sigmoid_range(self):
-        x = rand_tensor(19, (1, 2, 8, 8))
+        x = rand_array(19, (1, 2, 8, 8))
         v = sigmoid(x)
         assert (v > 0).all() and (v < 1).all()
 
     def test_gelu_matches_reference_points(self):
         # frozen from the exact erf formulation evaluated with mpmath
-        x = Tensor(np.array([1.0, -1.0, 0.5, 2.0]).reshape(1, 1, 2, 2))
+        x = np.array([1.0, -1.0, 0.5, 2.0]).reshape(1, 1, 2, 2)
         expected = np.array([0.84134474606854293, -0.15865525393145707,
                              0.34573123063700656, 1.9544997361036416])
         np.testing.assert_allclose(gelu(x).reshape(-1), expected,
@@ -343,25 +343,25 @@ class TestActivations:
 
 class TestSplitConcat:
     def test_round_trip_bit_exact(self):
-        x = rand_tensor(20, (2, 8, 3, 3))
-        assert np.array_equal(concat(split(x, [4, 4])), x.data)
+        x = rand_array(20, (2, 8, 3, 3))
+        assert np.array_equal(concat(split(x, [4, 4])), x)
 
     def test_split_blocks_are_leading_channels(self):
-        x = rand_tensor(21, (1, 8, 2, 2))
+        x = rand_array(21, (1, 8, 2, 2))
         first, second = split(x, [3, 5])
-        assert np.array_equal(first, x.data[:, :3])
-        assert np.array_equal(second, x.data[:, 3:])
+        assert np.array_equal(first, x[:, :3])
+        assert np.array_equal(second, x[:, 3:])
 
     def test_concat_shape(self):
-        a = rand_tensor(22, (1, 2, 4, 4))
-        b = rand_tensor(23, (1, 6, 4, 4))
+        a = rand_array(22, (1, 2, 4, 4))
+        b = rand_array(23, (1, 6, 4, 4))
         assert concat([a, b]).shape == (1, 8, 4, 4)
 
     def test_bad_sizes(self):
         with pytest.raises(DimensionError):
-            split(rand_tensor(0, (1, 8, 2, 2)), [3, 4])
+            split(rand_array(0, (1, 8, 2, 2)), [3, 4])
 
     def test_concat_disagreement(self):
         with pytest.raises(DimensionError):
-            concat([rand_tensor(0, (1, 2, 4, 4)),
-                    rand_tensor(1, (1, 2, 3, 4))])
+            concat([rand_array(0, (1, 2, 4, 4)),
+                    rand_array(1, (1, 2, 3, 4))])

@@ -5,11 +5,14 @@ work counts from their arguments by position or keyword.  A renamed kernel
 or a moved parameter would not fail the benchmark: the wrapper is skipped,
 or the count is read from the wrong argument, and a per-layer metric reads
 zero.  These tests load the tracer as it is, without changing it, and hold
-sepkit to it.
+sepkit to it.  The benchmark's workloads (`perfbench/workloads.py`) are
+loaded the same way: each runs one request through the public API and
+passes its own reference check.
 """
 
 import importlib.util
 import inspect
+import json
 import pathlib
 
 import numpy as np
@@ -25,13 +28,13 @@ from sepkit import tensor as tc
 from sepkit.params import named_arrays, replace_vars
 from sepkit.rng import Stream
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
-    "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  TRACING)
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded as it is."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -53,13 +56,13 @@ COUNTED = {
 
 def test_every_target_exists():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
-               for owner, attr, _, _ in load_tracing().TARGETS
+               for owner, attr, _, _ in load_perfbench("tracing").TARGETS
                if not hasattr(owner, attr)]
     assert not missing
 
 
 def test_counted_arguments_sit_where_the_tracer_reads_them():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     counted = {(owner, attr) for owner, attr, _, count in tracing.TARGETS
                if count is not None}
     assert counted == set(COUNTED) | {(ad.Tape, "backward")}
@@ -69,7 +72,7 @@ def test_counted_arguments_sit_where_the_tracer_reads_them():
 
 
 def test_traced_neck_step_counts_its_work():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     p = Ca2neckParams.init((8, 16, 32), rng=Stream(5), dtype=np.float32)
     xs = [Stream(6 + i).normal((1, c, 16 >> i, 16 >> i)).astype(np.float32)
           for i, c in enumerate(p.channels)]
@@ -105,7 +108,7 @@ def test_traced_neck_step_counts_its_work():
 
 @pytest.mark.parametrize("points", [1, 5, 9])
 def test_traced_ldconv_step_samples_every_point_in_one_call_each_way(points):
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     p = LdconvParams.init(3, 4, n_points=points, stride=2, rng=Stream(9),
                           dtype=np.float32)
     x = Stream(10).normal((2, 3, 9, 7)).astype(np.float32)
@@ -139,7 +142,7 @@ def test_traced_fddem_forward_runs_two_transforms_per_block(branches):
     # branch products stacked, which are the same planes as one inverse per
     # branch: the benchmark's fddem_infer request (four maps, N = 1, C = 16,
     # three branches) reads spectral.dft2.calls 8 and .planes 256 from this
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     n, c = 2, 4
     p = FddemParams.random(c, 9, 7, Stream(7), branches=branches,
                            dtype=np.float32)
@@ -154,3 +157,18 @@ def test_traced_fddem_forward_runs_two_transforms_per_block(branches):
     assert counts["spectral.dft2.calls"] == 2
     assert counts["spectral.dft2.planes"] == (1 + branches) * n * c
     assert counts["spectral.dft2.naive_planes"] == 0
+
+
+@pytest.mark.parametrize("name", ["fddem_infer", "neck_train"])
+def test_workload_request_passes_its_reference_check(tmp_path, name):
+    # f32 requests, checked against entry 0 of the stored references
+    work = load_perfbench("workloads").WORKLOADS[name](str(tmp_path))
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    errors, _ = work.check(work.request(0), reference[name][0])
+    assert errors == []
+
+
+def test_certify_workload_warms_up(tmp_path):
+    # one forward per gate config through the chain stage; a whole
+    # certification is the gate's `sepkit gradcheck` run
+    load_perfbench("workloads").Certify(str(tmp_path)).warmup()
