@@ -19,7 +19,16 @@ complex values hand their real operands real gradients.
 
 `gradcheck` certifies an analytic gradient against central differences,
 optionally on a seeded coordinate subsample for large parameters, and
-reports per-parameter absolute/relative error and cosine alignment.
+reports per-parameter absolute/relative error and cosine alignment.  It
+evaluates the perturbations of one parameter as one stack: a (K, *shape)
+array whose row 2j holds +eps and row 2j+1 holds -eps at the j-th
+checked coordinate.  An evaluator maps a stack to its K losses.  The
+default one runs the closure once per row; a batched one (the CLI's
+`stage_gradcheck`) runs one forward in which the stacked parameter holds
+K weights, weight k applying to the k-th block of N // K samples.  Ops
+that take such stacked weights (`conv2d`, `depthwise_conv2d`,
+`fold_kernels`, and the spectral weight ops) give each block the bytes
+of its own unstacked call, and refuse to record them on a tape.
 """
 
 from __future__ import annotations
@@ -142,8 +151,15 @@ def as_var(x) -> Var:
     a Var; a file `Tensor` is unwrapped at the edge, by its `.data`."""
     if isinstance(x, Var):
         return x
-    return Var(np.asarray(x, dtype=np.float64)
-               if not isinstance(x, np.ndarray) else x)
+    if isinstance(x, np.ndarray):
+        return Var(x)
+    try:
+        return Var(np.asarray(x, dtype=np.float64))
+    except (TypeError, ValueError):
+        raise DimensionError(
+            f"cannot read a {type(x).__name__} as an array: pass a Var, an "
+            f"ndarray, a list or a scalar (for a Tensor t, pass t.data)"
+        ) from None
 
 
 def _tape_of(*vars_) -> Tape | None:
@@ -158,11 +174,19 @@ def _tape_of(*vars_) -> Tape | None:
     return tape
 
 
-def _apply(value, parents, vjp, op: str) -> Var:
-    """`value` as a Var, recorded with its vjp when an operand is taped."""
+def _apply(value, parents, vjp, op: str, stacked: bool = False) -> Var:
+    """`value` as a Var, recorded with its vjp when an operand is taped.
+
+    A `stacked` call, whose weights hold one set per block of samples, is
+    never recorded: its vjp would have to sum each weight's gradient over
+    its own block only, and the vjps take declared shapes."""
     tape = _tape_of(*parents)
     if tape is None:
         return Var(value)
+    if stacked:
+        raise DimensionError(
+            f"{op} with stacked weights cannot be recorded on a tape; "
+            f"stacks serve untaped loss evaluations")
     return tape._record(value, parents, vjp, op)
 
 
@@ -340,10 +364,11 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Var:
     xv, wv = x.value, w.value
     value = tc.conv2d_raw(xv, wv, b.value if b is not None else None, stride,
                           padding)
+    stacked = wv.ndim == 5 or (b is not None and b.value.ndim == 2)
     return _apply(value, (x, w, b),
                   lambda g: tc.conv2d_grads(g, xv, wv, stride, padding,
                                             with_bias=b is not None),
-                  "conv2d")
+                  "conv2d", stacked)
 
 
 def depthwise_conv2d(x, w) -> Var:
@@ -351,26 +376,31 @@ def depthwise_conv2d(x, w) -> Var:
     xv, wv = x.value, w.value
     return _apply(tc.depthwise_conv2d_raw(xv, wv), (x, w),
                   lambda g: tc.depthwise_conv2d_grads(g, xv, wv),
-                  "depthwise_conv2d")
+                  "depthwise_conv2d", wv.ndim == 5)
 
 
 def fold_kernels(kernels, sizes) -> Var:
     """Sum (C, 1, k, k) kernels of the given odd sizes, each zero-padded
-    to the largest; the vjp hands each kernel its center crop."""
+    to the largest; the vjp hands each kernel its center crop.  Any of
+    them may be stacked (K, C, 1, k, k), which stacks the sum."""
     kernels, big = [as_var(k) for k in kernels], max(sizes)
-    c = kernels[-1].value.shape[0]
+    values = [k.value for k in kernels]
+    c = values[-1].shape[-4]
+    stack = tc.stack_count("fold_kernels", *((v, 4) for v in values))
     crops = [(Ellipsis,) + (slice((big - k) // 2, (big + k) // 2),) * 2
              for k in sizes]
-    value = np.zeros((c, 1, big, big),
-                     dtype=np.result_type(*(k.value for k in kernels)))
-    for k, size, crop in zip(kernels, sizes, crops, strict=True):
-        require(k.value.shape == (c, 1, size, size) and size % 2 == 1,
-                f"kernel shape {k.value.shape} is not ({c}, 1, {size}, "
-                f"{size}) with odd size")
-        value[crop] += k.value
+    value = np.zeros(((stack,) if stack else ()) + (c, 1, big, big),
+                     dtype=np.result_type(*values))
+    for v, size, crop in zip(values, sizes, crops, strict=True):
+        require(v.ndim in (4, 5) and v.shape[-4:] == (c, 1, size, size)
+                and size % 2 == 1,
+                f"kernel shape {v.shape} is not ({c}, 1, {size}, {size}) "
+                f"with odd size")
+        value[crop] += v
     return _apply(value, tuple(kernels),
                   lambda g: tuple(np.ascontiguousarray(g[crop])
-                                  for crop in crops), "fold_kernels")
+                                  for crop in crops), "fold_kernels",
+                  bool(stack))
 
 
 def bilinear_sample(x, grid) -> Var:
@@ -429,30 +459,60 @@ class GradReport:
                 "params": [p.as_dict() for p in self.params]}
 
 
-def _loss_value(fn, params: dict) -> float:
-    out = fn({k: Var(v) for k, v in params.items()})
-    value = out.value if isinstance(out, Var) else np.asarray(out)
-    require(value.size == 1,
-            f"gradcheck closure must return a scalar, got shape {value.shape}")
-    loss = float(value.reshape(()))
-    if not np.isfinite(loss):
+# Rows of a stack handed to the evaluator at once.  A batched evaluator's
+# memory grows with them: at 128 rows of 8x8 planes, fddem's 7x7 im2col
+# alone takes 6.4 MB.
+STACK_ROWS = 64
+
+
+def _rowwise(fn):
+    """The evaluator that runs `fn` on each row of a stack: one forward
+    per perturbation, with every other parameter as it is."""
+    def losses(params: dict, name: str, stack: np.ndarray) -> np.ndarray:
+        out = np.empty(len(stack))
+        for r, row in enumerate(stack):
+            value = fn({k: Var(row if k == name else v)
+                        for k, v in params.items()})
+            value = value.value if isinstance(value, Var) else np.asarray(value)
+            require(value.size == 1, f"gradcheck closure must return a "
+                    f"scalar, got shape {value.shape}")
+            out[r] = float(value.reshape(()))
+        return out
+    return losses
+
+
+def _loss_value(losses, params: dict, name: str,
+                stack: np.ndarray) -> np.ndarray:
+    """The K finite losses of one (K, *shape) stack of parameter `name`."""
+    values = np.asarray(losses(params, name, stack), dtype=np.float64)
+    require(values.shape == (len(stack),),
+            f"gradcheck evaluator must return {len(stack)} losses, got "
+            f"shape {values.shape}")
+    if not np.isfinite(values).all():
         raise NumericError("gradcheck closure produced a non-finite loss")
-    return loss
+    return values
 
 
 def gradcheck(fn, params: dict, eps: float = 1e-5, tol: float = 1e-4,
               max_coords: int = 64, seed: int = 0,
-              abs_floor: float = 1e-7) -> GradReport:
+              abs_floor: float = 1e-7, losses=None) -> GradReport:
     """Certify d(fn)/d(params) against central differences.
 
-    `fn` maps a dict of Vars (same keys as `params`) to a scalar Var.  For
-    parameters larger than `max_coords` a seeded subsample of coordinates
-    (at least 64) is checked.  The report flags tolerance failures instead
+    `fn` maps a dict of Vars (same keys as `params`) to a scalar Var; it
+    gives the analytic gradients on a tape.  For parameters larger than
+    `max_coords` a seeded subsample of coordinates (at least 64) is
+    checked.  Each parameter's m checked coordinates become one (2m,
+    *shape) stack, row 2j at +eps and row 2j+1 at -eps of coordinate j.
+    `losses(params, name, rows)` returns the loss of each row of a slice
+    of at most `STACK_ROWS` rows of that stack, the other parameters held
+    at `params`.  It defaults to `_rowwise(fn)`; a batched evaluator must
+    return the same bytes.  The report flags tolerance failures instead
     of raising.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps}")
     params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    losses = _rowwise(fn) if losses is None else losses
     tape = Tape()
     leaves = {k: tape.leaf(v, k) for k, v in params.items()}
     out = fn(leaves)
@@ -465,23 +525,21 @@ def gradcheck(fn, params: dict, eps: float = 1e-5, tol: float = 1e-4,
     picker = Stream(seed)
     max_coords = max(64, int(max_coords))
     report = GradReport(eps=eps, tol=tol)
-    work = {k: v.copy() for k, v in params.items()}
-    for name in params:
-        theta = work[name]
+    for name, theta in params.items():
         size = theta.size
         idx = (np.arange(size) if size <= max_coords
                else picker.choice(size, max_coords))
         a_vals = analytic[name].reshape(-1)[idx]
-        n_vals = np.empty_like(a_vals)
-        flat = theta.reshape(-1)
-        for j, i in enumerate(idx):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = _loss_value(fn, work)
-            flat[i] = orig - eps
-            f_minus = _loss_value(fn, work)
-            flat[i] = orig
-            n_vals[j] = (f_plus - f_minus) / (2.0 * eps)
+        m = len(idx)
+        stack = np.empty((2 * m,) + theta.shape)
+        stack[...] = theta
+        rows, orig = stack.reshape(m, 2, size), theta.reshape(-1)[idx]
+        rows[np.arange(m), 0, idx] = orig + eps
+        rows[np.arange(m), 1, idx] = orig - eps
+        f = np.concatenate([
+            _loss_value(losses, params, name, stack[i:i + STACK_ROWS])
+            for i in range(0, len(stack), STACK_ROWS)])
+        n_vals = (f[0::2] - f[1::2]) / (2.0 * eps)
         abs_err = np.abs(a_vals - n_vals)
         denom = np.maximum(np.maximum(np.abs(a_vals), np.abs(n_vals)), 1e-12)
         magnitude = np.maximum(np.abs(a_vals), np.abs(n_vals))

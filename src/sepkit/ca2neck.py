@@ -59,17 +59,18 @@ class LdconvParams:
     offset_w: np.ndarray  # (2N, C_in, 3, 3)
     offset_b: np.ndarray  # (2N,)
 
+    # shape properties read trailing axes, so stacked weights keep them
     @property
     def in_channels(self) -> int:
-        return self.offset_w.shape[1]
+        return self.offset_w.shape[-3]
 
     @property
     def out_channels(self) -> int:
-        return self.mix_w.shape[0]
+        return self.mix_w.shape[-4]
 
     @property
     def weights_per_output_channel(self) -> int:
-        return int(np.prod(self.mix_w.shape[1:]))
+        return int(np.prod(self.mix_w.shape[-3:]))
 
     @staticmethod
     def init(in_channels: int, out_channels: int, n_points: int = 5,
@@ -160,7 +161,7 @@ class DysampleParams:
 
     @property
     def channels(self) -> int:
-        return self.offset_w.shape[1]
+        return self.offset_w.shape[-3]
 
     @staticmethod
     def init(channels: int, scale: int = 2, groups: int = 1,

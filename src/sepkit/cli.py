@@ -153,22 +153,41 @@ def cmd_gradcheck(args) -> int:
 
 
 def stage_gradcheck(stage, x, seed: int) -> ad.GradReport:
-    """Certify every parameter of one built stage on the given input."""
+    """Certify every parameter of one built stage on the given input.
+
+    The loss is the sum of the outputs (of all levels, in order).  Each
+    slice of K rows of a parameter's perturbation stack runs as one
+    forward: the input tiled K times along the batch axis, the checked
+    parameter stacked K deep and every other one shared; row k's loss is
+    the sum of its block of the outputs."""
     forward = STAGES[stage.kind].forward
-    xv = ([ad.Var(t.data) for t in x] if isinstance(x, list)
-          else ad.Var(x.data))
+    pyramid = isinstance(x, list)
+    levels = [t.data for t in x] if pyramid else [x.data]
+
+    def run(leaves, inputs):
+        out = forward(inputs if pyramid else inputs[0],
+                      replace_vars(stage.params, leaves), stage.options)
+        return out if isinstance(out, list) else [out]
 
     def fn(leaves):
-        live = replace_vars(stage.params, leaves)
-        out = forward(xv, live, stage.options)
-        outs = out if isinstance(out, list) else [out]
+        outs = run(leaves, [ad.Var(a) for a in levels])
         total = ad.sum_all(outs[0])
         for o in outs[1:]:
             total = ad.add(total, ad.sum_all(o))
         return total
 
+    def losses(params, name, stack):
+        k = len(stack)
+        leaves = {n: ad.Var(stack if n == name else v)
+                  for n, v in params.items()}
+        outs = run(leaves, [ad.Var(np.concatenate([a] * k)) for a in levels])
+        total = outs[0].value.reshape(k, -1).sum(axis=1)
+        for o in outs[1:]:
+            total = total + o.value.reshape(k, -1).sum(axis=1)
+        return total
+
     return ad.gradcheck(fn, named_arrays(stage.params), eps=1e-5, tol=1e-4,
-                        seed=derive_seed(seed, 13))
+                        seed=derive_seed(seed, 13), losses=losses)
 
 
 def cmd_bench(args) -> int:

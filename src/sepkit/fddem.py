@@ -50,13 +50,14 @@ class FddemParams:
     sa_w: np.ndarray = None   # (1, 2, 7, 7)
     sa_b: np.ndarray = None   # (1,)
 
+    # shape properties read trailing axes, so stacked weights keep them
     @property
     def channels(self) -> int:
-        return self.spatial1_w.shape[0]
+        return self.spatial1_w.shape[-4]
 
     @property
     def plane(self) -> tuple:
-        return self.branches[0].re.shape[1:]
+        return self.branches[0].re.shape[-2:]
 
     @staticmethod
     def _shapes(channels: int, branches: int, reduction: int):

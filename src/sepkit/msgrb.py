@@ -35,13 +35,14 @@ class MsgrbParams:
     dw7: np.ndarray        # (hidden, 1, 7, 7)
     shrink_w: np.ndarray   # (C, hidden, 1, 1); bias-free by contract
 
+    # shape properties read trailing axes, so stacked weights keep them
     @property
     def channels(self) -> int:
-        return self.shrink_w.shape[0]
+        return self.shrink_w.shape[-4]
 
     @property
     def hidden(self) -> int:
-        return self.shrink_w.shape[1]
+        return self.shrink_w.shape[-3]
 
     @staticmethod
     def identity(channels: int, hidden=None, dtype=np.float64) -> "MsgrbParams":

@@ -80,15 +80,18 @@ def replace_arrays(template, values: dict, prefix: str = ""):
 
 
 def replace_vars(template, leaves: dict, prefix: str = ""):
-    """Copy of `template` with each array swapped for the Var leaves[name]."""
+    """Copy of `template` with each array swapped for the Var leaves[name].
+
+    A leaf may also be stacked: K values of the field's shape on one more
+    leading axis, for the ops that take stacked weights."""
     def fn(name, arr):
         if name not in leaves:
             raise KeyError(f"missing parameter {name!r}")
         v = leaves[name]
-        if v.shape != arr.shape:
+        if v.shape not in (arr.shape, v.shape[:1] + arr.shape):
             raise DimensionError(
                 f"parameter {name!r} has shape {v.shape}, expected "
-                f"{arr.shape}")
+                f"{arr.shape} (or (K, *{arr.shape}) stacked)")
         return v
     return _walk(template, fn, prefix)
 

@@ -31,6 +31,8 @@ several branches stacked on the channel axis share one `irfft2_v`.  These
 four ops are the one execution path, with or without a tape, and carry
 complex values in `Var`s under the gradient convention stated in
 `autodiff`.  `dft2_raw` is the plain-array transform underneath them.
+Off the tape, `hermitian_fold_v` and `modulate_v` also take stacked
+weights (K weights on one more leading axis, as `autodiff` describes).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var, as_var
 from .rng import Stream
-from .tensor import require, require_finite
+from .tensor import batch_blocks, require, require_finite, stack_count
 
 # test-only fault hook: when set, modulate_v flips the sign of the
 # spectrum.im * weight.re term so harness checks can prove they catch it
@@ -237,20 +239,27 @@ def irfft2_v(spectrum, width: int, force_naive: bool = False) -> Var:
 
 def hermitian_fold_v(re, im) -> Var:
     """Half-spectrum Hermitian part (W[k] + conj(W[-k])) / 2 of the (C, H, W)
-    weights W = re + j*im, shaped (C, H, W // 2 + 1)."""
+    weights W = re + j*im, shaped (C, H, W // 2 + 1).  Either part may be
+    stacked (K, C, H, W), which stacks the fold."""
     re, im = as_var(re), as_var(im)
-    shape = re.value.shape
-    require(im.value.shape == shape,
-            f"weight parts must share a shape, got {shape} "
-            f"vs {im.value.shape}")
+    rv, iv = re.value, im.value
+    stack = stack_count("hermitian_fold", (rv, 3), (iv, 3))
+    require(rv.shape[-3:] == iv.shape[-3:]
+            and (stack or rv.shape == iv.shape),
+            f"weight parts must share a shape, got {rv.shape} "
+            f"vs {iv.shape}")
+    shape = (rv if rv.ndim >= iv.ndim else iv).shape
     h, w = shape[-2:]
     wh, mirror = w // 2 + 1, _mirror(h, w)
-    flat, half = shape[:-2] + (h * w,), shape[:-1] + (wh,)
-    value = np.empty(half, dtype=np.result_type(re.value, np.complex64))
-    value.real = 0.5 * (re.value[..., :wh]
-                        + re.value.reshape(flat).take(mirror, -1).reshape(half))
-    value.imag = 0.5 * (im.value[..., :wh]
-                        - im.value.reshape(flat).take(mirror, -1).reshape(half))
+
+    def mirrored(a):  # a[..., -k] for each half-spectrum bin k
+        return a.reshape(a.shape[:-2] + (h * w,)).take(mirror, -1).reshape(
+            a.shape[:-1] + (wh,))
+    value = np.empty(shape[:-1] + (wh,),
+                     dtype=np.result_type(rv, np.complex64))
+    value.real = 0.5 * (rv[..., :wh] + mirrored(rv))
+    value.imag = 0.5 * (iv[..., :wh] - mirrored(iv))
+    flat = shape[:-2] + (h * w,)
 
     def vjp(g):
         g_re, g_im = 0.5 * g.real, 0.5 * g.imag
@@ -260,21 +269,27 @@ def hermitian_fold_v(re, im) -> Var:
         d_re.reshape(flat)[..., mirror] += g_re.reshape(flat[:-1] + (-1,))
         d_im.reshape(flat)[..., mirror] -= g_im.reshape(flat[:-1] + (-1,))
         return d_re, d_im
-    return ad._apply(value, (re, im), vjp, "hermitian_fold")
+    return ad._apply(value, (re, im), vjp, "hermitian_fold", bool(stack))
 
 
 def modulate_v(spectrum, weights) -> Var:
     """Differentiable complex product of an (N, C, H, Wh) spectrum with
-    (C, H, Wh) weights, shared across the batch."""
+    (C, H, Wh) weights, shared across the batch.  Stacked (K, C, H, Wh)
+    weights apply weight k to the k-th block of N // K samples."""
     s, wt = as_var(spectrum), as_var(weights)
     sv, wv = s.value, wt.value
-    require(wv.shape == sv.shape[1:],
+    stacked = wv.ndim == sv.ndim
+    require(wv.shape[int(stacked):] == sv.shape[1:],
             f"weights {wv.shape} do not match spectrum planes "
             f"{sv.shape[1:]}")
     fault = FAULT_MODULATE_SIGN
-    value = sv * wv
+    # blocks of samples against their weights; a shared weight is one block
+    sb, wb = ((batch_blocks(sv, wv.shape[0]), wv[:, None]) if stacked
+              else (sv, wv))
+    value = sb * wb
     if fault:
-        value.imag -= 2 * (sv.imag * wv.real)
+        value.imag -= 2 * (sb.imag * wb.real)
+    value = value.reshape(sv.shape)
 
     def vjp(g):
         gs, gw = g * wv.conj(), (g * sv.conj()).sum(axis=0)
@@ -282,4 +297,4 @@ def modulate_v(spectrum, weights) -> Var:
             gs.imag -= 2 * (g.imag * wv.real)
             gw.real -= 2 * (g.imag * sv.imag).sum(axis=0)
         return gs, gw
-    return ad._apply(value, (s, wt), vjp, "modulate")
+    return ad._apply(value, (s, wt), vjp, "modulate", stacked)

@@ -15,6 +15,9 @@ forward is an exact shifted-window sum; its gradients are products of
 real FFTs (`scipy.fft`, loaded on the first gradient).  The bilinear
 forward can keep its plan (corner rows into a channels-last copy
 of x, and the fractional offsets), so its gradients rebuild nothing.
+The conv and depthwise forwards also take stacked weights (see
+`autodiff`): each block of samples gets the bytes of its own unstacked
+call.  Their gradients take declared shapes only.
 """
 
 from __future__ import annotations
@@ -41,6 +44,27 @@ def require(condition: bool, message: str) -> None:
 def require_finite(array: np.ndarray, what: str) -> None:
     if not np.isfinite(array).all():
         raise NumericError(f"non-finite values in {what}")
+
+
+def stack_count(op: str, *weights) -> int:
+    """K for the weights, given as (array or None, declared ndim) pairs,
+    that carry one more leading axis than declared; 0 when none does."""
+    counts = {a.shape[0] for a, ndim in weights
+              if a is not None and a.ndim == ndim + 1}
+    require(len(counts) <= 1,
+            f"{op} stacked weights disagree on their count: "
+            f"{sorted(counts)}")
+    return counts.pop() if counts else 0
+
+
+def batch_blocks(a: np.ndarray, k: int) -> np.ndarray:
+    """(N, ...) viewed as (k, N // k, ...): the blocks of consecutive
+    samples that k stacked weights apply to, one weight each."""
+    n = a.shape[0]
+    require(k >= 1 and n % k == 0,
+            f"batch {n} does not split into {k} blocks, one per stacked "
+            f"weight")
+    return a.reshape((k, n // k) + a.shape[1:])
 
 
 class Tensor:
@@ -106,11 +130,12 @@ def _conv_cols(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
 def conv2d_raw(x: np.ndarray, w: np.ndarray, b, stride: int,
                padding: int) -> np.ndarray:
     require(x.ndim == 4, f"conv2d input must be 4D, got {x.shape}")
-    require(w.ndim == 4, f"conv2d weight must be 4D, got {w.shape}")
+    require(w.ndim in (4, 5),
+            f"conv2d weight must be 4D (5D stacked), got {w.shape}")
     require(stride >= 1, f"conv2d stride must be >= 1, got {stride}")
     require(padding >= 0, f"conv2d padding must be >= 0, got {padding}")
     n, c, h, wd = x.shape
-    co, ci, kh, kw = w.shape
+    co, ci, kh, kw = w.shape[-4:]
     require(ci == c,
             f"conv2d weight expects {ci} input channels, tensor has {c}")
     ho = (h + 2 * padding - kh) // stride + 1
@@ -122,13 +147,21 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, b, stride: int,
     require_finite(w, "conv2d weights")
     if b is not None:
         b = np.asarray(b)
-        require(b.shape == (co,),
-                f"conv2d bias must have shape ({co},), got {b.shape}")
+        require(b.ndim in (1, 2) and b.shape[-1] == co,
+                f"conv2d bias must have shape ({co},) (or (K, {co}) "
+                f"stacked), got {b.shape}")
         require_finite(b, "conv2d bias")
+    ck = ci * kh * kw
     cols = _conv_cols(x, kh, kw, stride, padding, ho, wo)
-    y = np.matmul(w.reshape(co, ci * kh * kw), cols)
+    k = 0
+    if w.ndim == 5 or (b is not None and b.ndim == 2):
+        # one GEMM per sample either way: numpy's matmul loops over stacks
+        k = stack_count("conv2d", (w, 4), (b, 1))
+        cols = batch_blocks(cols, k)
+    y = np.matmul(w.reshape((k, 1, co, ck) if w.ndim == 5 else (co, ck)),
+                  cols)
     if b is not None:
-        y = y + b.reshape(1, co, 1)
+        y = y + b.reshape((k, 1, co, 1) if b.ndim == 2 else (co, 1))
     return y.reshape(n, co, ho, wo)
 
 
@@ -156,25 +189,31 @@ def conv2d_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
 
 def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     require(x.ndim == 4, f"depthwise input must be 4D, got {x.shape}")
-    require(w.ndim == 4 and w.shape[1] == 1,
-            f"depthwise weight must be (C, 1, k, k), got {w.shape}")
+    require(w.ndim in (4, 5) and w.shape[-3] == 1,
+            f"depthwise weight must be (C, 1, k, k) (or (K, C, 1, k, k) "
+            f"stacked), got {w.shape}")
     n, c, h, wd = x.shape
-    require(w.shape[0] == c,
-            f"depthwise weight has {w.shape[0]} filters, tensor has "
+    require(w.shape[-4] == c,
+            f"depthwise weight has {w.shape[-4]} filters, tensor has "
             f"{c} channels")
-    k = w.shape[2]
-    require(w.shape[3] == k, f"depthwise kernel must be square, got {w.shape}")
+    k = w.shape[-1]
+    require(w.shape[-2] == k, f"depthwise kernel must be square, got {w.shape}")
     require_finite(x, "depthwise input")
     require_finite(w, "depthwise weights")
     xp = _zero_pad(x, k // 2)
     y = np.zeros_like(x)
     tmp = np.empty(x.shape, np.result_type(x, w))
+    # tap (i, j) of every filter, shaped to broadcast over (N, C, H, W)
+    taps = w.reshape(w.shape[:-4] + (1, c, k, k))[..., None, None]
+    acc = y
+    if w.ndim == 5:
+        xp, acc, tmp = (batch_blocks(a, len(w)) for a in (xp, y, tmp))
     # an exact shifted-window sum: a delta kernel reproduces x bit for bit
     for i in range(k):
         for j in range(k):
-            np.multiply(w[:, 0, i, j].reshape(1, c, 1, 1),
-                        xp[:, :, i:i + h, j:j + wd], out=tmp)
-            y += tmp
+            np.multiply(taps[..., i, j, :, :], xp[..., i:i + h, j:j + wd],
+                        out=tmp)
+            acc += tmp
     return y
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sepkit import (DimensionError, FddemParams, dual_attention,
+from sepkit import (DimensionError, FddemParams, Tensor, dual_attention,
                     fddem_forward, gradcheck)
 from sepkit import autodiff as ad
 from sepkit import fddem, spectral
@@ -124,6 +124,16 @@ class TestFddemForward:
         p = FddemParams.random(4, 8, 8, Stream(12))
         with pytest.raises(DimensionError):
             fddem_forward(rand_array(13, (1, 3, 8, 8)), p)
+
+    def test_tensor_input_names_the_fix(self):
+        # blocks take ndarrays or Vars; a file Tensor is unwrapped by .data
+        p = FddemParams.random(4, 8, 8, Stream(14))
+        t = Tensor(rand_array(15, (1, 4, 8, 8)))
+        with pytest.raises(DimensionError, match=r"Tensor.*t\.data"):
+            fddem_forward(t, p)
+        assert np.array_equal(fddem_forward(t.data, p).value,
+                              fddem_forward(t.data.tolist(), p).value)
+        assert ad.as_var(2).value.dtype == np.float64
 
 
 class TestFddemGradients:

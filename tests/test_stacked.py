@@ -1,0 +1,267 @@
+"""Stacked weights: K weights on one more leading axis, weight k applied
+to the k-th block of N // K consecutive samples.
+
+Every op that takes them must give each block the bytes of its own
+unstacked call, so gradcheck can evaluate all perturbations of one
+parameter in one forward and still report exactly what the row-by-row
+evaluation reports.  The report tests below hold `stage_gradcheck` to
+that: each fails if a later edit reorders a sum in either path.
+"""
+
+import numpy as np
+import pytest
+
+from sepkit import (DimensionError, DysampleParams, FddemParams,
+                    LdconvParams, MsgrbParams, Tape)
+from sepkit import autodiff as ad
+from sepkit import io as sio
+from sepkit import spectral
+from sepkit.cli import _synth_input, stage_gradcheck
+from sepkit.config import build_chain, parse_config
+from sepkit.params import named_arrays, replace_vars
+from sepkit.rng import Stream
+
+from test_acceptance import GRADCHECK_CONFIGS
+
+K = 3
+DTYPES = [np.float32, np.float64]
+BATCHES = [1, 2]
+PLANES = [(9, 7), (6, 10)]
+
+
+def rand(seed, shape, dtype=np.float64):
+    return Stream(seed).normal(shape).astype(dtype)
+
+
+def crand(seed, shape, dtype=np.float64):
+    ctype = np.result_type(dtype, np.complex64)
+    return (rand(seed, shape) + 1j * rand(seed + 1, shape)).astype(ctype)
+
+
+def blocks(a, n):
+    return [a[k * n:(k + 1) * n] for k in range(len(a) // n)]
+
+
+def assert_blocks_equal(stacked, singles):
+    assert stacked.dtype == singles[0].dtype
+    n = len(singles[0])
+    for got, want in zip(blocks(stacked, n), singles, strict=True):
+        assert np.array_equal(got, want)
+
+
+# (kernel, stride, padding) of the conv cases
+CONVS = [(3, 1, 1), (1, 1, 0), (3, 2, 1)]
+
+
+class TestStackedOps:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", BATCHES)
+    @pytest.mark.parametrize("hw", PLANES)
+    @pytest.mark.parametrize("conv", CONVS)
+    @pytest.mark.parametrize("which", ["weight", "bias", "both", "no_bias"])
+    def test_conv2d(self, dtype, n, hw, conv, which):
+        kk, stride, pad = conv
+        x = rand(1, (K * n, 2, *hw), dtype)
+        ws = rand(2, (K, 4, 2, kk, kk), dtype)
+        bs = rand(3, (K, 4), dtype)
+        w = ws if which in ("weight", "both", "no_bias") else ws[0]
+        b = (None if which == "no_bias"
+             else bs if which in ("bias", "both") else bs[0])
+        got = ad.conv2d(x, w, b, stride, pad).value
+        singles = [ad.conv2d(xk, w[k] if w.ndim == 5 else w,
+                             None if b is None else
+                             b[k] if b.ndim == 2 else b, stride, pad).value
+                   for k, xk in enumerate(blocks(x, n))]
+        assert_blocks_equal(got, singles)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", BATCHES)
+    @pytest.mark.parametrize("hw", PLANES)
+    @pytest.mark.parametrize("kk", [3, 7])
+    def test_depthwise(self, dtype, n, hw, kk):
+        x = rand(4, (K * n, 3, *hw), dtype)
+        w = rand(5, (K, 3, 1, kk, kk), dtype)
+        got = ad.depthwise_conv2d(x, w).value
+        singles = [ad.depthwise_conv2d(xk, w[k]).value
+                   for k, xk in enumerate(blocks(x, n))]
+        assert_blocks_equal(got, singles)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("stacked", [(0,), (1,), (2,), (0, 1, 2)])
+    def test_fold_kernels(self, dtype, stacked):
+        sizes = (3, 5, 7)
+        shared = [rand(6 + i, (4, 1, s, s), dtype)
+                  for i, s in enumerate(sizes)]
+        stacks = [rand(9 + i, (K, 4, 1, s, s), dtype)
+                  for i, s in enumerate(sizes)]
+        kernels = [stacks[i] if i in stacked else shared[i]
+                   for i in range(3)]
+        got = ad.fold_kernels(kernels, sizes).value
+        assert got.shape == (K, 4, 1, 7, 7)
+        for k in range(K):
+            alone = [kern[k] if kern.ndim == 5 else kern for kern in kernels]
+            assert np.array_equal(got[k],
+                                  ad.fold_kernels(alone, sizes).value)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("hw", PLANES)
+    @pytest.mark.parametrize("stacked", ["re", "im", "both"])
+    def test_hermitian_fold(self, dtype, hw, stacked):
+        res, ims = rand(12, (K, 2, *hw), dtype), rand(13, (K, 2, *hw), dtype)
+        re = res if stacked in ("re", "both") else res[0]
+        im = ims if stacked in ("im", "both") else ims[0]
+        got = spectral.hermitian_fold_v(re, im).value
+        assert got.shape == (K, 2, hw[0], hw[1] // 2 + 1)
+        for k in range(K):
+            alone = spectral.hermitian_fold_v(re[k] if re.ndim == 4 else re,
+                                              im[k] if im.ndim == 4 else im)
+            assert np.array_equal(got[k], alone.value)
+
+    @pytest.mark.parametrize("fault", [False, True])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", BATCHES)
+    @pytest.mark.parametrize("hw", PLANES)
+    def test_modulate(self, fault, dtype, n, hw, monkeypatch):
+        monkeypatch.setattr(spectral, "FAULT_MODULATE_SIGN", fault)
+        half = (hw[0], hw[1] // 2 + 1)
+        s = crand(14, (K * n, 2, *half), dtype)
+        w = crand(16, (K, 2, *half), dtype)
+        got = spectral.modulate_v(s, w).value
+        singles = [spectral.modulate_v(sk, w[k]).value
+                   for k, sk in enumerate(blocks(s, n))]
+        assert_blocks_equal(got, singles)
+
+    def test_fault_flips_stacked_modulate_as_it_flips_shared(
+            self, monkeypatch):
+        s, w = crand(18, (2 * K, 2, 6, 6)), crand(20, (K, 2, 6, 6))
+        clean = spectral.modulate_v(s, w).value
+        monkeypatch.setattr(spectral, "FAULT_MODULATE_SIGN", True)
+        flipped = spectral.modulate_v(s, w).value
+        assert np.array_equal(flipped.real, clean.real)
+        assert np.array_equal(flipped.imag,
+                              clean.imag - 2 * (s.imag * np.repeat(
+                                  w.real, 2, axis=0)))
+
+
+def _ops_on_batch(n):
+    """Each stacked op on a batch of n samples, with K = 3 weights."""
+    x = rand(22, (n, 2, 6, 6))
+    s = crand(23, (n, 2, 6, 4))
+    return {
+        "conv2d_weight": lambda: ad.conv2d(x, rand(25, (K, 4, 2, 3, 3)),
+                                           padding=1),
+        "conv2d_bias": lambda: ad.conv2d(x, rand(26, (4, 2, 1, 1)),
+                                         rand(27, (K, 4))),
+        "depthwise": lambda: ad.depthwise_conv2d(x, rand(28, (K, 2, 1, 3, 3))),
+        "modulate": lambda: spectral.modulate_v(s, crand(29, (K, 2, 6, 4))),
+    }
+
+
+class TestStackedRejections:
+    @pytest.mark.parametrize("op", sorted(_ops_on_batch(1)))
+    def test_batch_that_k_does_not_divide(self, op):
+        with pytest.raises(DimensionError, match="does not split"):
+            _ops_on_batch(4)[op]()
+
+    def test_stack_counts_must_agree(self):
+        with pytest.raises(DimensionError, match="disagree"):
+            ad.conv2d(rand(30, (6, 2, 4, 4)), rand(31, (3, 4, 2, 1, 1)),
+                      rand(32, (2, 4)))
+        with pytest.raises(DimensionError, match="disagree"):
+            ad.fold_kernels([rand(33, (2, 1, 1, 3, 3)),
+                             rand(34, (3, 1, 1, 5, 5))], (3, 5))
+
+    # op(stacked weight, other operand): their shapes
+    TAPED = {
+        "conv2d": (lambda w, x: ad.conv2d(x, w, padding=1),
+                   (K, 4, 2, 3, 3), (K, 2, 6, 6)),
+        "conv2d_bias": (lambda b, x: ad.conv2d(x, np.ones((4, 2, 1, 1)), b),
+                        (K, 4), (K, 2, 6, 6)),
+        "depthwise": (lambda w, x: ad.depthwise_conv2d(x, w),
+                      (K, 2, 1, 3, 3), (K, 2, 6, 6)),
+        "fold_kernels": (lambda w, k5: ad.fold_kernels([w, k5], (3, 5)),
+                         (K, 2, 1, 3, 3), (2, 1, 5, 5)),
+        "hermitian_fold": (spectral.hermitian_fold_v, (K, 2, 6, 6),
+                           (2, 6, 6)),
+        "modulate": (lambda w, s: spectral.modulate_v(s, w), (K, 2, 6, 4),
+                     (K, 2, 6, 4)),
+    }
+
+    @pytest.mark.parametrize("taped", ["weight", "other"])
+    @pytest.mark.parametrize("op", sorted(TAPED))
+    def test_taped_stacked_weight_is_rejected(self, op, taped):
+        # a vjp would owe each weight the gradient of its own block only;
+        # it is refused, never summed over the batch
+        fn, wshape, oshape = self.TAPED[op]
+        tape = Tape()
+        w, other = rand(38, wshape), rand(39, oshape)
+        w = tape.leaf(w, "w") if taped == "weight" else w
+        other = tape.leaf(other, "o") if taped == "other" else other
+        with pytest.raises(DimensionError, match="tape"):
+            fn(w, other)
+
+
+def _stacked_leaves(p, name):
+    leaves = {k: ad.Var(v) for k, v in named_arrays(p).items()}
+    leaves[name] = ad.Var(np.stack([leaves[name].value] * K))
+    return leaves
+
+
+@pytest.mark.parametrize("params,name,props,want", [
+    (FddemParams.random(4, 9, 7, Stream(40), reduction=2), "spatial1_w",
+     ("channels", "plane"), (4, (9, 7))),
+    (FddemParams.random(4, 9, 7, Stream(41), reduction=2), "branches.0.re",
+     ("channels", "plane"), (4, (9, 7))),
+    (MsgrbParams.random(4, Stream(42), hidden=6), "shrink_w",
+     ("channels", "hidden"), (4, 6)),
+    (LdconvParams.init(2, 3, rng=Stream(43)), "mix_w",
+     ("out_channels", "weights_per_output_channel"), (3, 10)),
+    (LdconvParams.init(2, 3, rng=Stream(44)), "offset_w",
+     ("in_channels",), (2,)),
+    (DysampleParams.init(2, rng=Stream(45)), "offset_w", ("channels",),
+     (2,)),
+])
+def test_stacked_leaf_keeps_shape_properties(params, name, props, want):
+    live = replace_vars(params, _stacked_leaves(params, name))
+    assert tuple(getattr(live, prop) for prop in props) == want
+
+
+def test_replace_vars_rejects_other_shapes():
+    p = MsgrbParams.random(4, Stream(46))
+    leaves = _stacked_leaves(p, "shrink_w")
+    leaves["shrink_w"] = ad.Var(leaves["shrink_w"].value[None])
+    with pytest.raises(DimensionError):
+        replace_vars(p, leaves)
+
+
+# the configs whose `stage_gradcheck` reports must not move by a byte:
+# the gate's four single blocks, the batch-2 pyramid of test_ca2neck and a
+# non-power-of-two fddem
+REPORT_CONFIGS = {
+    **{k: v for k, v in GRADCHECK_CONFIGS.items() if k != "ca2neck"},
+    "ca2neck_batch2": "[chain]\nseed = 61\ndtype = f64\n\n[ca2neck]\n"
+                      "channels = 2,4,8\nheight = 8\nwidth = 8\nbatch = 2\n"
+                      "params = random\n",
+    "fddem_9x7": "[chain]\nseed = 106\ndtype = f64\n\n[fddem]\nchannels = 4\n"
+                 "height = 9\nwidth = 7\nbranches = 2\nreduction = 2\n"
+                 "params = random\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CONFIGS))
+def test_stacked_report_is_the_row_by_row_report(name, tmp_path,
+                                                 monkeypatch):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(REPORT_CONFIGS[name])
+    parsed = parse_config(str(cfg))
+    stage, = build_chain(parsed, parsed.seed)
+    x = _synth_input(stage, parsed.seed, "f64")
+    stacked = sio.render_json(stage_gradcheck(stage, x, parsed.seed)
+                              .as_dict())
+    gradcheck = ad.gradcheck
+    # the same stage closure, with gradcheck's default evaluator
+    monkeypatch.setattr(ad, "gradcheck", lambda fn, params, losses, **kw:
+                        gradcheck(fn, params, **kw))
+    rowwise = sio.render_json(stage_gradcheck(stage, x, parsed.seed)
+                              .as_dict())
+    assert stacked == rowwise

@@ -159,9 +159,10 @@ def test_traced_fddem_forward_runs_two_transforms_per_block(branches):
     assert counts["spectral.dft2.naive_planes"] == 0
 
 
-@pytest.mark.parametrize("name", ["fddem_infer", "neck_train"])
+@pytest.mark.parametrize("name", ["fddem_infer", "neck_train", "certify"])
 def test_workload_request_passes_its_reference_check(tmp_path, name):
-    # f32 requests, checked against entry 0 of the stored references
+    # one request (f32 for the first two, f64 certification for certify),
+    # checked against entry 0 of the stored references
     work = load_perfbench("workloads").WORKLOADS[name](str(tmp_path))
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     errors, _ = work.check(work.request(0), reference[name][0])
