@@ -337,7 +337,8 @@ def split(a, sizes, axis: int = 1) -> list:
 def gelu(a) -> Var:
     a = as_var(a)
     av = a.value
-    return _apply(tc.gelu_raw(av), (a,), lambda g: (g * tc.gelu_grad(av),),
+    value, cdf = tc.gelu_raw(av, keep_cdf=True)
+    return _apply(value, (a,), lambda g: (g * tc.gelu_grad(av, cdf),),
                   "gelu")
 
 
@@ -352,7 +353,8 @@ def sigmoid(a) -> Var:
 def silu(a) -> Var:
     a = as_var(a)
     av = a.value
-    return _apply(tc.silu_raw(av), (a,), lambda g: (g * tc.silu_grad(av),),
+    value, s = tc.silu_raw(av, keep_sigmoid=True)
+    return _apply(value, (a,), lambda g: (g * tc.silu_grad(av, s),),
                   "silu")
 
 

@@ -11,13 +11,16 @@ reverse-mode layer to record on its tape.  Every kernel validates
 shapes and rejects non-finite values at its boundary, so a NaN raises
 instead of propagating silently.  A conv and each of its gradients is one
 BLAS matmul over an im2col matrix (see `_conv_cols`).  The depthwise
-forward is an exact shifted-window sum; its gradients are products of
-real FFTs (`scipy.fft`, loaded on the first gradient).  The bilinear
-forward can keep its plan (corner rows into a channels-last copy
-of x, and the fractional offsets), so its gradients rebuild nothing.
-The conv and depthwise forwards also take stacked weights (see
-`autodiff`): each block of samples gets the bytes of its own unstacked
-call.  Their gradients take declared shapes only.
+forward is k BLAS matmuls per plane and block of `BAND_COLS` columns,
+one per row tap, of views of the zero-padded plane with banded matrices
+(see `_row_bands`); a delta kernel still reproduces x bit for bit.  Its
+gradients are products of real FFTs (`scipy.fft`, loaded on the first
+gradient).  The bilinear forward can keep its plan (corner rows into a
+channels-last copy of x, and the fractional offsets), so its gradients
+rebuild nothing; the gelu and silu forwards can keep the Φ(x) and σ(x)
+their gradients reuse.  The conv and depthwise forwards also take
+stacked weights (see `autodiff`): each block of samples gets the bytes
+of its own unstacked call.  Their gradients take declared shapes only.
 """
 
 from __future__ import annotations
@@ -187,6 +190,29 @@ def conv2d_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
     return np.ascontiguousarray(gx), gw, gb
 
 
+# Output columns per banded product.  A band of width W holds C·k·(W+k-1)·W
+# values and costs (W+k-1)/k times the direct sum's multiplies, so wider
+# planes run in column blocks of this many: one band over 640 columns took
+# 2.1x the time of the direct k·k-tap sum and 3.3x its memory (f32, 16
+# channels, one BLAS thread on a 2-vCPU Xeon).
+BAND_COLS = 128
+
+
+def _row_bands(w: np.ndarray, wd: int, dtype) -> np.ndarray:
+    """(..., C, 1, k, k) filters as (..., C, k, wd + k - 1, wd) banded
+    matrices, band[..., i, v + j, v] = w[..., i, j]: padded row r + i
+    times band i is row tap i's share of output row r."""
+    k = w.shape[-1]
+    lead = w.shape[:-3]
+    band = np.zeros(lead + (k, wd + k - 1, wd), dtype)
+    # the (j, v) -> (v + j, v) diagonals, written through one strided view
+    s = band.itemsize
+    diagonals = as_strided(band, lead + (k, k, wd),
+                           band.strides[:-2] + (wd * s, (wd + 1) * s))
+    diagonals[...] = w.reshape(lead + (k, k))[..., None]
+    return band
+
+
 def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     require(x.ndim == 4, f"depthwise input must be 4D, got {x.shape}")
     require(w.ndim in (4, 5) and w.shape[-3] == 1,
@@ -200,37 +226,49 @@ def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     require(w.shape[-2] == k, f"depthwise kernel must be square, got {w.shape}")
     require_finite(x, "depthwise input")
     require_finite(w, "depthwise weights")
-    xp = _zero_pad(x, k // 2)
-    y = np.zeros_like(x)
-    tmp = np.empty(x.shape, np.result_type(x, w))
-    # tap (i, j) of every filter, shaped to broadcast over (N, C, H, W)
-    taps = w.reshape(w.shape[:-4] + (1, c, k, k))[..., None, None]
-    acc = y
+    dtype = np.result_type(x, w)
+    xp = _zero_pad(x.astype(dtype, copy=False), k // 2)
+    y = np.empty(x.shape, dtype)
+    xb, yb = xp, y
     if w.ndim == 5:
-        xp, acc, tmp = (batch_blocks(a, len(w)) for a in (xp, y, tmp))
-    # an exact shifted-window sum: a delta kernel reproduces x bit for bit
-    for i in range(k):
-        for j in range(k):
-            np.multiply(taps[..., i, j, :, :], xp[..., i:i + h, j:j + wd],
-                        out=tmp)
-            acc += tmp
-    return y
+        xb, yb = batch_blocks(xp, len(w)), batch_blocks(y, len(w))
+    # one GEMM per plane, row tap and column block, on views of xp and y; a
+    # delta kernel's sums hold one nonzero product, so it reproduces x bit
+    # for bit
+    for v in range(0, wd, BAND_COLS):
+        cols = min(BAND_COLS, wd - v)
+        bands = _row_bands(w, cols, dtype)
+        if w.ndim == 5:
+            bands = bands[:, None]
+        strip, out = xb[..., v:v + cols + k - 1], yb[..., v:v + cols]
+        np.matmul(strip[..., 0:h, :], bands[..., 0, :, :], out=out)
+        tmp = np.empty(out.shape, dtype)
+        for i in range(1, k):
+            out += np.matmul(strip[..., i:i + h, :], bands[..., i, :, :],
+                             out=tmp)
+    return y.astype(x.dtype, copy=False)
 
 
 def depthwise_conv2d_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray):
     """FFT gradients of `depthwise_conv2d_raw`: gx = g conv w, cropped, and
     gw = x correlated with g at lags -p..p, summed over the batch.  Padding
-    to H+k-1 by W+k-1 or more keeps circular wrap off every value read."""
-    from scipy.fft import irfft2, next_fast_len, rfft2
+    to H+p by W+p or more keeps circular wrap off every value read: the
+    full convolution's wrapped tail lands on its first p rows (cropped),
+    and lags within p alias only lags beyond H-1, where x and g miss."""
+    from scipy.fft import fft, ifft, irfft, irfft2, next_fast_len, rfft, rfft2
     h, wd = x.shape[2:]
-    k = w.shape[2]
-    p = k // 2
-    s = (next_fast_len(h + k - 1, True), next_fast_len(wd + k - 1, True))
+    p = w.shape[2] // 2
+    s = (next_fast_len(h + p, True), next_fast_len(wd + p, True))
     gf = rfft2(g, s)
-    gx = irfft2(gf * rfft2(w[:, 0], s), s)[:, :, p:p + h, p:p + wd]
-    corr = irfft2((rfft2(x, s) * gf.conj()).sum(axis=0), s)
-    lags = np.arange(-p, p + 1)
-    gw = corr[:, lags[:, None] % s[0], lags % s[1]]
+    # the kernel's k rows along the last axis, then its columns: the
+    # zero rows of the padded kernel cost no transform
+    wf = fft(rfft(w[:, 0], s[1]), s[0], axis=-2)
+    gx = irfft2(gf * wf, s)[:, :, p:p + h, p:p + wd]
+    # irfft2 is ifft over rows, then irfft per row: only rows -p..p are
+    # read, so only those get the second pass
+    lags = np.arange(-p, p + 1) % np.array(s)[:, None]
+    corr = ifft((rfft2(x, s) * gf.conj()).sum(axis=0), axis=-2)
+    gw = irfft(corr[:, lags[0]], s[1])[:, :, lags[1]]
     return (np.ascontiguousarray(gx, x.dtype),
             np.ascontiguousarray(gw.reshape(w.shape), w.dtype))
 
@@ -327,14 +365,18 @@ def bilinear_sample_grads(g: np.ndarray, x: np.ndarray, coords: np.ndarray,
     return gx, ggrid
 
 
-def gelu_raw(x: np.ndarray) -> np.ndarray:
+def gelu_raw(x: np.ndarray, keep_cdf: bool = False):
+    """x·Φ(x) with Φ(x) = 0.5·(1 + erf(x/√2)); (y, Φ(x)) with `keep_cdf`,
+    the part of the gradient that `gelu_grad` would otherwise recompute."""
     require_finite(x, "gelu input")
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    t = 1.0 + erf(x * _INV_SQRT2)
+    y = 0.5 * x * t
+    return (y, 0.5 * t) if keep_cdf else y
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return (0.5 * (1.0 + erf(x * _INV_SQRT2))
-            + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x))
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Φ(x) + x·φ(x), from the Φ(x) the forward kept."""
+    return cdf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def sigmoid_raw(x: np.ndarray) -> np.ndarray:
@@ -346,11 +388,13 @@ def sigmoid_grad_from_value(s: np.ndarray) -> np.ndarray:
     return s * (1.0 - s)
 
 
-def silu_raw(x: np.ndarray) -> np.ndarray:
+def silu_raw(x: np.ndarray, keep_sigmoid: bool = False):
+    """x·σ(x); (y, σ(x)) with `keep_sigmoid`, for `silu_grad`."""
     require_finite(x, "silu input")
-    return x * sigmoid_raw(x)
-
-
-def silu_grad(x: np.ndarray) -> np.ndarray:
     s = sigmoid_raw(x)
+    return (x * s, s) if keep_sigmoid else x * s
+
+
+def silu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """σ(x)·(1 + x·(1 − σ(x))), from the σ(x) the forward kept."""
     return s * (1.0 + x * (1.0 - s))

@@ -234,7 +234,8 @@ def test_modulate_sign_fault_moves_the_block_output():
 
 def test_import_and_inference_leave_scipy_fft_unloaded():
     # scipy.fft serves only the depthwise gradients, and scipy.signal
-    # nothing: neither should cost `import sepkit` or an inference run
+    # nothing: neither should cost `import sepkit` or an inference run of
+    # any block, the depthwise forwards of msgrb and ca2neck included
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -247,6 +248,14 @@ def test_import_and_inference_leave_scipy_fft_unloaded():
         "p = sepkit.FddemParams.random(8, 20, 12, Stream(1),"
         " dtype=np.float32)\n"
         "sepkit.fddem_forward(np.ones((1, 8, 20, 12), np.float32), p)\n"
+        "assert not loaded(), loaded()\n"
+        "p = sepkit.MsgrbParams.random(8, Stream(2), dtype=np.float32)\n"
+        "sepkit.msgrb_forward(np.ones((1, 8, 20, 12), np.float32), p)\n"
+        "assert not loaded(), loaded()\n"
+        "p = sepkit.Ca2neckParams.init((4, 8, 16), rng=Stream(3),"
+        " dtype=np.float32)\n"
+        "sepkit.ca2neck_forward([np.ones((1, c, 16 >> i, 12 >> i),"
+        " np.float32) for i, c in enumerate((4, 8, 16))], p)\n"
         "assert not loaded(), loaded()\n")
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")

@@ -20,6 +20,7 @@ from sepkit.cli import _synth_input, stage_gradcheck
 from sepkit.config import build_chain, parse_config
 from sepkit.params import named_arrays, replace_vars
 from sepkit.rng import Stream
+from sepkit.tensor import BAND_COLS
 
 from test_acceptance import GRADCHECK_CONFIGS
 
@@ -76,7 +77,8 @@ class TestStackedOps:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("n", BATCHES)
-    @pytest.mark.parametrize("hw", PLANES)
+    # the last plane spans three column blocks of the banded forward
+    @pytest.mark.parametrize("hw", PLANES + [(3, 2 * BAND_COLS + 5)])
     @pytest.mark.parametrize("kk", [3, 7])
     def test_depthwise(self, dtype, n, hw, kk):
         x = rand(4, (K * n, 3, *hw), dtype)

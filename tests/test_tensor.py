@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from sepkit import DimensionError, NumericError, Tensor
 from sepkit import autodiff as ad
 from sepkit.rng import Stream
-from sepkit.tensor import (bilinear_sample_grads, bilinear_sample_raw,
-                           conv2d_grads, conv2d_raw, depthwise_conv2d_grads,
-                           sigmoid_raw)
+from sepkit.tensor import (BAND_COLS, bilinear_sample_grads,
+                           bilinear_sample_raw, conv2d_grads, conv2d_raw,
+                           depthwise_conv2d_grads, gelu_raw, sigmoid_raw)
 
 from oracles import (CONV_BLOCK_CASES, DEPTHWISE_GRAD_CASES, conv2d_naive,
                      depthwise_naive)
@@ -189,11 +190,56 @@ class TestDepthwise:
         assert np.array_equal(y1[:, 1:], y2[:, 1:])
         assert not np.array_equal(y1[:, :1], y2[:, :1])
 
-    def test_matches_per_channel_oracle(self):
-        x = Stream(12).normal((1, 2, 5, 5))
-        w = Stream(13).normal((2, 1, 3, 3))
+    # the first single-plane case, the gradient cases, a plane narrower
+    # than its kernel, k = 1, and a plane of three banded column blocks
+    WIDE = (1, 2, 3, 2 * BAND_COLS + 5)
+    ORACLE_CASES = [((1, 2, 5, 5), 3)] + DEPTHWISE_GRAD_CASES + [
+        ((1, 2, 2, 3), 7), ((2, 3, 6, 10), 1), (WIDE, 7)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,k", ORACLE_CASES)
+    def test_matches_per_channel_oracle(self, shape, k, dtype):
+        x = Stream(12).normal(shape)
+        w = Stream(13).normal((shape[1], 1, k, k))
+        y = depthwise_conv2d(x.astype(dtype), w.astype(dtype))
+        assert y.dtype == dtype and y.shape == x.shape
+        # f64 at the old absolute bound; f32 within 8 ulp of the largest
+        # output, against the f64 oracle on the same (f32-exact) values
+        ref = depthwise_naive(x.astype(dtype).astype(np.float64),
+                              w.astype(dtype).astype(np.float64))
+        atol = (1e-12 if dtype == np.float64
+                else 8 * np.finfo(np.float32).eps * np.abs(ref).max())
+        np.testing.assert_allclose(y, ref, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 3, 6, 10), WIDE])
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_off_center_delta_shifts_exactly(self, k, shape, dtype):
+        # a delta at tap (i, j) reads x at (r + i - p, v + j - p), zeros
+        # outside the plane: each output is one product, so bit for bit
+        x = Stream(14).normal(shape).astype(dtype)
+        h, wd = shape[2:]
+        p = k // 2
+        for i in range(k):
+            for j in range(k):
+                w = np.zeros((shape[1], 1, k, k), dtype)
+                w[:, 0, i, j] = 1.0
+                want = np.zeros_like(x)
+                di, dj = i - p, j - p
+                want[:, :, max(-di, 0):h - max(di, 0),
+                     max(-dj, 0):wd - max(dj, 0)] = \
+                    x[:, :, max(di, 0):h - max(-di, 0),
+                      max(dj, 0):wd - max(-dj, 0)]
+                assert np.array_equal(depthwise_conv2d(x, w), want), (i, j)
+
+    def test_f32_input_with_f64_weights_stays_f32(self):
+        # the sums run in f64 and are rounded once to the input's dtype
+        x = Stream(15).normal((2, 3, 9, 7)).astype(np.float32)
+        w = Stream(16).normal((3, 1, 7, 7))
         y = depthwise_conv2d(x, w)
-        np.testing.assert_allclose(y, depthwise_naive(x, w), atol=1e-12)
+        assert y.dtype == np.float32
+        wide = depthwise_conv2d(x.astype(np.float64), w)
+        assert np.array_equal(y, wide.astype(np.float32))
 
     def test_channel_count_mismatch(self):
         with pytest.raises(DimensionError):
@@ -339,6 +385,34 @@ class TestActivations:
                              0.34573123063700656, 1.9544997361036416])
         np.testing.assert_allclose(gelu(x).reshape(-1), expected,
                                    rtol=1e-14)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_value_and_vjp_keep_their_bytes(self, dtype):
+        # the erf formulas written out: 0.5·x·(1 + erf(x/√2)) and its
+        # derivative Φ(x) + x·φ(x), both to the byte
+        x = np.concatenate([rand_array(30, (64,)) * 3.0, np.zeros(4),
+                            np.linspace(-10.0, 10.0, 41)]).astype(dtype)
+        g = rand_array(31, x.shape).astype(dtype)
+        c = float(1.0 / np.sqrt(2.0))
+        want_y = 0.5 * x * (1.0 + erf(x * c))
+        want_g = g * (0.5 * (1.0 + erf(x * c))
+                      + x * float(1.0 / np.sqrt(2.0 * np.pi))
+                      * np.exp(-0.5 * x * x))
+        tape = ad.Tape()
+        y = ad.gelu(tape.leaf(x, "x"))
+        got_g = tape.backward(y, g)["x"]
+        for got, want in ((y.value, want_y), (got_g, want_g)):
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_gelu_rejects_nan(self):
+        bad = np.array([0.0, np.nan, 1.0])
+        with pytest.raises(NumericError):
+            ad.gelu(bad)
+        with pytest.raises(NumericError):
+            gelu_raw(bad)
+        with pytest.raises(NumericError):
+            gelu_raw(bad, keep_cdf=True)
 
 
 class TestSplitConcat:
