@@ -25,10 +25,16 @@ array whose row 2j holds +eps and row 2j+1 holds -eps at the j-th
 checked coordinate.  An evaluator maps a stack to its K losses.  The
 default one runs the closure once per row; a batched one (the CLI's
 `stage_gradcheck`) runs one forward in which the stacked parameter holds
-K weights, weight k applying to the k-th block of N // K samples.  Ops
-that take such stacked weights (`conv2d`, `depthwise_conv2d`,
-`fold_kernels`, and the spectral weight ops) give each block the bytes
-of its own unstacked call, and refuse to record them on a tape.
+K weights, weight k applying to the k-th block of N // K samples.  A
+batch of one sample is one block shared by all K weights (numpy
+broadcasting on the block axis), and the output has K samples, so work
+that the stacked parameter does not reach runs once.  Ops that take
+stacked weights (`conv2d`, `depthwise_conv2d`, `fold_kernels`, and the
+spectral weight ops) give each block the bytes of its own unstacked
+call, and refuse to record them on a tape.  The ops that meet a shared
+sample further on (`add`, `mul`, `sub`, `concat` and the input of
+`bilinear_sample`) broadcast it against the K blocks, and on a tape
+their vjps sum its gradient over the batch.
 """
 
 from __future__ import annotations
@@ -288,23 +294,29 @@ def transpose(a, axes) -> Var:
 
 
 def concat(parts, axis: int = 1) -> Var:
+    """Join parts along `axis`.  Off the batch axis, a part of one sample
+    broadcasts against parts of N samples; its vjp sums over the batch."""
     parts = [as_var(p) for p in parts]
+    shapes = [p.value.shape for p in parts]
+    n = max((s[0] for s in shapes), default=0)
+    full = [(n,) + s[1:] if axis and s[0] == 1 else s for s in shapes]
     require(len(parts) >= 1 and len({
-        p.value.shape[:axis] + p.value.shape[axis + 1:] for p in parts}) == 1,
-        f"concat parts must agree outside axis {axis}, got "
-        f"{[p.value.shape for p in parts]}")
+        s[:axis] + s[axis + 1:] for s in full}) == 1,
+        f"concat parts must agree outside axis {axis}, got {shapes}")
 
     def vjp(g):
         sl = [slice(None)] * g.ndim
         out = []
         start = 0
-        for s in (p.value.shape[axis] for p in parts):
-            sl[axis] = slice(start, start + s)
-            out.append(np.ascontiguousarray(g[tuple(sl)]))
-            start += s
+        for s in shapes:
+            sl[axis] = slice(start, start + s[axis])
+            out.append(np.ascontiguousarray(_unbroadcast(g[tuple(sl)], s)))
+            start += s[axis]
         return tuple(out)
-    return _apply(np.concatenate([p.value for p in parts], axis=axis),
-                  tuple(parts), vjp, "concat")
+    return _apply(np.concatenate([
+        p.value if s == f else np.broadcast_to(p.value, f)
+        for p, s, f in zip(parts, shapes, full)], axis=axis),
+        tuple(parts), vjp, "concat")
 
 
 def split(a, sizes, axis: int = 1) -> list:

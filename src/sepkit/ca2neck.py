@@ -126,13 +126,15 @@ def ldconv_forward(x, p: LdconvParams) -> ad.Var:
     bilinear call; the samples are then reordered point-major
     (N, P*C, Ho, Wo) for the mixing conv."""
     xv = ad.as_var(x)
-    n, c, h, w = xv.value.shape
+    c = xv.value.shape[1]
     require(c == p.in_channels,
             f"input has {c} channels, params expect {p.in_channels}")
     offsets = ad.conv2d(xv, p.offset_w, p.offset_b, stride=p.stride,
                         padding=1)
     pts = p.n_points
-    ho, wo = offsets.value.shape[2:]
+    # the batch of the offsets, not of x: K when stacked offset weights
+    # meet an x of one sample
+    n, _, ho, wo = offsets.value.shape
     dt = xv.value.dtype
     anchors = np.stack(np.broadcast_arrays(
         np.arange(ho, dtype=dt)[:, None] * p.stride,

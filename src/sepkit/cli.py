@@ -157,12 +157,17 @@ def stage_gradcheck(stage, x, seed: int) -> ad.GradReport:
 
     The loss is the sum of the outputs (of all levels, in order).  Each
     slice of K rows of a parameter's perturbation stack runs as one
-    forward: the input tiled K times along the batch axis, the checked
-    parameter stacked K deep and every other one shared; row k's loss is
-    the sum of its block of the outputs."""
+    forward, the checked parameter stacked K deep and every other one
+    passed as the array gradcheck holds.  An input of one sample is shared
+    by all K weights, so only the work the checked parameter reaches runs
+    K times; a larger input is tiled K times along the batch axis.  Row
+    k's loss is the sum of its block of the outputs; an output the checked
+    parameter does not reach keeps one sample, whose sum serves every
+    row."""
     forward = STAGES[stage.kind].forward
     pyramid = isinstance(x, list)
     levels = [t.data for t in x] if pyramid else [x.data]
+    n = len(levels[0])
 
     def run(leaves, inputs):
         out = forward(inputs if pyramid else inputs[0],
@@ -178,13 +183,14 @@ def stage_gradcheck(stage, x, seed: int) -> ad.GradReport:
 
     def losses(params, name, stack):
         k = len(stack)
-        leaves = {n: ad.Var(stack if n == name else v)
-                  for n, v in params.items()}
-        outs = run(leaves, [ad.Var(np.concatenate([a] * k)) for a in levels])
-        total = outs[0].value.reshape(k, -1).sum(axis=1)
-        for o in outs[1:]:
-            total = total + o.value.reshape(k, -1).sum(axis=1)
-        return total
+        leaves = {**params, name: ad.Var(stack)}
+        outs = run(leaves, [a if n == 1 else np.concatenate([a] * k)
+                            for a in levels])
+        # K row sums, or one for an output of an untiled one-sample input
+        # that the checked parameter does not reach
+        sums = [o.value.reshape(len(o.value) // n, -1).sum(axis=1)
+                for o in outs]
+        return np.broadcast_to(sum(sums[1:], sums[0]), (k,))
 
     return ad.gradcheck(fn, named_arrays(stage.params), eps=1e-5, tol=1e-4,
                         seed=derive_seed(seed, 13), losses=losses)

@@ -80,7 +80,10 @@ def replace_arrays(template, values: dict, prefix: str = ""):
 
 
 def replace_vars(template, leaves: dict, prefix: str = ""):
-    """Copy of `template` with each array swapped for the Var leaves[name].
+    """Copy of `template` with each array swapped for leaves[name], a Var
+    or an ndarray of the field's shape.  A leaf that is the field's own
+    array swaps nothing, so its parameter object (and a `ComplexWeights`'
+    cached fold) is kept.
 
     A leaf may also be stacked: K values of the field's shape on one more
     leading axis, for the ops that take stacked weights."""

@@ -275,7 +275,8 @@ def hermitian_fold_v(re, im) -> Var:
 def modulate_v(spectrum, weights) -> Var:
     """Differentiable complex product of an (N, C, H, Wh) spectrum with
     (C, H, Wh) weights, shared across the batch.  Stacked (K, C, H, Wh)
-    weights apply weight k to the k-th block of N // K samples."""
+    weights apply weight k to the k-th block of N // K samples, or all to
+    a spectrum of one sample, which gives K samples."""
     s, wt = as_var(spectrum), as_var(weights)
     sv, wv = s.value, wt.value
     stacked = wv.ndim == sv.ndim
@@ -289,7 +290,7 @@ def modulate_v(spectrum, weights) -> Var:
     value = sb * wb
     if fault:
         value.imag -= 2 * (sb.imag * wb.real)
-    value = value.reshape(sv.shape)
+    value = value.reshape((-1,) + sv.shape[1:])
 
     def vjp(g):
         gs, gw = g * wv.conj(), (g * sv.conj()).sum(axis=0)

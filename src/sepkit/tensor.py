@@ -20,7 +20,9 @@ channels-last copy of x, and the fractional offsets), so its gradients
 rebuild nothing; the gelu and silu forwards can keep the Φ(x) and σ(x)
 their gradients reuse.  The conv and depthwise forwards also take
 stacked weights (see `autodiff`): each block of samples gets the bytes
-of its own unstacked call.  Their gradients take declared shapes only.
+of its own unstacked call, and an input of one sample is one block that
+every weight shares.  Their gradients take declared shapes only.  The
+bilinear sampler shares an x of one sample with a grid of many.
 """
 
 from __future__ import annotations
@@ -62,12 +64,14 @@ def stack_count(op: str, *weights) -> int:
 
 def batch_blocks(a: np.ndarray, k: int) -> np.ndarray:
     """(N, ...) viewed as (k, N // k, ...): the blocks of consecutive
-    samples that k stacked weights apply to, one weight each."""
+    samples that k stacked weights apply to, one weight each.  A batch of
+    one sample is one block, (1, 1, ...), that broadcasts against all k
+    weights."""
     n = a.shape[0]
-    require(k >= 1 and n % k == 0,
+    require(k >= 1 and (n == 1 or n % k == 0),
             f"batch {n} does not split into {k} blocks, one per stacked "
             f"weight")
-    return a.reshape((k, n // k) + a.shape[1:])
+    return a[None] if n == 1 else a.reshape((k, n // k) + a.shape[1:])
 
 
 class Tensor:
@@ -165,7 +169,7 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, b, stride: int,
                   cols)
     if b is not None:
         y = y + b.reshape((k, 1, co, 1) if b.ndim == 2 else (co, 1))
-    return y.reshape(n, co, ho, wo)
+    return y.reshape(-1, co, ho, wo)
 
 
 def conv2d_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
@@ -228,10 +232,10 @@ def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     require_finite(w, "depthwise weights")
     dtype = np.result_type(x, w)
     xp = _zero_pad(x.astype(dtype, copy=False), k // 2)
-    y = np.empty(x.shape, dtype)
-    xb, yb = xp, y
-    if w.ndim == 5:
-        xb, yb = batch_blocks(xp, len(w)), batch_blocks(y, len(w))
+    xb = batch_blocks(xp, len(w)) if w.ndim == 5 else xp
+    y = np.empty((len(w) * xb.shape[1] if w.ndim == 5 else n, c, h, wd),
+                 dtype)
+    yb = batch_blocks(y, len(w)) if w.ndim == 5 else y
     # one GEMM per plane, row tap and column block, on views of xp and y; a
     # delta kernel's sums hold one nonzero product, so it reproduces x bit
     # for bit
@@ -276,10 +280,12 @@ def depthwise_conv2d_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray):
 def _bilinear_plan(x: np.ndarray, coords: np.ndarray):
     """(xl, corners, wr, ws): x as (N·groups·H·W, C/groups) rows, the rows
     of each point's four clamped corners (r0s0, r0s1, r1s0, r1s1) and the
-    point's fractional row and column offsets, each (N, groups, Ho, Wo)."""
+    point's fractional row and column offsets, each (Ng, groups, Ho, Wo)
+    for a grid of batch Ng.  An x of one sample is shared by every grid
+    sample."""
     n, c, h, w = x.shape
     gn, groups, ho, wo = coords.shape[:4]
-    require(gn == n,
+    require(gn == n or n == 1,
             f"grid batch {gn} does not match tensor batch {n}")
     require(c % groups == 0,
             f"channels {c} not divisible by grid groups {groups}")
@@ -300,7 +306,8 @@ def _bilinear_plan(x: np.ndarray, coords: np.ndarray):
 def bilinear_sample_raw(x: np.ndarray, coords: np.ndarray,
                         keep_plan: bool = False):
     """Border-clamped grouped bilinear sampling; (y, plan) with `keep_plan`,
-    where the plan is what `bilinear_sample_grads` would otherwise rebuild."""
+    where the plan is what `bilinear_sample_grads` would otherwise rebuild.
+    y has the grid's batch: an x of one sample broadcasts against it."""
     require(coords.ndim == 5 and coords.shape[-1] == 2,
             f"sampling grid must be (N, groups, H, W, 2), got {coords.shape}")
     require_finite(x, "bilinear input")
@@ -324,21 +331,24 @@ def bilinear_sample_raw(x: np.ndarray, coords: np.ndarray,
 def bilinear_sample_grads(g: np.ndarray, x: np.ndarray, coords: np.ndarray,
                           need_x: bool, need_grid: bool, plan=None):
     """Input and grid gradients of `bilinear_sample_raw`, from its plan when
-    the forward kept one (else a fresh one); None for a gradient not needed."""
+    the forward kept one (else a fresh one); None for a gradient not needed.
+    A broadcast x of one sample gets its gradient summed over the grid's
+    batch."""
     xl, corners, wr, ws = plan if plan is not None else _bilinear_plan(
         x, coords)
     n, c, h, w = x.shape
-    groups, ho, wo = coords.shape[1:4]
+    gn, groups, ho, wo = coords.shape[:4]
     cg = c // groups
-    gl = g.reshape(n, groups, cg, ho * wo).transpose(0, 1, 3, 2)
-    gl = np.ascontiguousarray(gl).reshape(n, groups, ho, wo, cg)
+    gl = g.reshape(gn, groups, cg, ho * wo).transpose(0, 1, 3, 2)
+    gl = np.ascontiguousarray(gl).reshape(gn, groups, ho, wo, cg)
 
     gx = None
     if need_x:
         # interpolation matrix (rows of xl x points), four entries per point
-        # column; duplicate clamped corners are summed by the product
+        # column; duplicate clamped corners, and the points of every grid
+        # sample that share one x, are summed by the product
         from scipy.sparse import csc_array
-        pts = n * groups * ho * wo
+        pts = gn * groups * ho * wo
         wts = np.stack([(1 - wr) * (1 - ws), (1 - wr) * ws, wr * (1 - ws),
                         wr * ws], axis=-1)
         interp = csc_array((wts.reshape(-1),

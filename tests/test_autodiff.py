@@ -347,6 +347,53 @@ class TestEveryOpDifferentiates:
         np.testing.assert_allclose(ggrid, ref,
                                    atol=1e-12 if dtype == np.float64 else 1e-5)
 
+    # a one-sample operand broadcast against a batch of K on a tape: its
+    # gradient is summed over the batch, as `add` sums a broadcast operand
+
+    def test_concat_shared_part_grads(self):
+        weights = rand(54, (3, 5, 4, 5))
+
+        def fn(p):
+            return ad.sum_all(ad.mul(ad.concat([p["a"], p["b"]]), weights))
+
+        params = {"a": rand(55, (1, 2, 4, 5)), "b": rand(56, (3, 3, 4, 5))}
+        report = gradcheck(fn, params, seed=11)
+        assert report.passed
+        assert max(p.max_rel_err for p in report.params) <= 1e-6
+        tape = Tape()
+        a, b = (tape.leaf(v, k) for k, v in params.items())
+        grads = tape.backward(fn({"a": a, "b": b}))
+        np.testing.assert_allclose(
+            grads["a"], weights[:, :2].sum(axis=0, keepdims=True), rtol=1e-15)
+        assert np.array_equal(grads["b"], weights[:, 2:])
+
+    def test_bilinear_shared_x_grads(self):
+        # three grid samples read one x; off-lattice points, some clamped
+        base = Stream(57).uniform((3, 2, 4, 5, 2)) * 10.0 - 2.0
+        coords = np.floor(base) + 0.3 + 0.4 * Stream(58).uniform(base.shape)
+        weights = rand(59, (3, 4, 4, 5))
+
+        def fn(p):
+            grid = ad.add(p["g"], coords)
+            return ad.sum_all(ad.mul(ad.bilinear_sample(p["x"], grid),
+                                     weights))
+
+        report = gradcheck(fn, {"x": rand(60, (1, 4, 6, 7)),
+                                "g": np.zeros(coords.shape)}, seed=12,
+                           max_coords=240)
+        assert report.passed
+        assert max(p.max_rel_err for p in report.params) <= 1e-4
+
+    def test_bilinear_shared_x_grad_is_the_sum_over_grid_samples(self):
+        coords = self._border_coords(61)[:1].repeat(3, axis=0) + rand(
+            62, (3, 2, 4, 5, 2)) * 0.1
+        x, g = rand(63, (1, 4, 6, 7)), rand(64, (3, 4, 4, 5))
+        gx, _ = tc.bilinear_sample_grads(g, x, coords, True, False)
+        ref = sum(bilinear_input_grad_naive(g[k:k + 1], x.shape,
+                                            coords[k:k + 1])
+                  for k in range(3))
+        np.testing.assert_allclose(gx, ref, atol=1e-12)
+
 
 def _neck_record():
     """A small ca2neck forward and loss recorded on a fresh tape."""

@@ -1,5 +1,6 @@
 """Stacked weights: K weights on one more leading axis, weight k applied
-to the k-th block of N // K consecutive samples.
+to the k-th block of N // K consecutive samples, or to the one sample of
+a batch of one, which every weight shares (so the output has K samples).
 
 Every op that takes them must give each block the bytes of its own
 unstacked call, so gradcheck can evaluate all perturbations of one
@@ -16,6 +17,7 @@ from sepkit import (DimensionError, DysampleParams, FddemParams,
 from sepkit import autodiff as ad
 from sepkit import io as sio
 from sepkit import spectral
+from sepkit import tensor as tc
 from sepkit.cli import _synth_input, stage_gradcheck
 from sepkit.config import build_chain, parse_config
 from sepkit.params import named_arrays, replace_vars
@@ -145,6 +147,80 @@ class TestStackedOps:
                                   w.real, 2, axis=0)))
 
 
+class TestSharedOperand:
+    """A one-sample operand is one block shared by all K weights (or grid
+    samples): block k of the K-sample output is the unstacked call on
+    that sample."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("conv", CONVS)
+    @pytest.mark.parametrize("which", ["weight", "bias", "both"])
+    def test_conv2d(self, dtype, conv, which):
+        kk, stride, pad = conv
+        x = rand(50, (1, 2, 9, 7), dtype)
+        ws, bs = rand(51, (K, 4, 2, kk, kk), dtype), rand(52, (K, 4), dtype)
+        w = ws if which in ("weight", "both") else ws[0]
+        b = bs if which in ("bias", "both") else bs[0]
+        got = ad.conv2d(x, w, b, stride, pad).value
+        assert len(got) == K
+        assert_blocks_equal(got, [
+            ad.conv2d(x, w[k] if w.ndim == 5 else w,
+                      b[k] if b.ndim == 2 else b, stride, pad).value
+            for k in range(K)])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("hw", PLANES + [(3, 2 * BAND_COLS + 5)])
+    @pytest.mark.parametrize("kk", [3, 7])
+    def test_depthwise(self, dtype, hw, kk):
+        x = rand(53, (1, 3, *hw), dtype)
+        w = rand(54, (K, 3, 1, kk, kk), dtype)
+        got = ad.depthwise_conv2d(x, w).value
+        assert_blocks_equal(got, [ad.depthwise_conv2d(x, w[k]).value
+                                  for k in range(K)])
+
+    @pytest.mark.parametrize("fault", [False, True])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("hw", PLANES)
+    def test_modulate(self, fault, dtype, hw, monkeypatch):
+        monkeypatch.setattr(spectral, "FAULT_MODULATE_SIGN", fault)
+        half = (hw[0], hw[1] // 2 + 1)
+        s = crand(55, (1, 2, *half), dtype)
+        w = crand(57, (K, 2, *half), dtype)
+        got = spectral.modulate_v(s, w).value
+        assert_blocks_equal(got, [spectral.modulate_v(s, w[k]).value
+                                  for k in range(K)])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_bilinear_sample(self, dtype, groups):
+        x = rand(59, (1, 4, 6, 7), dtype)
+        # points inside, outside and on the border of the 6x7 plane
+        grid = (Stream(60).uniform((K, groups, 5, 4, 2)) * 10.0 - 2.0
+                ).astype(dtype)
+        got = ad.bilinear_sample(x, grid).value
+        assert_blocks_equal(got, [ad.bilinear_sample(x, grid[k:k + 1]).value
+                                  for k in range(K)])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_concat(self, dtype, shared_first):
+        one = rand(61, (1, 2, 4, 5), dtype)
+
+        def parts(many):
+            return [one, many] if shared_first else [many, one]
+        many = rand(62, (K, 3, 4, 5), dtype)
+        got = ad.concat(parts(many)).value
+        assert_blocks_equal(got, [ad.concat(parts(many[k:k + 1])).value
+                                  for k in range(K)])
+
+    def test_concat_still_refuses_other_batches(self):
+        with pytest.raises(DimensionError, match="agree"):
+            ad.concat([rand(63, (2, 2, 4, 4)), rand(64, (K, 2, 4, 4))])
+        # along the batch axis itself nothing broadcasts
+        assert ad.concat([rand(65, (1, 2, 4, 4)), rand(66, (K, 2, 4, 4))],
+                         axis=0).shape == (K + 1, 2, 4, 4)
+
+
 def _ops_on_batch(n):
     """Each stacked op on a batch of n samples, with K = 3 weights."""
     x = rand(22, (n, 2, 6, 6))
@@ -164,6 +240,18 @@ class TestStackedRejections:
     def test_batch_that_k_does_not_divide(self, op):
         with pytest.raises(DimensionError, match="does not split"):
             _ops_on_batch(4)[op]()
+
+    @pytest.mark.parametrize("op", sorted(_ops_on_batch(1)))
+    def test_batch_of_two_is_not_shared(self, op):
+        # only one sample broadcasts: two could be one shared batch or two
+        # blocks of one, so they must split
+        with pytest.raises(DimensionError, match="does not split"):
+            _ops_on_batch(2)[op]()
+
+    def test_grid_batch_must_match_a_batch_above_one(self):
+        with pytest.raises(DimensionError, match="grid batch"):
+            ad.bilinear_sample(rand(35, (2, 2, 6, 6)),
+                               np.full((K, 1, 3, 3, 2), 1.5))
 
     def test_stack_counts_must_agree(self):
         with pytest.raises(DimensionError, match="disagree"):
@@ -237,12 +325,16 @@ def test_replace_vars_rejects_other_shapes():
 
 
 # the configs whose `stage_gradcheck` reports must not move by a byte:
-# the gate's four single blocks, the batch-2 pyramid of test_ca2neck and a
-# non-power-of-two fddem
+# the gate's four single blocks, the batch-2 pyramid of test_ca2neck (a
+# tiled input), a batch-1 pyramid (whose concats, bilinear samples and
+# LDConvs meet a shared one-sample operand) and a non-power-of-two fddem
 REPORT_CONFIGS = {
     **{k: v for k, v in GRADCHECK_CONFIGS.items() if k != "ca2neck"},
     "ca2neck_batch2": "[chain]\nseed = 61\ndtype = f64\n\n[ca2neck]\n"
                       "channels = 2,4,8\nheight = 8\nwidth = 8\nbatch = 2\n"
+                      "params = random\n",
+    "ca2neck_batch1": "[chain]\nseed = 62\ndtype = f64\n\n[ca2neck]\n"
+                      "channels = 2,4,8\nheight = 8\nwidth = 8\nbatch = 1\n"
                       "params = random\n",
     "fddem_9x7": "[chain]\nseed = 106\ndtype = f64\n\n[fddem]\nchannels = 4\n"
                  "height = 9\nwidth = 7\nbranches = 2\nreduction = 2\n"
@@ -250,20 +342,81 @@ REPORT_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REPORT_CONFIGS))
-def test_stacked_report_is_the_row_by_row_report(name, tmp_path,
-                                                 monkeypatch):
+def _stage(name, tmp_path):
+    """The built stage of a report config, its CLI input and its seed."""
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(REPORT_CONFIGS[name])
     parsed = parse_config(str(cfg))
     stage, = build_chain(parsed, parsed.seed)
-    x = _synth_input(stage, parsed.seed, "f64")
-    stacked = sio.render_json(stage_gradcheck(stage, x, parsed.seed)
-                              .as_dict())
+    return stage, _synth_input(stage, parsed.seed, "f64"), parsed.seed
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CONFIGS))
+def test_stacked_report_is_the_row_by_row_report(name, tmp_path,
+                                                 monkeypatch):
+    stage, x, seed = _stage(name, tmp_path)
+    stacked = sio.render_json(stage_gradcheck(stage, x, seed).as_dict())
     gradcheck = ad.gradcheck
     # the same stage closure, with gradcheck's default evaluator
     monkeypatch.setattr(ad, "gradcheck", lambda fn, params, losses, **kw:
                         gradcheck(fn, params, **kw))
-    rowwise = sio.render_json(stage_gradcheck(stage, x, parsed.seed)
-                              .as_dict())
+    rowwise = sio.render_json(stage_gradcheck(stage, x, seed).as_dict())
     assert stacked == rowwise
+
+
+def _evaluator(stage, x, seed, monkeypatch):
+    """The `losses` evaluator `stage_gradcheck` hands to gradcheck."""
+    caught = {}
+
+    def capture(fn, params, losses, **kw):
+        caught["losses"] = losses
+        return ad.GradReport()
+    monkeypatch.setattr(ad, "gradcheck", capture)
+    stage_gradcheck(stage, x, seed)
+    monkeypatch.undo()
+    return caught["losses"]
+
+
+def test_branch_weight_check_runs_the_rest_once(tmp_path, monkeypatch):
+    # while a branch weight is checked, the spatial convs and the forward
+    # transform of the one-sample input run on that one sample, not K
+    stage, x, seed = _stage("fddem", tmp_path)
+    losses = _evaluator(stage, x, seed, monkeypatch)
+    params = named_arrays(stage.params)
+    seen = []
+    conv2d_raw, dft2_raw = tc.conv2d_raw, spectral.dft2_raw
+
+    def conv_spy(x, w, *args):
+        seen.append(("conv", w.shape, len(x)))
+        return conv2d_raw(x, w, *args)
+
+    def dft_spy(a, inverse=False, **kw):
+        seen.append(("dft", inverse, len(a)))
+        return dft2_raw(a, inverse, **kw)
+    monkeypatch.setattr(tc, "conv2d_raw", conv_spy)
+    monkeypatch.setattr(spectral, "dft2_raw", dft_spy)
+    for name in ("branches.0.re", "branches.2.im"):
+        seen.clear()
+        stack = np.stack([params[name]] * K)
+        got = losses(params, name, stack)
+        assert got.shape == (K,) and np.all(got == got[0])
+        spatial = [b for op, shape, b in seen
+                   if op == "conv" and shape == params["spatial1_w"].shape]
+        assert spatial == [1, 1]
+        assert [(inv, b) for op, inv, b in seen if op == "dft"] == [
+            (False, 1), (True, K)]
+
+
+def test_unchecked_complex_weights_keep_their_fold(tmp_path, monkeypatch):
+    stage, x, seed = _stage("fddem", tmp_path)
+    losses = _evaluator(stage, x, seed, monkeypatch)
+    params = named_arrays(stage.params)
+    stage.forward(x)  # folds every branch once
+    folds = []
+    fold = spectral.hermitian_fold_v
+    monkeypatch.setattr(spectral, "hermitian_fold_v",
+                        lambda re, im: folds.append(1) or fold(re, im))
+    losses(params, "branches.1.re", np.stack([params["branches.1.re"]] * K))
+    assert len(folds) == 1  # the checked branch's stacked fold only
+    losses(params, "sa_w", np.stack([params["sa_w"]] * K))
+    assert len(folds) == 1
