@@ -9,7 +9,9 @@ inference and differentiation.  Accumulation order is fixed by the reverse
 walk, which keeps single-threaded runs bit-deterministic.  A tape is single
 use: `backward` frees each node's value, parents and vjp as it walks, so a
 step's activations go with the step's last reference instead of waiting
-for the cyclic garbage collector, and a second `backward` raises.
+for the cyclic garbage collector, and a second `backward` raises.  A
+kernel op's vjp holds the residual its raw kernel returned (`tensor`: the
+conv's columns, the bilinear plan, Φ(x) or σ(x)), freed with the node.
 
 Values may be complex (the spectral ops hold half spectra).  Gradients
 follow the convention of PyTorch: for a real loss L, the gradient of a
@@ -32,7 +34,7 @@ that the stacked parameter does not reach runs once.  Ops that take
 stacked weights (`conv2d`, `depthwise_conv2d`, `fold_kernels`, and the
 spectral weight ops) give each block the bytes of its own unstacked
 call, and refuse to record them on a tape.  The ops that meet a shared
-sample further on (`add`, `mul`, `sub`, `concat` and the input of
+sample further on (`add`, `mul`, `concat` and the input of
 `bilinear_sample`) broadcast it against the K blocks, and on a tape
 their vjps sum its gradient over the batch.
 """
@@ -216,24 +218,12 @@ def add(a, b) -> Var:
                   lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)), "add")
 
 
-def sub(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    sa, sb = a.value.shape, b.value.shape
-    return _apply(a.value - b.value, (a, b),
-                  lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)), "sub")
-
-
 def mul(a, b) -> Var:
     a, b = as_var(a), as_var(b)
     av, bv = a.value, b.value
     return _apply(av * bv, (a, b),
                   lambda g: (_unbroadcast(g * bv.conj(), av.shape),
                              _unbroadcast(g * av.conj(), bv.shape)), "mul")
-
-
-def neg(a) -> Var:
-    a = as_var(a)
-    return _apply(-a.value, (a,), lambda g: (-g,), "neg")
 
 
 def scale(a, k: float) -> Var:
@@ -298,11 +288,13 @@ def concat(parts, axis: int = 1) -> Var:
     broadcasts against parts of N samples; its vjp sums over the batch."""
     parts = [as_var(p) for p in parts]
     shapes = [p.value.shape for p in parts]
-    n = max((s[0] for s in shapes), default=0)
+    require(len(parts) >= 1 and -len(shapes[0]) <= axis < len(shapes[0]),
+            f"concat needs parts with an axis {axis}, got {shapes}")
+    axis %= len(shapes[0])  # once, so a negative axis slices as numpy's
+    n = max(s[0] for s in shapes)
     full = [(n,) + s[1:] if axis and s[0] == 1 else s for s in shapes]
-    require(len(parts) >= 1 and len({
-        s[:axis] + s[axis + 1:] for s in full}) == 1,
-        f"concat parts must agree outside axis {axis}, got {shapes}")
+    require(len({s[:axis] + s[axis + 1:] for s in full}) == 1,
+            f"concat parts must agree outside axis {axis}, got {shapes}")
 
     def vjp(g):
         sl = [slice(None)] * g.ndim
@@ -349,7 +341,7 @@ def split(a, sizes, axis: int = 1) -> list:
 def gelu(a) -> Var:
     a = as_var(a)
     av = a.value
-    value, cdf = tc.gelu_raw(av, keep_cdf=True)
+    value, cdf = tc.gelu_raw(av)
     return _apply(value, (a,), lambda g: (g * tc.gelu_grad(av, cdf),),
                   "gelu")
 
@@ -365,7 +357,7 @@ def sigmoid(a) -> Var:
 def silu(a) -> Var:
     a = as_var(a)
     av = a.value
-    value, s = tc.silu_raw(av, keep_sigmoid=True)
+    value, s = tc.silu_raw(av)
     return _apply(value, (a,), lambda g: (g * tc.silu_grad(av, s),),
                   "silu")
 
@@ -376,11 +368,11 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Var:
     x, w = as_var(x), as_var(w)
     b = as_var(b) if b is not None else None
     xv, wv = x.value, w.value
-    value = tc.conv2d_raw(xv, wv, b.value if b is not None else None, stride,
-                          padding)
+    value, cols = tc.conv2d_raw(xv, wv, b.value if b is not None else None,
+                                stride, padding)
     stacked = wv.ndim == 5 or (b is not None and b.value.ndim == 2)
     return _apply(value, (x, w, b),
-                  lambda g: tc.conv2d_grads(g, xv, wv, stride, padding,
+                  lambda g: tc.conv2d_grads(g, xv, wv, cols, stride, padding,
                                             with_bias=b is not None),
                   "conv2d", stacked)
 
@@ -427,7 +419,7 @@ def bilinear_sample(x, grid) -> Var:
     """
     x, grid = as_var(x), as_var(grid)
     xv, gv = x.value, grid.value
-    value, plan = tc.bilinear_sample_raw(xv, gv, keep_plan=True)
+    value, plan = tc.bilinear_sample_raw(xv, gv)
     need_x, need_grid = x.tape is not None, grid.tape is not None
     return _apply(value, (x, grid),
                   lambda g: tc.bilinear_sample_grads(g, xv, gv, need_x,

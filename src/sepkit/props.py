@@ -50,9 +50,9 @@ def _conv_linearity(seed):
     y = _rand(rng, (1, 2, 6, 6))
     w = _rand(rng, (3, 2, 3, 3))
     a, b = 1.7, -0.4
-    lhs = tc.conv2d_raw(a * x + b * y, w, None, 1, 1)
-    rhs = a * tc.conv2d_raw(x, w, None, 1, 1) \
-        + b * tc.conv2d_raw(y, w, None, 1, 1)
+    lhs = tc.conv2d_raw(a * x + b * y, w, None, 1, 1)[0]
+    rhs = a * tc.conv2d_raw(x, w, None, 1, 1)[0] \
+        + b * tc.conv2d_raw(y, w, None, 1, 1)[0]
     err = float(np.abs(lhs - rhs).max())
     return err <= 1e-10, err
 
@@ -62,7 +62,7 @@ def _bilinear_identity_grid(seed):
     x = _rand(rng, (1, 3, 5, 7))
     rr, cc = np.meshgrid(np.arange(5.0), np.arange(7.0), indexing="ij")
     grid = np.stack([rr, cc], axis=-1)[None, None]
-    out = tc.bilinear_sample_raw(x, grid)
+    out = tc.bilinear_sample_raw(x, grid)[0]
     err = float(np.abs(out - x).max())
     return err <= 1e-12, err
 
@@ -71,7 +71,7 @@ def _bilinear_bounded(seed):
     rng = Stream(seed)
     x = _rand(rng, (2, 4, 6, 6))
     coords = rng.uniform((2, 1, 9, 9, 2)) * 10.0 - 2.0
-    out = tc.bilinear_sample_raw(x, coords)
+    out = tc.bilinear_sample_raw(x, coords)[0]
     lo = x.min(axis=(2, 3), keepdims=True)
     hi = x.max(axis=(2, 3), keepdims=True)
     violation = float(np.maximum(out - hi, lo - out).max())
@@ -262,7 +262,7 @@ def _fddem_freq_path_bounded(seed):
     rng = Stream(seed)
     p = fd.FddemParams.random(4, 8, 8, rng)
     enhanced = fd.frequency_branch(_rand(rng, (1, 4, 8, 8)), p.branches)
-    f = tc.conv2d_raw(enhanced.value, p.compress_w, p.compress_b, 1, 0)
+    f = tc.conv2d_raw(enhanced.value, p.compress_w, p.compress_b, 1, 0)[0]
     att = fd.dual_attention(f, p).value
     excess = float((np.abs(att * f) - np.abs(f)).max())
     in_range = bool((att > 0).all() and (att < 1).all())

@@ -7,22 +7,24 @@ take ndarrays or autodiff `Var`s and return `Var`s.  The kernels are pure
 functions over ndarrays: zero-padded convolution, per-channel depthwise
 convolution, border-clamped bilinear grid sampling and the
 gelu/sigmoid/silu activation family, each with its gradients, for the
-reverse-mode layer to record on its tape.  Every kernel validates
-shapes and rejects non-finite values at its boundary, so a NaN raises
-instead of propagating silently.  A conv and each of its gradients is one
-BLAS matmul over an im2col matrix (see `_conv_cols`).  The depthwise
-forward is k BLAS matmuls per plane and block of `BAND_COLS` columns,
-one per row tap, of views of the zero-padded plane with banded matrices
-(see `_row_bands`); a delta kernel still reproduces x bit for bit.  Its
-gradients are products of real FFTs (`scipy.fft`, loaded on the first
-gradient).  The bilinear forward can keep its plan (corner rows into a
-channels-last copy of x, and the fractional offsets), so its gradients
-rebuild nothing; the gelu and silu forwards can keep the Φ(x) and σ(x)
-their gradients reuse.  The conv and depthwise forwards also take
-stacked weights (see `autodiff`): each block of samples gets the bytes
-of its own unstacked call, and an input of one sample is one block that
-every weight shares.  Their gradients take declared shapes only.  The
-bilinear sampler shares an x of one sample with a grid of many.
+reverse-mode layer to record on its tape.  Every kernel validates shapes
+and rejects non-finite values at its boundary, so a NaN raises instead of
+propagating silently.  A kernel whose gradient reuses forward work returns
+(value, residual), and its gradient takes the residual: the conv's im2col
+columns, the bilinear plan (corner rows into a channels-last copy of x,
+and the fractional offsets), and the Φ(x) and σ(x) of gelu and silu;
+sigmoid's residual is its value.  A conv is one BLAS matmul over its
+columns (see `_conv_cols`); its weight gradient is one more, and its input
+gradient is the conv itself, run on g with the kernel turned and
+transposed.  The depthwise forward is k BLAS matmuls per plane and block
+of `BAND_COLS` columns, one per row tap, of views of the zero-padded plane
+with banded matrices (see `_row_bands`); a delta kernel still reproduces x
+bit for bit.  Its gradients are products of real FFTs (`scipy.fft`, loaded
+on the first gradient).  The conv and depthwise forwards also take stacked
+weights (see `autodiff`): each block of samples gets the bytes of its own
+unstacked call, and an input of one sample is one block that every weight
+shares.  Their gradients take declared shapes only.  The bilinear sampler
+shares an x of one sample with a grid of many.
 """
 
 from __future__ import annotations
@@ -135,7 +137,9 @@ def _conv_cols(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
 
 
 def conv2d_raw(x: np.ndarray, w: np.ndarray, b, stride: int,
-               padding: int) -> np.ndarray:
+               padding: int):
+    """Zero-padded cross-correlation as one GEMM over the im2col columns;
+    (y, cols), the columns being what `conv2d_grads` takes."""
     require(x.ndim == 4, f"conv2d input must be 4D, got {x.shape}")
     require(w.ndim in (4, 5),
             f"conv2d weight must be 4D (5D stacked), got {w.shape}")
@@ -159,39 +163,52 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, b, stride: int,
                 f"stacked), got {b.shape}")
         require_finite(b, "conv2d bias")
     ck = ci * kh * kw
-    cols = _conv_cols(x, kh, kw, stride, padding, ho, wo)
+    cols = blocks = _conv_cols(x, kh, kw, stride, padding, ho, wo)
     k = 0
     if w.ndim == 5 or (b is not None and b.ndim == 2):
         # one GEMM per sample either way: numpy's matmul loops over stacks
         k = stack_count("conv2d", (w, 4), (b, 1))
-        cols = batch_blocks(cols, k)
+        blocks = batch_blocks(cols, k)
     y = np.matmul(w.reshape((k, 1, co, ck) if w.ndim == 5 else (co, ck)),
-                  cols)
+                  blocks)
     if b is not None:
         y = y + b.reshape((k, 1, co, 1) if b.ndim == 2 else (co, 1))
-    return y.reshape(-1, co, ho, wo)
+    return y.reshape(-1, co, ho, wo), cols
 
 
-def conv2d_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
-                 padding: int, with_bias: bool):
-    n, c, h, wd = x.shape
-    co, ci, kh, kw = w.shape
+def _embed(offset: int, stride: int, n: int, size: int):
+    """(destination, source) slices that put n values at stride·a + offset
+    on a line of `size`, for the a that land on it."""
+    lo = max(0, (stride - 1 - offset) // stride)
+    hi = max(lo, min(n, (size - 1 - offset) // stride + 1))
+    return (slice(stride * lo + offset, stride * hi + offset, stride),
+            slice(lo, hi))
+
+
+def conv2d_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray,
+                 cols: np.ndarray, stride: int, padding: int,
+                 with_bias: bool):
+    """Gradients of `conv2d_raw` from the columns its forward returned.
+    gw is g times the columns.  gx is the transposed convolution: the
+    stride-1 conv of g, zero-embedded at the stride in an (H + kh - 1,
+    W + kw - 1) plane, with the kernel turned 180° and its in/out axes
+    swapped.  Output rows that read only padding land off that plane."""
+    n, _, h, wd = x.shape
+    co, _, kh, kw = w.shape
     ho, wo = g.shape[2], g.shape[3]
-    cols = _conv_cols(x, kh, kw, stride, padding, ho, wo)
-    g2 = g.reshape(n, co, ho * wo)
-    gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    gcols = np.matmul(w.reshape(co, ci * kh * kw).T, g2)
+    gw = np.matmul(g.reshape(n, co, ho * wo),
+                   cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     gb = g.sum(axis=(0, 2, 3)) if with_bias else None
-    if kh == kw == stride == 1 and padding == 0:
-        return gcols.reshape(x.shape), gw, gb
-    gcols = gcols.reshape(n, c, kh, kw, ho, wo)
-    gxp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), gcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i:i + stride * ho:stride,
-                j:j + stride * wo:stride] += gcols[:, :, i, j]
-    gx = gxp[:, :, padding:padding + h, padding:padding + wd]
-    return np.ascontiguousarray(gx), gw, gb
+    if stride == 1 and padding == kh - 1 == kw - 1:
+        plane = g
+    else:
+        ri, ra = _embed(kh - 1 - padding, stride, ho, h + kh - 1)
+        si, sa = _embed(kw - 1 - padding, stride, wo, wd + kw - 1)
+        plane = np.zeros((n, co, h + kh - 1, wd + kw - 1), g.dtype)
+        plane[:, :, ri, si] = g[:, :, ra, sa]
+    gx, _ = conv2d_raw(plane, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1],
+                       None, 1, 0)
+    return gx, gw, gb
 
 
 # Output columns per banded product.  A band of width W holds C·k·(W+k-1)·W
@@ -277,12 +294,18 @@ def depthwise_conv2d_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray):
             np.ascontiguousarray(gw.reshape(w.shape), w.dtype))
 
 
-def _bilinear_plan(x: np.ndarray, coords: np.ndarray):
-    """(xl, corners, wr, ws): x as (N·groups·H·W, C/groups) rows, the rows
-    of each point's four clamped corners (r0s0, r0s1, r1s0, r1s1) and the
-    point's fractional row and column offsets, each (Ng, groups, Ho, Wo)
-    for a grid of batch Ng.  An x of one sample is shared by every grid
+def bilinear_sample_raw(x: np.ndarray, coords: np.ndarray):
+    """Border-clamped grouped bilinear sampling; (y, plan).  The plan, which
+    `bilinear_sample_grads` takes, is (xl, corners, wr, ws): x as
+    (N·groups·H·W, C/groups) rows, the rows of each point's four clamped
+    corners (r0s0, r0s1, r1s0, r1s1) and the point's fractional row and
+    column offsets, each (Ng, groups, Ho, Wo) for a grid of batch Ng.  y
+    has the grid's batch: an x of one sample is shared by every grid
     sample."""
+    require(coords.ndim == 5 and coords.shape[-1] == 2,
+            f"sampling grid must be (N, groups, H, W, 2), got {coords.shape}")
+    require_finite(x, "bilinear input")
+    require_finite(coords, "bilinear grid")
     n, c, h, w = x.shape
     gn, groups, ho, wo = coords.shape[:4]
     require(gn == n or n == 1,
@@ -299,22 +322,9 @@ def _bilinear_plan(x: np.ndarray, coords: np.ndarray):
     row0 = (np.arange(n * groups).reshape(n, groups, 1, 1) * h + r0) * w
     row1 = row0 + np.where(r0 < h - 1, w, 0)
     corners = (row0 + s0, row0 + s1, row1 + s0, row1 + s1)
-    xl = x.reshape(n * groups, c // groups, h * w).transpose(0, 2, 1)
-    return np.ascontiguousarray(xl).reshape(-1, c // groups), corners, wr, ws
-
-
-def bilinear_sample_raw(x: np.ndarray, coords: np.ndarray,
-                        keep_plan: bool = False):
-    """Border-clamped grouped bilinear sampling; (y, plan) with `keep_plan`,
-    where the plan is what `bilinear_sample_grads` would otherwise rebuild.
-    y has the grid's batch: an x of one sample broadcasts against it."""
-    require(coords.ndim == 5 and coords.shape[-1] == 2,
-            f"sampling grid must be (N, groups, H, W, 2), got {coords.shape}")
-    require_finite(x, "bilinear input")
-    require_finite(coords, "bilinear grid")
-    plan = _bilinear_plan(x, coords)
-    xl, corners, wr, ws = plan
-    # (n, groups, ho, wo, cg) corner values: fresh copies, worked in place
+    xl = np.ascontiguousarray(x.reshape(n * groups, c // groups, h * w)
+                              .transpose(0, 2, 1)).reshape(-1, c // groups)
+    # (gn, groups, ho, wo, cg) corner values: fresh copies, worked in place
     v00, top, v10, y = (xl.take(i, axis=0) for i in corners)
     # nested lerp a + t (b - a) into b, for the top row, the bottom row and
     # between them: keeps constants exact and never leaves the corner range
@@ -322,20 +332,17 @@ def bilinear_sample_raw(x: np.ndarray, coords: np.ndarray,
         b -= a
         b *= t[..., None]
         b += a
-    n, groups, ho, wo, cg = y.shape
     y = np.ascontiguousarray(y.transpose(0, 1, 4, 2, 3)).reshape(
-        n, groups * cg, ho, wo)
-    return (y, plan) if keep_plan else y
+        gn, c, ho, wo)
+    return y, (xl, corners, wr, ws)
 
 
 def bilinear_sample_grads(g: np.ndarray, x: np.ndarray, coords: np.ndarray,
-                          need_x: bool, need_grid: bool, plan=None):
-    """Input and grid gradients of `bilinear_sample_raw`, from its plan when
-    the forward kept one (else a fresh one); None for a gradient not needed.
-    A broadcast x of one sample gets its gradient summed over the grid's
-    batch."""
-    xl, corners, wr, ws = plan if plan is not None else _bilinear_plan(
-        x, coords)
+                          need_x: bool, need_grid: bool, plan):
+    """Input and grid gradients of `bilinear_sample_raw`, from the plan its
+    forward returned; None for a gradient not needed.  A broadcast x of
+    one sample gets its gradient summed over the grid's batch."""
+    xl, corners, wr, ws = plan
     n, c, h, w = x.shape
     gn, groups, ho, wo = coords.shape[:4]
     cg = c // groups
@@ -375,17 +382,16 @@ def bilinear_sample_grads(g: np.ndarray, x: np.ndarray, coords: np.ndarray,
     return gx, ggrid
 
 
-def gelu_raw(x: np.ndarray, keep_cdf: bool = False):
-    """x·Φ(x) with Φ(x) = 0.5·(1 + erf(x/√2)); (y, Φ(x)) with `keep_cdf`,
-    the part of the gradient that `gelu_grad` would otherwise recompute."""
+def gelu_raw(x: np.ndarray):
+    """x·Φ(x) with Φ(x) = 0.5·(1 + erf(x/√2)); (y, Φ(x)), the part of the
+    gradient that `gelu_grad` takes."""
     require_finite(x, "gelu input")
     t = 1.0 + erf(x * _INV_SQRT2)
-    y = 0.5 * x * t
-    return (y, 0.5 * t) if keep_cdf else y
+    return 0.5 * x * t, 0.5 * t
 
 
 def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Φ(x) + x·φ(x), from the Φ(x) the forward kept."""
+    """Φ(x) + x·φ(x), from the Φ(x) the forward returned."""
     return cdf + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
@@ -398,13 +404,13 @@ def sigmoid_grad_from_value(s: np.ndarray) -> np.ndarray:
     return s * (1.0 - s)
 
 
-def silu_raw(x: np.ndarray, keep_sigmoid: bool = False):
-    """x·σ(x); (y, σ(x)) with `keep_sigmoid`, for `silu_grad`."""
+def silu_raw(x: np.ndarray):
+    """x·σ(x); (y, σ(x)), for `silu_grad`."""
     require_finite(x, "silu input")
     s = sigmoid_raw(x)
-    return (x * s, s) if keep_sigmoid else x * s
+    return x * s, s
 
 
 def silu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """σ(x)·(1 + x·(1 − σ(x))), from the σ(x) the forward kept."""
+    """σ(x)·(1 + x·(1 − σ(x))), from the σ(x) the forward returned."""
     return s * (1.0 + x * (1.0 - s))

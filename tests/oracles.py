@@ -46,14 +46,22 @@ def conv2d_naive(x, w, b=None, stride=1, padding=0):
     return out
 
 
-# Convolutions shaped like the blocks' own, each at batch 2, as
-# (input shape, channel slice taken as a view, weight shape, stride, padding):
-# a 1x1 conv on a non-contiguous channel slice, LDConv's 3x3 stride-2 offset
-# conv on an odd plane, and FDDEM's 7x7 2->1 spatial attention.
+# Convolutions at batch 2, as (input shape, channel slice taken as a view,
+# weight shape, stride, padding).  The blocks' own: a 1x1 conv on a
+# non-contiguous channel slice, LDConv's 3x3 stride-2 offset conv on an odd
+# plane, and FDDEM's 7x7 2->1 spatial attention.  And shapes the blocks
+# never use, where the input gradient's zero-embedded plane is cut or left
+# with rows no window reads: a non-square kernel at stride 2, padding
+# beyond the kernel (1x1 at padding 1, 3x3 at padding 3), and stride 3
+# with a remainder row and column.
 CONV_BLOCK_CASES = {
     "1x1_channel_view": ((2, 6, 5, 4), slice(1, 4), (4, 3, 1, 1), 1, 0),
     "3x3_s2_p1_9x7": ((2, 3, 9, 7), slice(None), (4, 3, 3, 3), 2, 1),
     "7x7_p3_2to1": ((2, 2, 8, 8), slice(None), (1, 2, 7, 7), 1, 3),
+    "3x5_s2_p1_9x7": ((2, 3, 9, 7), slice(None), (4, 3, 3, 5), 2, 1),
+    "1x1_p1": ((2, 3, 5, 4), slice(None), (2, 3, 1, 1), 1, 1),
+    "3x3_p3": ((2, 2, 5, 6), slice(None), (3, 2, 3, 3), 1, 3),
+    "3x3_s3_10x11": ((2, 3, 10, 11), slice(None), (2, 3, 3, 3), 3, 0),
 }
 
 
@@ -243,7 +251,7 @@ def ldconv_per_point(x, p):
     """LDConv forward one sampling point at a time: point k's grid is its
     (row, col) offset pair plus its anchor and layout cell, sampled on its
     own; the samples are concatenated point-major before the mixing conv."""
-    offsets = tc.conv2d_raw(x, p.offset_w, p.offset_b, p.stride, 1)
+    offsets = tc.conv2d_raw(x, p.offset_w, p.offset_b, p.stride, 1)[0]
     ho, wo = offsets.shape[2:]
     base = ldconv_coords(p.n_points)
     anchor_r = (np.arange(ho, dtype=x.dtype) * p.stride).reshape(1, 1, ho, 1)
@@ -253,8 +261,9 @@ def ldconv_per_point(x, p):
         rows = offsets[:, 2 * k:2 * k + 1] + (anchor_r + base[k, 0])
         cols = offsets[:, 2 * k + 1:2 * k + 2] + (anchor_c + base[k, 1])
         grid = np.stack([rows, cols], axis=-1)  # (N, 1, ho, wo, 2)
-        sampled.append(tc.bilinear_sample_raw(x, grid))
-    return tc.conv2d_raw(np.concatenate(sampled, axis=1), p.mix_w, None, 1, 0)
+        sampled.append(tc.bilinear_sample_raw(x, grid)[0])
+    return tc.conv2d_raw(np.concatenate(sampled, axis=1), p.mix_w, None, 1,
+                         0)[0]
 
 
 def dysample_grid_naive(offsets, h, w, p):

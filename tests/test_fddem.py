@@ -110,8 +110,8 @@ class TestFddemForward:
         from sepkit.tensor import conv2d_raw
         p = FddemParams.random(4, 8, 8, Stream(8))
         x = rand_array(9, (1, 4, 8, 8))
-        f = conv2d_raw(frequency_branch(x, p.branches).value,
-                       p.compress_w, p.compress_b, 1, 0)
+        f, _ = conv2d_raw(frequency_branch(x, p.branches).value,
+                          p.compress_w, p.compress_b, 1, 0)
         att = dual_attention(f, p).value
         assert (np.abs(att * f) <= np.abs(f)).all()
 

@@ -5,8 +5,7 @@ from scipy.special import erf
 from sepkit import DimensionError, NumericError, Tensor
 from sepkit import autodiff as ad
 from sepkit.rng import Stream
-from sepkit.tensor import (BAND_COLS, bilinear_sample_grads,
-                           bilinear_sample_raw, conv2d_grads, conv2d_raw,
+from sepkit.tensor import (BAND_COLS, conv2d_grads, conv2d_raw,
                            depthwise_conv2d_grads, gelu_raw, sigmoid_raw)
 
 from oracles import (CONV_BLOCK_CASES, DEPTHWISE_GRAD_CASES, conv2d_naive,
@@ -137,11 +136,12 @@ class TestConv2d:
     @pytest.mark.parametrize("name", sorted(CONV_BLOCK_CASES))
     def test_block_shapes_match_naive_oracle(self, name):
         x, w, b, g, stride, padding = self._block_case(name)
-        y = conv2d_raw(x, w, b, stride, padding)
+        y, cols = conv2d_raw(x, w, b, stride, padding)
         np.testing.assert_allclose(y, conv2d_naive(x, w, b, stride, padding),
                                    atol=1e-12)
         # the gradients are the adjoint of the (bias-free) oracle map
-        gx, gw, gb = conv2d_grads(g, x, w, stride, padding, True)
+        gx, gw, gb = conv2d_grads(g, x, w, cols, stride, padding, True)
+        assert gx.shape == x.shape and gw.shape == w.shape
         ref = float((g * conv2d_naive(x, w, None, stride, padding)).sum())
         assert float((gx * x).sum()) == pytest.approx(ref, rel=1e-12)
         assert float((gw * w).sum()) == pytest.approx(ref, rel=1e-12)
@@ -150,13 +150,33 @@ class TestConv2d:
     @pytest.mark.parametrize("name", sorted(CONV_BLOCK_CASES))
     def test_block_shapes_f32_stays_f32(self, name):
         x, w, b, g, stride, padding = self._block_case(name, np.float32)
-        y = conv2d_raw(x, w, b, stride, padding)
-        grads = conv2d_grads(g, x, w, stride, padding, True)
+        y, cols = conv2d_raw(x, w, b, stride, padding)
+        grads = conv2d_grads(g, x, w, cols, stride, padding, True)
         for arr in (y,) + grads:
             assert arr.dtype == np.float32 and arr.flags.c_contiguous
         ref = conv2d_naive(x.astype(np.float64), w.astype(np.float64),
                            b.astype(np.float64), stride, padding)
         np.testing.assert_allclose(y, ref, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_1x1_grads_keep_their_bytes(self, dtype):
+        # a 1x1, stride-1, unpadded conv's gradients written out: gx = wᵀ·g
+        # and gw = Σ g·xᵀ over the batch, to the byte
+        x = Stream(34).normal((2, 3, 5, 4)).astype(dtype)
+        w = Stream(35).normal((4, 3, 1, 1)).astype(dtype)
+        b = Stream(36).normal((4,)).astype(dtype)
+        g = Stream(37).normal((2, 4, 5, 4)).astype(dtype)
+        tape = ad.Tape()
+        leaves = [tape.leaf(v, k) for k, v in (("x", x), ("w", w), ("b", b))]
+        got = tape.backward(ad.conv2d(*leaves), g)
+        g2, w2 = g.reshape(2, 4, 20), w.reshape(4, 3)
+        want = {"x": np.matmul(w2.T, g2).reshape(x.shape),
+                "w": np.matmul(g2, x.reshape(2, 3, 20).transpose(0, 2, 1))
+                .sum(axis=0).reshape(w.shape),
+                "b": g.sum(axis=(0, 2, 3))}
+        for k, v in want.items():
+            assert got[k].dtype == dtype and got[k].shape == v.shape
+            assert got[k].tobytes() == v.tobytes(), k
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(DimensionError):
@@ -310,7 +330,7 @@ class TestBilinear:
         x = Stream(15).normal((2, 4, 6, 6))
         coords = Stream(16).uniform((2, 1, 9, 9, 2)) * 12.0 - 3.0
         from sepkit.tensor import bilinear_sample_raw
-        y = bilinear_sample_raw(x, coords)
+        y, _ = bilinear_sample_raw(x, coords)
         lo = x.min(axis=(2, 3), keepdims=True)
         hi = x.max(axis=(2, 3), keepdims=True)
         assert (y <= hi).all() and (y >= lo).all()
@@ -321,26 +341,12 @@ class TestBilinear:
         y = bilinear_sample(x, coords)
         assert (y == 1.37).all()
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_kept_plan_gives_fresh_plan_bytes(self, dtype):
-        # batch 2, groups 2, points inside, off the lattice and clamped
-        x = Stream(73).normal((2, 4, 6, 7)).astype(dtype)
-        coords = Stream(74).uniform((2, 2, 4, 5, 2)) * 10.0 - 2.0
-        g = Stream(75).normal((2, 4, 4, 5)).astype(dtype)
-        y, plan = bilinear_sample_raw(x, coords, keep_plan=True)
-        assert y.tobytes() == bilinear_sample_raw(x, coords).tobytes()
-        kept = bilinear_sample_grads(g, x, coords, True, True, plan)
-        fresh = bilinear_sample_grads(g, x, coords, True, True)
-        for a, b in zip(kept, fresh):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-
     def test_grouped_sampling(self):
         x = Stream(18).normal((1, 4, 4, 4))
         coords = np.zeros((1, 2, 2, 2, 2))
         coords[0, 0] += 1.0  # group 0 samples (1, 1)... wait rows/cols both 1
         from sepkit.tensor import bilinear_sample_raw
-        y = bilinear_sample_raw(x, coords)
+        y, _ = bilinear_sample_raw(x, coords)
         assert y.shape == (1, 4, 2, 2)
         # group 0 (channels 0, 1) reads (1, 1); group 1 (channels 2, 3) (0, 0)
         assert np.allclose(y[0, 0], x[0, 0, 1, 1])
@@ -411,8 +417,6 @@ class TestActivations:
             ad.gelu(bad)
         with pytest.raises(NumericError):
             gelu_raw(bad)
-        with pytest.raises(NumericError):
-            gelu_raw(bad, keep_cdf=True)
 
 
 class TestSplitConcat:
@@ -430,6 +434,15 @@ class TestSplitConcat:
         a = rand_array(22, (1, 2, 4, 4))
         b = rand_array(23, (1, 6, 4, 4))
         assert concat([a, b]).shape == (1, 8, 4, 4)
+        # a negative axis joins as numpy does, and the vjp slices g back
+        c = rand_array(24, (1, 2, 4, 5))
+        tape = ad.Tape()
+        y = ad.concat([tape.leaf(a, "a"), tape.leaf(c, "c")], axis=-1)
+        assert np.array_equal(y.value, np.concatenate([a, c], axis=-1))
+        g = rand_array(25, (1, 2, 4, 9))
+        grads = tape.backward(y, g)
+        assert np.array_equal(grads["a"], g[..., :4])
+        assert np.array_equal(grads["c"], g[..., 4:])
 
     def test_bad_sizes(self):
         with pytest.raises(DimensionError):
