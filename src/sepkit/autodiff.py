@@ -27,16 +27,16 @@ array whose row 2j holds +eps and row 2j+1 holds -eps at the j-th
 checked coordinate.  An evaluator maps a stack to its K losses.  The
 default one runs the closure once per row; a batched one (the CLI's
 `stage_gradcheck`) runs one forward in which the stacked parameter holds
-K weights, weight k applying to the k-th block of N // K samples.  A
-batch of one sample is one block shared by all K weights (numpy
-broadcasting on the block axis), and the output has K samples, so work
-that the stacked parameter does not reach runs once.  Ops that take
-stacked weights (`conv2d`, `depthwise_conv2d`, `fold_kernels`, and the
-spectral weight ops) give each block the bytes of its own unstacked
-call, and refuse to record them on a tape.  The ops that meet a shared
-sample further on (`add`, `mul`, `concat` and the input of
-`bilinear_sample`) broadcast it against the K blocks, and on a tape
-their vjps sum its gradient over the batch.
+K weights.  They meet the batch as numpy broadcasts it
+(`tensor.stack_count`): weight k meets sample k of a batch of K, or all
+K share a batch of one sample and give K samples, so work that the
+stacked parameter does not reach runs once.  Ops that take stacked
+weights (`conv2d`, `depthwise_conv2d`, `fold_kernels`, and the spectral
+weight ops) give each sample the bytes of its own unstacked call, and
+refuse to record them on a tape.  The ops that meet a shared sample
+further on (`add`, `mul`, `concat` and the input of `bilinear_sample`)
+broadcast it against the K samples, and on a tape their vjps sum its
+gradient over the batch.
 """
 
 from __future__ import annotations
@@ -185,9 +185,9 @@ def _tape_of(*vars_) -> Tape | None:
 def _apply(value, parents, vjp, op: str, stacked: bool = False) -> Var:
     """`value` as a Var, recorded with its vjp when an operand is taped.
 
-    A `stacked` call, whose weights hold one set per block of samples, is
-    never recorded: its vjp would have to sum each weight's gradient over
-    its own block only, and the vjps take declared shapes."""
+    A `stacked` call, whose weights hold one set per sample, is never
+    recorded: its vjp would owe each weight the gradient of its own sample
+    only, and the vjps take declared shapes."""
     tape = _tape_of(*parents)
     if tape is None:
         return Var(value)
@@ -239,33 +239,27 @@ def sum_all(a) -> Var:
                   lambda g: (np.full(shape, g, dtype=dtype),), "sum_all")
 
 
-def mean_axes(a, axes, keepdims: bool = True) -> Var:
+def mean_axes(a, axes) -> Var:
     a = as_var(a)
     axes = tuple(axes)
     shape = a.value.shape
     count = int(np.prod([shape[i] for i in axes]))
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / count, shape).copy(),)
-    return _apply(a.value.mean(axis=axes, keepdims=keepdims), (a,), vjp,
+    return _apply(a.value.mean(axis=axes, keepdims=True), (a,),
+                  lambda g: (np.broadcast_to(g / count, shape).copy(),),
                   "mean_axes")
 
 
-def amax_axes(a, axes, keepdims: bool = True) -> Var:
+def amax_axes(a, axes) -> Var:
     a = as_var(a)
     axes = tuple(axes)
     av = a.value
+    peak = av.max(axis=axes, keepdims=True)
 
     def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        mask = (av == av.max(axis=axes, keepdims=True)).astype(av.dtype)
+        mask = (av == peak).astype(av.dtype)
         counts = mask.sum(axis=axes, keepdims=True)
         return ((mask / counts) * g,)
-    return _apply(av.max(axis=axes, keepdims=keepdims), (a,), vjp,
-                  "amax_axes")
+    return _apply(peak, (a,), vjp, "amax_axes")
 
 
 def reshape(a, shape) -> Var:

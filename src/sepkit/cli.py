@@ -157,11 +157,12 @@ def stage_gradcheck(stage, x, seed: int) -> ad.GradReport:
 
     The loss is the sum of the outputs (of all levels, in order).  Each
     slice of K rows of a parameter's perturbation stack runs as one
-    forward, the checked parameter stacked K deep and every other one
-    passed as the array gradcheck holds.  An input of one sample is shared
-    by all K weights, so only the work the checked parameter reaches runs
-    K times; a larger input is tiled K times along the batch axis.  Row
-    k's loss is the sum of its block of the outputs; an output the checked
+    forward, the checked parameter stacked and every other one passed as
+    the array gradcheck holds.  An input of one sample is shared by all K
+    weights, so only the work the checked parameter reaches runs K times.
+    An input of N > 1 samples is tiled K times along the batch axis and
+    each row repeated N times, so every sample of tile k meets row k.  Row
+    k's loss is the sum of tile k of the outputs; an output the checked
     parameter does not reach keeps one sample, whose sum serves every
     row."""
     forward = STAGES[stage.kind].forward
@@ -183,7 +184,7 @@ def stage_gradcheck(stage, x, seed: int) -> ad.GradReport:
 
     def losses(params, name, stack):
         k = len(stack)
-        leaves = {**params, name: ad.Var(stack)}
+        leaves = {**params, name: ad.Var(np.repeat(stack, n, axis=0))}
         outs = run(leaves, [a if n == 1 else np.concatenate([a] * k)
                             for a in levels])
         # K row sums, or one for an output of an untiled one-sample input

@@ -69,13 +69,6 @@ class Stream:
         out = z.reshape(shape) if shape else z[0]
         return np.asarray(out, dtype=dtype) if shape else dtype(out)
 
-    def integers(self, low: int, high: int, count: int) -> np.ndarray:
-        """`count` ints in [low, high) by scaling uniforms (desk-scale use)."""
-        if high <= low:
-            raise ValueError(f"empty integer range [{low}, {high})")
-        u = (self._raw(count) >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-        return (low + np.floor(u * (high - low))).astype(np.int64)
-
     def choice(self, n: int, count: int) -> np.ndarray:
         """`count` distinct indices from range(n), order-stable for a seed."""
         if count >= n:

@@ -32,7 +32,9 @@ four ops are the one execution path, with or without a tape, and carry
 complex values in `Var`s under the gradient convention stated in
 `autodiff`.  `dft2_raw` is the plain-array transform underneath them.
 Off the tape, `hermitian_fold_v` and `modulate_v` also take stacked
-weights (K weights on one more leading axis, as `autodiff` describes).
+weights (K weights on one more leading axis, as `autodiff` describes);
+`modulate_v` pairs weight k with sample k, or shares a one-sample
+spectrum among all K.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var, as_var
 from .rng import Stream
-from .tensor import batch_blocks, require, require_finite, stack_count
+from .tensor import require, require_finite, stack_count
 
 # test-only fault hook: when set, modulate_v flips the sign of the
 # spectrum.im * weight.re term so harness checks can prove they catch it
@@ -275,22 +277,19 @@ def hermitian_fold_v(re, im) -> Var:
 def modulate_v(spectrum, weights) -> Var:
     """Differentiable complex product of an (N, C, H, Wh) spectrum with
     (C, H, Wh) weights, shared across the batch.  Stacked (K, C, H, Wh)
-    weights apply weight k to the k-th block of N // K samples, or all to
-    a spectrum of one sample, which gives K samples."""
+    weights meet the spectrum as `tensor.stack_count` states: weight k
+    takes sample k, or all K take a spectrum of one sample."""
     s, wt = as_var(spectrum), as_var(weights)
     sv, wv = s.value, wt.value
     stacked = wv.ndim == sv.ndim
     require(wv.shape[int(stacked):] == sv.shape[1:],
             f"weights {wv.shape} do not match spectrum planes "
             f"{sv.shape[1:]}")
+    stack_count("modulate", (wv, 3), batch=len(sv))
     fault = FAULT_MODULATE_SIGN
-    # blocks of samples against their weights; a shared weight is one block
-    sb, wb = ((batch_blocks(sv, wv.shape[0]), wv[:, None]) if stacked
-              else (sv, wv))
-    value = sb * wb
+    value = sv * wv
     if fault:
-        value.imag -= 2 * (sb.imag * wb.real)
-    value = value.reshape((-1,) + sv.shape[1:])
+        value.imag -= 2 * (sv.imag * wv.real)
 
     def vjp(g):
         gs, gw = g * wv.conj(), (g * sv.conj()).sum(axis=0)

@@ -21,10 +21,10 @@ of `BAND_COLS` columns, one per row tap, of views of the zero-padded plane
 with banded matrices (see `_row_bands`); a delta kernel still reproduces x
 bit for bit.  Its gradients are products of real FFTs (`scipy.fft`, loaded
 on the first gradient).  The conv and depthwise forwards also take stacked
-weights (see `autodiff`): each block of samples gets the bytes of its own
-unstacked call, and an input of one sample is one block that every weight
-shares.  Their gradients take declared shapes only.  The bilinear sampler
-shares an x of one sample with a grid of many.
+weights (see `autodiff`), which meet the batch as `stack_count` states;
+each sample gets the bytes of its own unstacked call.  Their gradients
+take declared shapes only.  The bilinear sampler shares an x of one
+sample with a grid of many.
 """
 
 from __future__ import annotations
@@ -53,27 +53,21 @@ def require_finite(array: np.ndarray, what: str) -> None:
         raise NumericError(f"non-finite values in {what}")
 
 
-def stack_count(op: str, *weights) -> int:
+def stack_count(op: str, *weights, batch: int | None = None) -> int:
     """K for the weights, given as (array or None, declared ndim) pairs,
-    that carry one more leading axis than declared; 0 when none does."""
+    that carry one more leading axis than declared; 0 when none does.
+    Against a batch of samples they broadcast as numpy does: weight k
+    meets sample k of a batch of K, or all K meet a batch of one."""
     counts = {a.shape[0] for a, ndim in weights
               if a is not None and a.ndim == ndim + 1}
     require(len(counts) <= 1,
             f"{op} stacked weights disagree on their count: "
             f"{sorted(counts)}")
-    return counts.pop() if counts else 0
-
-
-def batch_blocks(a: np.ndarray, k: int) -> np.ndarray:
-    """(N, ...) viewed as (k, N // k, ...): the blocks of consecutive
-    samples that k stacked weights apply to, one weight each.  A batch of
-    one sample is one block, (1, 1, ...), that broadcasts against all k
-    weights."""
-    n = a.shape[0]
-    require(k >= 1 and (n == 1 or n % k == 0),
-            f"batch {n} does not split into {k} blocks, one per stacked "
-            f"weight")
-    return a[None] if n == 1 else a.reshape((k, n // k) + a.shape[1:])
+    k = counts.pop() if counts else 0
+    require(not k or batch in (None, 1, k),
+            f"{op} batch {batch} meets {k} stacked weights: it must be "
+            f"1 or {k}")
+    return k
 
 
 class Tensor:
@@ -162,17 +156,12 @@ def conv2d_raw(x: np.ndarray, w: np.ndarray, b, stride: int,
                 f"conv2d bias must have shape ({co},) (or (K, {co}) "
                 f"stacked), got {b.shape}")
         require_finite(b, "conv2d bias")
-    ck = ci * kh * kw
-    cols = blocks = _conv_cols(x, kh, kw, stride, padding, ho, wo)
-    k = 0
-    if w.ndim == 5 or (b is not None and b.ndim == 2):
-        # one GEMM per sample either way: numpy's matmul loops over stacks
-        k = stack_count("conv2d", (w, 4), (b, 1))
-        blocks = batch_blocks(cols, k)
-    y = np.matmul(w.reshape((k, 1, co, ck) if w.ndim == 5 else (co, ck)),
-                  blocks)
+    stack_count("conv2d", (w, 4), (b, 1), batch=n)
+    cols = _conv_cols(x, kh, kw, stride, padding, ho, wo)
+    # one GEMM per sample, stacked or not: numpy's matmul loops over stacks
+    y = np.matmul(w.reshape(w.shape[:-3] + (-1,)), cols)
     if b is not None:
-        y = y + b.reshape((k, 1, co, 1) if b.ndim == 2 else (co, 1))
+        y = y + b[..., None]
     return y.reshape(-1, co, ho, wo), cols
 
 
@@ -244,24 +233,21 @@ def depthwise_conv2d_raw(x: np.ndarray, w: np.ndarray) -> np.ndarray:
             f"depthwise weight has {w.shape[-4]} filters, tensor has "
             f"{c} channels")
     k = w.shape[-1]
-    require(w.shape[-2] == k, f"depthwise kernel must be square, got {w.shape}")
+    require(w.shape[-2] == k and k % 2 == 1,
+            f"depthwise kernel must be square with odd size, got {w.shape}")
+    stack_count("depthwise", (w, 4), batch=n)
     require_finite(x, "depthwise input")
     require_finite(w, "depthwise weights")
     dtype = np.result_type(x, w)
     xp = _zero_pad(x.astype(dtype, copy=False), k // 2)
-    xb = batch_blocks(xp, len(w)) if w.ndim == 5 else xp
-    y = np.empty((len(w) * xb.shape[1] if w.ndim == 5 else n, c, h, wd),
-                 dtype)
-    yb = batch_blocks(y, len(w)) if w.ndim == 5 else y
+    y = np.empty(np.broadcast_shapes((n,), w.shape[:-4]) + (c, h, wd), dtype)
     # one GEMM per plane, row tap and column block, on views of xp and y; a
     # delta kernel's sums hold one nonzero product, so it reproduces x bit
     # for bit
     for v in range(0, wd, BAND_COLS):
         cols = min(BAND_COLS, wd - v)
         bands = _row_bands(w, cols, dtype)
-        if w.ndim == 5:
-            bands = bands[:, None]
-        strip, out = xb[..., v:v + cols + k - 1], yb[..., v:v + cols]
+        strip, out = xp[..., v:v + cols + k - 1], y[..., v:v + cols]
         np.matmul(strip[..., 0:h, :], bands[..., 0, :, :], out=out)
         tmp = np.empty(out.shape, dtype)
         for i in range(1, k):
@@ -302,6 +288,7 @@ def bilinear_sample_raw(x: np.ndarray, coords: np.ndarray):
     column offsets, each (Ng, groups, Ho, Wo) for a grid of batch Ng.  y
     has the grid's batch: an x of one sample is shared by every grid
     sample."""
+    require(x.ndim == 4, f"bilinear input must be 4D, got {x.shape}")
     require(coords.ndim == 5 and coords.shape[-1] == 2,
             f"sampling grid must be (N, groups, H, W, 2), got {coords.shape}")
     require_finite(x, "bilinear input")

@@ -1,12 +1,15 @@
-"""Stacked weights: K weights on one more leading axis, weight k applied
-to the k-th block of N // K consecutive samples, or to the one sample of
-a batch of one, which every weight shares (so the output has K samples).
+"""Stacked weights: K weights on one more leading axis, which meet the
+batch as numpy broadcasts it: weight k meets sample k of a batch of K,
+or all K share a batch of one sample (so the output has K samples).
 
-Every op that takes them must give each block the bytes of its own
+Every op that takes them must give each sample the bytes of its own
 unstacked call, so gradcheck can evaluate all perturbations of one
 parameter in one forward and still report exactly what the row-by-row
-evaluation reports.  The report tests below hold `stage_gradcheck` to
-that: each fails if a later edit reorders a sum in either path.
+evaluation reports.  A batch of n > 1 samples per perturbation is K
+blocks of n samples against the K weights each repeated n times, as
+`stage_gradcheck` hands them.  The report tests below hold
+`stage_gradcheck` to that: each fails if a later edit reorders a sum in
+either path.
 """
 
 import numpy as np
@@ -45,6 +48,11 @@ def blocks(a, n):
     return [a[k * n:(k + 1) * n] for k in range(len(a) // n)]
 
 
+def repeat(w, n):
+    """K stacked weights, each repeated for the n samples of its block."""
+    return np.repeat(w, n, axis=0)
+
+
 def assert_blocks_equal(stacked, singles):
     assert stacked.dtype == singles[0].dtype
     n = len(singles[0])
@@ -70,7 +78,10 @@ class TestStackedOps:
         w = ws if which in ("weight", "both", "no_bias") else ws[0]
         b = (None if which == "no_bias"
              else bs if which in ("bias", "both") else bs[0])
-        got = ad.conv2d(x, w, b, stride, pad).value
+        got = ad.conv2d(x, repeat(w, n) if w.ndim == 5 else w,
+                        None if b is None else
+                        repeat(b, n) if b.ndim == 2 else b,
+                        stride, pad).value
         singles = [ad.conv2d(xk, w[k] if w.ndim == 5 else w,
                              None if b is None else
                              b[k] if b.ndim == 2 else b, stride, pad).value
@@ -85,7 +96,7 @@ class TestStackedOps:
     def test_depthwise(self, dtype, n, hw, kk):
         x = rand(4, (K * n, 3, *hw), dtype)
         w = rand(5, (K, 3, 1, kk, kk), dtype)
-        got = ad.depthwise_conv2d(x, w).value
+        got = ad.depthwise_conv2d(x, repeat(w, n)).value
         singles = [ad.depthwise_conv2d(xk, w[k]).value
                    for k, xk in enumerate(blocks(x, n))]
         assert_blocks_equal(got, singles)
@@ -130,21 +141,20 @@ class TestStackedOps:
         half = (hw[0], hw[1] // 2 + 1)
         s = crand(14, (K * n, 2, *half), dtype)
         w = crand(16, (K, 2, *half), dtype)
-        got = spectral.modulate_v(s, w).value
+        got = spectral.modulate_v(s, repeat(w, n)).value
         singles = [spectral.modulate_v(sk, w[k]).value
                    for k, sk in enumerate(blocks(s, n))]
         assert_blocks_equal(got, singles)
 
     def test_fault_flips_stacked_modulate_as_it_flips_shared(
             self, monkeypatch):
-        s, w = crand(18, (2 * K, 2, 6, 6)), crand(20, (K, 2, 6, 6))
+        s = crand(18, (2 * K, 2, 6, 6))
+        w = repeat(crand(20, (K, 2, 6, 6)), 2)
         clean = spectral.modulate_v(s, w).value
         monkeypatch.setattr(spectral, "FAULT_MODULATE_SIGN", True)
         flipped = spectral.modulate_v(s, w).value
         assert np.array_equal(flipped.real, clean.real)
-        assert np.array_equal(flipped.imag,
-                              clean.imag - 2 * (s.imag * np.repeat(
-                                  w.real, 2, axis=0)))
+        assert np.array_equal(flipped.imag, clean.imag - 2 * (s.imag * w.real))
 
 
 class TestSharedOperand:
@@ -238,15 +248,21 @@ def _ops_on_batch(n):
 class TestStackedRejections:
     @pytest.mark.parametrize("op", sorted(_ops_on_batch(1)))
     def test_batch_that_k_does_not_divide(self, op):
-        with pytest.raises(DimensionError, match="does not split"):
+        with pytest.raises(DimensionError, match="must be 1 or 3"):
             _ops_on_batch(4)[op]()
 
     @pytest.mark.parametrize("op", sorted(_ops_on_batch(1)))
     def test_batch_of_two_is_not_shared(self, op):
         # only one sample broadcasts: two could be one shared batch or two
-        # blocks of one, so they must split
-        with pytest.raises(DimensionError, match="does not split"):
+        # blocks of one, and neither is read into it
+        with pytest.raises(DimensionError, match="must be 1 or 3"):
             _ops_on_batch(2)[op]()
+
+    @pytest.mark.parametrize("op", sorted(_ops_on_batch(1)))
+    def test_batch_of_k_blocks_is_not_split(self, op):
+        # K blocks of two samples need each weight repeated twice
+        with pytest.raises(DimensionError, match="must be 1 or 3"):
+            _ops_on_batch(2 * K)[op]()
 
     def test_grid_batch_must_match_a_batch_above_one(self):
         with pytest.raises(DimensionError, match="grid batch"):
@@ -327,7 +343,8 @@ def test_replace_vars_rejects_other_shapes():
 # the configs whose `stage_gradcheck` reports must not move by a byte:
 # the gate's four single blocks, the batch-2 pyramid of test_ca2neck (a
 # tiled input), a batch-1 pyramid (whose concats, bilinear samples and
-# LDConvs meet a shared one-sample operand) and a non-power-of-two fddem
+# LDConvs meet a shared one-sample operand), a non-power-of-two fddem and
+# its batch-2 twin (the spectral weight ops against a tiled input)
 REPORT_CONFIGS = {
     **{k: v for k, v in GRADCHECK_CONFIGS.items() if k != "ca2neck"},
     "ca2neck_batch2": "[chain]\nseed = 61\ndtype = f64\n\n[ca2neck]\n"
@@ -339,6 +356,9 @@ REPORT_CONFIGS = {
     "fddem_9x7": "[chain]\nseed = 106\ndtype = f64\n\n[fddem]\nchannels = 4\n"
                  "height = 9\nwidth = 7\nbranches = 2\nreduction = 2\n"
                  "params = random\n",
+    "fddem_batch2": "[chain]\nseed = 107\ndtype = f64\n\n[fddem]\n"
+                    "channels = 4\nheight = 9\nwidth = 7\nbatch = 2\n"
+                    "branches = 2\nreduction = 2\nparams = random\n",
 }
 
 

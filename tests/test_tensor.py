@@ -275,6 +275,14 @@ class TestDepthwise:
         with pytest.raises(DimensionError):
             depthwise_conv2d(x, rand_array(1, (2, 1, 3, 2)))
 
+    def test_even_kernel_is_rejected(self):
+        # an even kernel has no centre: refused at the forward, before a
+        # tape records a node whose gradient could not take its shape
+        x = rand_array(0, (1, 2, 5, 5))
+        w = ad.Tape().leaf(rand_array(1, (2, 1, 4, 4)), "w")
+        with pytest.raises(DimensionError, match="odd"):
+            ad.depthwise_conv2d(x, w)
+
     @staticmethod
     def _grad_case(shape, k, dtype=np.float64):
         x = Stream(70).normal(shape).astype(dtype)
@@ -325,6 +333,11 @@ class TestBilinear:
         with pytest.raises(DimensionError):
             ad.bilinear_sample(np.zeros((1, 1, 2, 2)),
                                np.zeros((1, 1, 2, 2, 3)))
+
+    def test_3d_input_is_rejected(self):
+        with pytest.raises(DimensionError, match="4D"):
+            ad.bilinear_sample(np.zeros((1, 2, 2)),
+                               np.zeros((1, 1, 2, 2, 2)))
 
     def test_bounded_by_input_range(self):
         x = Stream(15).normal((2, 4, 6, 6))
