@@ -19,19 +19,21 @@ gradient is the conv itself, run on g with the kernel turned and
 transposed.  The depthwise forward is k BLAS matmuls per plane and block
 of `BAND_COLS` columns, one per row tap, of views of the zero-padded plane
 with banded matrices (see `_row_bands`); a delta kernel still reproduces x
-bit for bit.  Its gradients are products of real FFTs (`scipy.fft`, loaded
-on the first gradient).  The conv and depthwise forwards also take stacked
-weights (see `autodiff`), which meet the batch as `stack_count` states;
-each sample gets the bytes of its own unstacked call.  Their gradients
-take declared shapes only.  The bilinear sampler shares an x of one
-sample with a grid of many.
+bit for bit.  Its gradients are products of real FFTs.  Importing this
+module loads numpy only: the sigmoid is numpy's 1/(1 + exp(−x)), and each
+scipy module loads on its first use, `scipy.special` (erf) on the first
+gelu, `scipy.fft` on the first depthwise gradient and `scipy.sparse` on
+the first bilinear input gradient.  The conv and depthwise forwards also
+take stacked weights (see `autodiff`), which meet the batch as
+`stack_count` states; each sample gets the bytes of its own unstacked
+call.  Their gradients take declared shapes only.  The bilinear sampler
+shares an x of one sample with a grid of many.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import erf, expit
 
 from .errors import DimensionError, NumericError
 
@@ -372,6 +374,7 @@ def bilinear_sample_grads(g: np.ndarray, x: np.ndarray, coords: np.ndarray,
 def gelu_raw(x: np.ndarray):
     """x·Φ(x) with Φ(x) = 0.5·(1 + erf(x/√2)); (y, Φ(x)), the part of the
     gradient that `gelu_grad` takes."""
+    from scipy.special import erf
     require_finite(x, "gelu input")
     t = 1.0 + erf(x * _INV_SQRT2)
     return 0.5 * x * t, 0.5 * t
@@ -383,8 +386,11 @@ def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 
 def sigmoid_raw(x: np.ndarray) -> np.ndarray:
+    """1/(1 + exp(−x)), the formula of scipy's `expit`: exp's overflow
+    at very negative x gives 0 and its underflow at large x gives 1."""
     require_finite(x, "sigmoid input")
-    return expit(x)
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid_grad_from_value(s: np.ndarray) -> np.ndarray:

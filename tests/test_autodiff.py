@@ -220,6 +220,56 @@ class TestGradcheckHarness:
                                        "cosine", "pass"}
         assert d["params"][0]["cosine"] == pytest.approx(1.0, abs=1e-12)
 
+    @staticmethod
+    def _offset_sigmoid_loss(offset, vjp_scale=1.0):
+        # sum σ(w) + offset; the vjp optionally off by a relative vjp_scale
+        def fn(p):
+            w = p["w"]
+            s = tc.sigmoid_raw(w.value)
+            y = ad._apply(s, (w,), lambda g: (g * s * (1.0 - s) * vjp_scale,),
+                          "sigmoid")
+            return ad.add(ad.sum_all(y), np.float64(offset))
+        return fn
+
+    def test_offset_loss_passes_on_the_refined_reference(self):
+        # a constant 2e7 puts ~1e-9 of rounding on each loss, which a plain
+        # central difference at eps 1e-5 turns into a relative error
+        # above tol on gradients near 0.2; the Ridders steps do not
+        w = rand(70, (16,))
+        fn = self._offset_sigmoid_loss(2e7)
+        s = tc.sigmoid_raw(w)
+        exact = s * (1.0 - s)
+
+        def loss(d):
+            return np.array([float(fn({"w": ad.Var(w + e)}).value)
+                             for e in np.eye(16) * d])
+        plain = (loss(1e-5) - loss(-1e-5)) / 2e-5
+        assert (np.abs(plain - exact) / exact).max() > 1e-4
+        report = gradcheck(fn, {"w": w})
+        assert report.passed, report.as_dict()
+        assert report.params[0].max_rel_err <= 1e-5
+
+    def test_vjp_off_by_1e_3_fails_on_the_refined_reference(self):
+        report = gradcheck(self._offset_sigmoid_loss(2e7, 1.0 + 1e-3),
+                           {"w": rand(70, (16,))})
+        assert not report.passed
+        assert report.params[0].max_rel_err > 9e-4
+
+    @pytest.mark.parametrize("offset,rows", [(0.0, [8]), (2e7, [8, 24])])
+    def test_refinement_rows_share_one_evaluator_call(self, offset, rows):
+        # four coordinates: one call of 8 rows at ±eps, and, when their
+        # round-off budget is not small against tol, one call of 24 rows
+        # at ± each of the three Ridders steps
+        fn = self._offset_sigmoid_loss(offset)
+        rowwise, seen = ad._rowwise(fn), []
+
+        def losses(params, name, stack):
+            seen.append(len(stack))
+            return rowwise(params, name, stack)
+
+        assert gradcheck(fn, {"w": rand(71, (4,))}, losses=losses).passed
+        assert seen == rows
+
     def test_subsampling_large_param(self):
         x = rand(16, (1, 4, 16, 16))
 

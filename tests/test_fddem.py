@@ -263,3 +263,37 @@ def test_import_and_inference_leave_scipy_fft_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_import_and_scipy_free_inference_load_no_scipy():
+    # sigmoid and silu run on numpy's exp, so `import sepkit`, the CLI and
+    # the f32 inference of fddem, ldconv and dysample load no scipy module
+    # at all; the first GELU (msgrb) loads scipy.special for its erf
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import sepkit, sepkit.cli\n"
+        "from sepkit.rng import Stream\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded(), loaded()\n"
+        "x = np.ones((1, 8, 20, 12), np.float32)\n"
+        "p = sepkit.FddemParams.random(8, 20, 12, Stream(1),"
+        " dtype=np.float32)\n"
+        "sepkit.fddem_forward(x, p)\n"
+        "p = sepkit.LdconvParams.init(8, 16, stride=2, rng=Stream(2),"
+        " dtype=np.float32)\n"
+        "sepkit.ldconv_forward(x, p)\n"
+        "p = sepkit.DysampleParams.init(8, rng=Stream(3), dtype=np.float32)\n"
+        "sepkit.dysample_forward(x, p)\n"
+        "assert not loaded(), loaded()\n"
+        "p = sepkit.MsgrbParams.random(8, Stream(4), dtype=np.float32)\n"
+        "sepkit.msgrb_forward(x, p)\n"
+        "assert 'scipy.special' in sys.modules, loaded()\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

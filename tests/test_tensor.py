@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from sepkit import DimensionError, NumericError, Tensor
 from sepkit import autodiff as ad
 from sepkit.rng import Stream
 from sepkit.tensor import (BAND_COLS, conv2d_grads, conv2d_raw,
-                           depthwise_conv2d_grads, gelu_raw, sigmoid_raw)
+                           depthwise_conv2d_grads, gelu_raw, sigmoid_raw,
+                           silu_raw)
 
 from oracles import (CONV_BLOCK_CASES, DEPTHWISE_GRAD_CASES, conv2d_naive,
                      depthwise_naive)
@@ -14,6 +15,18 @@ from oracles import (CONV_BLOCK_CASES, DEPTHWISE_GRAD_CASES, conv2d_naive,
 
 def rand_array(seed, shape):
     return Stream(seed).normal(shape)
+
+
+def ulps(a, b):
+    """|a - b| in units in the last place: the distance of the two values
+    in the ordered sequence of floats of their dtype (±0 coincide)."""
+    bits = {np.dtype(np.float32): np.int32, np.dtype(np.float64): np.int64}
+    signed = bits[a.dtype]
+
+    def order(v):
+        i = v.view(signed).astype(np.int64)
+        return np.where(i < 0, np.iinfo(signed).min - i, i)
+    return np.abs(order(a) - order(b))
 
 
 # the Var ops, on ndarrays, returning the value array
@@ -391,6 +404,29 @@ class TestActivations:
                 assert v.reshape(-1).tolist() == [0.0, 0.5, 1.0]
         with pytest.raises(NumericError):
             sigmoid_raw(np.full((1, 1, 1, 1), np.nan))
+
+    @pytest.mark.parametrize("dtype,edges", [(np.float32, (88.0, 104.0)),
+                                             (np.float64, (709.0, 745.0))])
+    def test_sigmoid_and_silu_within_ulps_of_expit(self, dtype, edges):
+        # scipy's expit computes the same 1/(1 + exp(-x)); only exp's
+        # last-place rounding differs.  The draws cover the bulk, the
+        # whole saturating range and ±2 around exp(-x)'s overflow and
+        # underflow, where σ turns subnormal or rounds to 1.
+        rng = Stream(72)
+        reach = edges[1] + 15.0
+        x = np.concatenate(
+            [rng.normal((400_000,), scale=8.0),
+             (2.0 * rng.uniform((400_000,)) - 1.0) * reach]
+            + [sign * edge + 4.0 * rng.uniform((50_000,)) - 2.0
+               for edge in edges for sign in (-1.0, 1.0)]).astype(dtype)
+        want = expit(x)
+        s = sigmoid_raw(x)
+        y, kept = silu_raw(x)
+        assert s.dtype == y.dtype == dtype
+        assert kept.tobytes() == s.tobytes()
+        assert ulps(s, want).max() <= 4
+        # x·σ(x) adds its own rounding, and σ's subnormals carry fewer bits
+        assert ulps(y, x * want).max() <= 6
 
     def test_sigmoid_range(self):
         x = rand_array(19, (1, 2, 8, 8))
