@@ -8,9 +8,12 @@ Dual-branch block over a fixed (C, H, W) feature size:
   * frequency detail branch: one half-spectrum DFT of the input, then per
     branch a complex product with the Hermitian fold of that branch's
     learnable (C, H, W) complex weights (folded once, on first use); the B
-    products are concatenated on the channel axis and inverted by one
-    transform, which gives each branch's Re(ifft2(fft2(x) * W)) exactly,
-    and compressed by a zero-initialized 1x1 convolution;
+    products are concatenated on the channel axis and compressed by a
+    zero-initialized 1x1 convolution on the half spectrum (`mix_v`),
+    before one inverse transform of the C mixed planes.  The inverse is
+    planewise and linear, so this is the compress conv of every branch's
+    Re(ifft2(fft2(x) * W)), each inverted on its own, up to round-off;
+    the compression bias is added after the inverse;
   * dual attention: channel logits (global average + max pooling through
     a shared two-layer 1x1-conv MLP) and spatial logits (channel mean/max
     maps through a 7x7 convolution) are added under a single sigmoid,
@@ -138,17 +141,22 @@ def dual_attention(f, p: FddemParams) -> ad.Var:
     return ad.sigmoid(ad.add(channel_logits, spatial_logits))
 
 
-def frequency_branch(x, branches) -> ad.Var:
-    """Every branch's Re(ifft2(fft2(x) * W)), stacked branch-major on the
-    channel axis as one (N, B*C, H, W) Var.
+def frequency_feature(x, p: FddemParams) -> ad.Var:
+    """The compressed frequency feature of x, shaped like x.
 
     One half-spectrum transform of x, one complex product per branch with
-    its folded weights, and one inverse transform for all B products.
+    its folded weights, the B products mixed down to C channels by
+    `compress_w` on the half spectrum, one inverse transform of the C
+    planes, and `compress_b` added per channel (a stacked (K, C) bias
+    broadcasts to K samples).
     """
     xv = ad.as_var(x)
     spectrum = spectral.rfft2_v(xv)
-    products = [spectral.modulate_v(spectrum, wb.fold()) for wb in branches]
-    return spectral.irfft2_v(ad.concat(products, axis=1), xv.value.shape[-1])
+    products = [spectral.modulate_v(spectrum, wb.fold()) for wb in p.branches]
+    mixed = spectral.mix_v(ad.concat(products, axis=1), p.compress_w)
+    b = ad.as_var(p.compress_b)
+    return ad.add(spectral.irfft2_v(mixed, xv.value.shape[-1]),
+                  ad.reshape(b, b.value.shape + (1, 1)))
 
 
 def fddem_forward(x, p: FddemParams) -> ad.Var:
@@ -164,7 +172,6 @@ def fddem_forward(x, p: FddemParams) -> ad.Var:
         ad.silu(ad.conv2d(xv, p.spatial1_w, p.spatial1_b, padding=1)),
         p.spatial2_w, p.spatial2_b, padding=1))
 
-    f = ad.conv2d(frequency_branch(xv, p.branches), p.compress_w,
-                  p.compress_b)
+    f = frequency_feature(xv, p)
 
     return ad.add(spatial, ad.mul(dual_attention(f, p), f))

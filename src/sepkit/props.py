@@ -232,8 +232,9 @@ def _hermitian_symmetry(seed):
 def _modulate_identity_roundtrip(seed):
     rng = Stream(seed)
     x = _rand(rng, (1, 2, 8, 8))
-    w = spectral.ComplexWeights.identity(2, 8, 8)
-    y = fd.frequency_branch(x, [w])
+    p = fd.FddemParams.identity(2, 8, 8, branches=1, reduction=1)
+    p.compress_w = np.eye(2).reshape(2, 2, 1, 1)
+    y = fd.frequency_feature(x, p)
     err = float(np.abs(y.value - x).max())
     return err <= 1e-10, err
 
@@ -261,8 +262,7 @@ def _fddem_zero_input(seed):
 def _fddem_freq_path_bounded(seed):
     rng = Stream(seed)
     p = fd.FddemParams.random(4, 8, 8, rng)
-    enhanced = fd.frequency_branch(_rand(rng, (1, 4, 8, 8)), p.branches)
-    f = tc.conv2d_raw(enhanced.value, p.compress_w, p.compress_b, 1, 0)[0]
+    f = fd.frequency_feature(_rand(rng, (1, 4, 8, 8)), p).value
     att = fd.dual_attention(f, p).value
     excess = float((np.abs(att * f) - np.abs(f)).max())
     in_range = bool((att > 0).all() and (att < 1).all())

@@ -26,15 +26,17 @@ weight map reaches a real output, which makes the half spectrum exact:
 A branch is `irfft2_v(modulate_v(rfft2_v(x), Wh), W)` with `Wh` from
 `ComplexWeights.fold()`: computed once for array weights, a
 `hermitian_fold_v` tape node for lifted ones, so every stored weight
-still gets its gradient.  The inverse is planewise, so the products of
-several branches stacked on the channel axis share one `irfft2_v`.  These
-four ops are the one execution path, with or without a tape, and carry
-complex values in `Var`s under the gradient convention stated in
-`autodiff`.  `dft2_raw` is the plain-array transform underneath them.
-Off the tape, `hermitian_fold_v` and `modulate_v` also take stacked
-weights (K weights on one more leading axis, as `autodiff` describes);
-`modulate_v` pairs weight k with sample k, or shares a one-sample
-spectrum among all K.
+still gets its gradient.  The inverse is planewise and linear, so a real
+1x1 channel mix commutes with it: `mix_v` compresses the products of
+several branches, stacked on the channel axis, on the half spectrum, and
+one `irfft2_v` inverts only the mixed planes.  These five ops are the one
+execution path, with or without a tape, and carry complex values in
+`Var`s under the gradient convention stated in `autodiff`.  `dft2_raw` is
+the plain-array transform underneath them.  Off the tape,
+`hermitian_fold_v`, `modulate_v` and `mix_v` also take stacked weights (K
+weights on one more leading axis, as `autodiff` describes); `modulate_v`
+and `mix_v` pair weight k with sample k, or share a one-sample spectrum
+among all K.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import tensor as tc
 from .autodiff import Var, as_var
 from .rng import Stream
 from .tensor import require, require_finite, stack_count
@@ -298,3 +301,42 @@ def modulate_v(spectrum, weights) -> Var:
             gw.real -= 2 * (g.imag * sv.imag).sum(axis=0)
         return gs, gw
     return ad._apply(value, (s, wt), vjp, "modulate", stacked)
+
+
+def _real_view(z: np.ndarray) -> np.ndarray:
+    """(..., Wh) complex as (..., 2·Wh) real, each bin's parts adjacent."""
+    return np.ascontiguousarray(z).view(z.real.dtype)
+
+
+def _complex_view(a: np.ndarray) -> np.ndarray:
+    """The inverse of `_real_view` on a C-contiguous real array."""
+    return a.view(np.result_type(a, np.complex64))
+
+
+def mix_v(spectrum, weight) -> Var:
+    """Differentiable channel mix of an (N, Ci, H, Wh) half spectrum by a
+    real (C, Ci, 1, 1) weight, or a stacked (K, C, Ci, 1, 1) one, giving
+    (N or K, C, H, Wh).
+
+    It is the 1x1 `conv2d_raw` on the spectrum's real view (N, Ci, H,
+    2·Wh), whose real and imaginary parts are two more columns, and its
+    vjps are `conv2d_grads` on the same view: w^T·g for the spectrum and
+    Re(g·conj(S)) summed over batch and bins for the weight.  A planewise
+    inverse commutes with it, so mixing before `irfft2_v` inverts C
+    planes in place of Ci.
+    """
+    s, wt = as_var(spectrum), as_var(weight)
+    sv, wv = s.value, wt.value
+    require(np.iscomplexobj(sv),
+            f"mix takes a complex half spectrum, got {sv.dtype}")
+    require(wv.ndim in (4, 5) and wv.shape[-2:] == (1, 1),
+            f"mix weight must be (C, Ci, 1, 1) (or (K, C, Ci, 1, 1) "
+            f"stacked), got {wv.shape}")
+    stack = stack_count("mix", (wv, 4), batch=len(sv))
+    xr = _real_view(sv)
+    yr, cols = tc.conv2d_raw(xr, wv, None, 1, 0)
+
+    def vjp(g):
+        gx, gw, _ = tc.conv2d_grads(_real_view(g), xr, wv, cols, 1, 0, False)
+        return _complex_view(gx), gw
+    return ad._apply(_complex_view(yr), (s, wt), vjp, "mix", bool(stack))

@@ -2,17 +2,19 @@
 
 Everything here is written the slow, obvious way (explicit loops, literal
 formulas) so it shares no code path with the library implementations it
-checks.  Three exceptions: `frequency_branch_naive`, built on the
+checks.  Four exceptions: `frequency_branch_naive`, built on the
 library's per-bin reference DFT, which the spectral tests hold to the
 literal `dft2_literal` oracle and which shares nothing with the
-half-spectrum path it checks; and `frequency_branch_per_branch` and
-`ldconv_per_point`, built on the library's own kernels, which check only
-how the frequency branch and LDConv batch their work, so they can be held
-to equal bytes.
+half-spectrum path it checks; `frequency_branch`, the library's spectral
+ops composed into every branch's real output; and
+`frequency_branch_per_branch` and `ldconv_per_point`, built on the
+library's own kernels, which check only how the frequency branch and
+LDConv batch their work, so they can be held to equal bytes.
 """
 
 import numpy as np
 
+from sepkit import autodiff as ad
 from sepkit import spectral
 from sepkit import tensor as tc
 from sepkit.ca2neck import ldconv_coords
@@ -127,6 +129,17 @@ def frequency_branch_naive(x, branches):
     spec = _naive_dft2_planes(x.astype(np.complex128), -1)
     return [_naive_dft2_planes(spec * (wb.re + 1j * wb.im), +1).real
             / (h * w) for wb in branches]
+
+
+def frequency_branch(x, branches):
+    """Every branch's Re(ifft2(fft2(x) * W)), stacked branch-major on the
+    channel axis as one (N, B*C, H, W) Var: one half-spectrum transform of
+    x, one complex product per branch with its folded weights, and one
+    inverse transform of all B*C product planes."""
+    xv = ad.as_var(x)
+    spectrum = spectral.rfft2_v(xv)
+    products = [spectral.modulate_v(spectrum, wb.fold()) for wb in branches]
+    return spectral.irfft2_v(ad.concat(products, axis=1), xv.value.shape[-1])
 
 
 def frequency_branch_per_branch(x, branches):

@@ -8,14 +8,14 @@ from sepkit import (Ca2neckParams, DimensionError, NumericError, Tape,
                     ca2neck_forward, gradcheck)
 from sepkit import autodiff as ad
 from sepkit import spectral
-from sepkit.fddem import frequency_branch
 from sepkit import tensor as tc
 from sepkit.params import named_arrays, replace_vars
 from sepkit.props import run_properties
 from sepkit.rng import Stream
 
 from oracles import (CONV_BLOCK_CASES, DEPTHWISE_GRAD_CASES,
-                     bilinear_grid_grad_naive, bilinear_input_grad_naive)
+                     bilinear_grid_grad_naive, bilinear_input_grad_naive,
+                     frequency_branch)
 
 
 def rand(seed, shape):

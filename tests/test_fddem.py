@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,12 +10,14 @@ from sepkit import (DimensionError, FddemParams, Tensor, dual_attention,
                     fddem_forward, gradcheck)
 from sepkit import autodiff as ad
 from sepkit import fddem, spectral
-from sepkit.fddem import frequency_branch
+from sepkit import tensor as tc
+from sepkit.fddem import frequency_feature
 from sepkit.params import named_arrays, replace_vars
 from sepkit.rng import Stream
 
-from oracles import (FREQUENCY_ORACLE_PLANES, frequency_branch_naive,
-                     frequency_branch_per_branch)
+from oracles import (FREQUENCY_ORACLE_PLANES, frequency_branch,
+                     frequency_branch_naive, frequency_branch_per_branch)
+from test_f32_envelope import F32_REL_BOUND
 
 
 def rand_array(seed, shape):
@@ -107,11 +110,9 @@ class TestFddemForward:
         assert (y.value == 0).all()
 
     def test_frequency_contribution_bounded(self):
-        from sepkit.tensor import conv2d_raw
         p = FddemParams.random(4, 8, 8, Stream(8))
         x = rand_array(9, (1, 4, 8, 8))
-        f, _ = conv2d_raw(frequency_branch(x, p.branches).value,
-                          p.compress_w, p.compress_b, 1, 0)
+        f = frequency_feature(x, p).value
         att = dual_attention(f, p).value
         assert (np.abs(att * f) <= np.abs(f)).all()
 
@@ -165,9 +166,36 @@ class TestFddemGradients:
             assert np.abs(g).max() > 0.0, f"dead parameter {name}"
 
 
+def composed_feature(planes, p):
+    """The frequency feature composed as the real-plane path composes it:
+    the (N, B*C, H, W) branch outputs through the 1x1 compress conv."""
+    return tc.conv2d_raw(planes, p.compress_w, p.compress_b, 1, 0)[0]
+
+
+def block_on_feature(x, p, feature, monkeypatch):
+    """The block with `feature` as its frequency feature.  It fails unless
+    the block takes its feature from `frequency_feature`, once, so a block
+    that stops calling it cannot be compared with itself."""
+    calls = []
+
+    def patched(xv, params):
+        calls.append(params)
+        return ad.Var(feature)
+    with monkeypatch.context() as m:
+        m.setattr(fddem, "frequency_feature", patched)
+        y = fddem_forward(x, p).value
+    assert len(calls) == 1 and calls[0] is p
+    return y
+
+
+def assert_close(got, ref, rel):
+    assert got.dtype == ref.dtype
+    assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
 class TestFrequencyBranchOracle:
-    """The half-spectrum branch against Re(ifft2(fft2(x) * W)) computed bin
-    by bin on the full spectrum, batch 2, f64."""
+    """The half-spectrum path against Re(ifft2(fft2(x) * W)) computed bin
+    by bin on the full spectrum, f64."""
 
     @pytest.mark.parametrize("h,w", FREQUENCY_ORACLE_PLANES)
     def test_branches_match_full_spectrum_oracle(self, h, w):
@@ -178,21 +206,30 @@ class TestFrequencyBranchOracle:
         for y, ref in zip(ys, refs, strict=True):
             assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("h,w", FREQUENCY_ORACLE_PLANES)
+    @pytest.mark.parametrize("h,w", FREQUENCY_ORACLE_PLANES + [(64, 64)])
     def test_block_matches_block_on_oracle_branch(self, h, w, monkeypatch):
-        p = FddemParams.random(4, h, w, Stream(h * 100 + w + 1))
+        # the mix on the half spectrum against each branch inverted on its
+        # own, bin by bin, then compressed; batch 1 is the first sample and
+        # B branches the first B, so the oracle runs once per plane
+        full = FddemParams.random(4, h, w, Stream(h * 100 + w + 1))
         x = Stream(h + w + 1).normal((2, 4, h, w))
-        y = fddem_forward(x, p).value
-        monkeypatch.setattr(fddem, "frequency_branch", lambda xv, branches:
-                            ad.Var(np.concatenate(frequency_branch_naive(
-                                xv.value, branches), axis=1)))
-        ref = fddem_forward(x, p).value
-        assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+        naive = frequency_branch_naive(x, full.branches)
+        for branches in (1, 2, 3):
+            p = dataclasses.replace(full, branches=full.branches[:branches],
+                                    compress_w=full.compress_w[:, :4 * branches])
+            planes = np.concatenate(naive[:branches], axis=1)
+            for batch in (1, 2):
+                ref = composed_feature(planes[:batch], p)
+                assert_close(frequency_feature(x[:batch], p).value, ref, 1e-12)
+                assert_close(fddem_forward(x[:batch], p).value,
+                             block_on_feature(x[:batch], p, ref, monkeypatch),
+                             1e-12)
 
 
 class TestFrequencyBranchBytes:
-    """Weights folded once and one inverse transform for all branches give
-    the bytes of folding, modulating and inverting each branch on its own."""
+    """The frequency feature and the block against folding, modulating and
+    inverting each branch on its own, then the compress conv: within 1e-12
+    of the reference in f64 and the f32 envelope's bound in f32."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64],
                              ids=["f32", "f64"])
@@ -200,6 +237,7 @@ class TestFrequencyBranchBytes:
                                      (64, 64)])
     def test_stacked_branches_match_per_branch_composition(
             self, h, w, dtype, monkeypatch):
+        rel = 1e-12 if dtype == np.float64 else F32_REL_BOUND
         for batch in (1, 2):
             for branches in (1, 2, 3):
                 seed = 1000 * h + 10 * w + branches
@@ -207,16 +245,11 @@ class TestFrequencyBranchBytes:
                                        branches=branches, reduction=2,
                                        dtype=dtype)
                 x = Stream(seed + batch).normal((batch, 4, h, w)).astype(dtype)
-                y = frequency_branch(x, p.branches).value
-                ref = frequency_branch_per_branch(x, p.branches)
-                assert y.dtype == ref.dtype and np.array_equal(y, ref)
-
-                block = fddem_forward(x, p).value
-                with monkeypatch.context() as m:
-                    m.setattr(fddem, "frequency_branch", lambda xv, bs: ad.Var(
-                        frequency_branch_per_branch(xv.value, bs)))
-                    block_ref = fddem_forward(x, p).value
-                assert np.array_equal(block, block_ref)
+                ref = composed_feature(
+                    frequency_branch_per_branch(x, p.branches), p)
+                assert_close(frequency_feature(x, p).value, ref, rel)
+                assert_close(fddem_forward(x, p).value,
+                             block_on_feature(x, p, ref, monkeypatch), rel)
 
 
 def test_modulate_sign_fault_moves_the_block_output():

@@ -7,12 +7,11 @@ from sepkit import (ComplexWeights, DimensionError, FddemParams,
                     NumericError, Tape)
 from sepkit import autodiff as ad
 from sepkit import spectral
-from sepkit.fddem import frequency_branch
 from sepkit.io import read_params, write_params
 from sepkit.params import ParamStore, lift, named_arrays, replace_arrays
 from sepkit.rng import Stream
 
-from oracles import dft2_literal, idft2_literal
+from oracles import dft2_literal, frequency_branch, idft2_literal
 
 
 def rand_plane(seed, h, w, channels=1, batch=1):
@@ -233,6 +232,36 @@ class TestModulate:
                                       np.zeros((2, 4, 5)))
 
 
+class TestMix:
+    def test_matches_channel_sum_per_bin(self):
+        s = _complex(70, (2, 3, 6, 4))
+        w = _real(72, (5, 3, 1, 1))
+        ref = np.einsum("oi,nihw->nohw", w[:, :, 0, 0], s)
+        got = spectral.mix_v(s, w).value
+        assert got.shape == (2, 5, 6, 4) and got.dtype == s.dtype
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_non_contiguous_spectrum_gives_the_bytes_of_its_copy(self):
+        big = _complex(74, (2, 6, 9, 7))
+        view = big[:, ::2, :, 1:5]
+        assert not view.flags.c_contiguous
+        w = _real(76, (4, 3, 1, 1))
+        g = _complex(77, (2, 8, 9, 7))[:, ::2, :, 2:6]
+        outs = []
+        for s in (view, view.copy()):
+            tape = ad.Tape()
+            leaves = tape.leaf(s, "s"), tape.leaf(w, "w")
+            y = spectral.mix_v(*leaves)
+            outs.append((y.value, *tape.backward(y, g).values()))
+        for got, want in zip(*outs, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 3, 3), (4, 3), (4, 2, 1, 1)])
+    def test_weight_shape_validated(self, shape):
+        with pytest.raises(DimensionError):
+            spectral.mix_v(_complex(78, (1, 3, 6, 4)), np.ones(shape))
+
+
 class TestMultiBranch:
     def test_identity_branch_round_trips(self):
         x = rand_plane(13, 8, 8, channels=2)
@@ -343,7 +372,8 @@ class TestComplexWeightsInit:
 
 
 # Each half-spectrum op as (input maker, op, groups): inputs are (2, 3, H, W)
-# real planes, (2, 3, H, W//2+1) half spectra, or (3, H, W) weight pairs;
+# real planes, (2, 3, H, W//2+1) half spectra, (3, H, W) weight pairs or a
+# (4, 3, 1, 1) channel mix;
 # the op is linear in each group of inputs while the others stay fixed.
 def _real(seed, shape):
     return Stream(seed).normal(shape)
@@ -365,6 +395,9 @@ HALF_OPS = {
     "modulate": (lambda h, w: (_complex(6, (2, 3, h, w // 2 + 1)),
                                _complex(8, (3, h, w // 2 + 1))),
                  lambda w, s, wt: spectral.modulate_v(s, wt), [(0,), (1,)]),
+    "mix": (lambda h, w: (_complex(10, (2, 3, h, w // 2 + 1)),
+                          _real(12, (4, 3, 1, 1))),
+            lambda w, s, wt: spectral.mix_v(s, wt), [(0,), (1,)]),
 }
 PLANES = [(8, 8), (9, 7), (6, 10)]
 

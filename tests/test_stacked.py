@@ -146,6 +146,17 @@ class TestStackedOps:
                    for k, sk in enumerate(blocks(s, n))]
         assert_blocks_equal(got, singles)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", BATCHES)
+    @pytest.mark.parametrize("hw", PLANES)
+    def test_mix(self, dtype, n, hw):
+        s = crand(24, (K * n, 6, hw[0], hw[1] // 2 + 1), dtype)
+        w = rand(26, (K, 2, 6, 1, 1), dtype)
+        got = spectral.mix_v(s, repeat(w, n)).value
+        singles = [spectral.mix_v(sk, w[k]).value
+                   for k, sk in enumerate(blocks(s, n))]
+        assert_blocks_equal(got, singles)
+
     def test_fault_flips_stacked_modulate_as_it_flips_shared(
             self, monkeypatch):
         s = crand(18, (2 * K, 2, 6, 6))
@@ -201,6 +212,15 @@ class TestSharedOperand:
                                   for k in range(K)])
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("hw", PLANES)
+    def test_mix(self, dtype, hw):
+        s = crand(58, (1, 6, hw[0], hw[1] // 2 + 1), dtype)
+        w = rand(59, (K, 2, 6, 1, 1), dtype)
+        got = spectral.mix_v(s, w).value
+        assert_blocks_equal(got, [spectral.mix_v(s, w[k]).value
+                                  for k in range(K)])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("groups", [1, 2])
     def test_bilinear_sample(self, dtype, groups):
         x = rand(59, (1, 4, 6, 7), dtype)
@@ -242,6 +262,7 @@ def _ops_on_batch(n):
                                          rand(27, (K, 4))),
         "depthwise": lambda: ad.depthwise_conv2d(x, rand(28, (K, 2, 1, 3, 3))),
         "modulate": lambda: spectral.modulate_v(s, crand(29, (K, 2, 6, 4))),
+        "mix": lambda: spectral.mix_v(s, rand(37, (K, 4, 2, 1, 1))),
     }
 
 
@@ -291,6 +312,8 @@ class TestStackedRejections:
                            (2, 6, 6)),
         "modulate": (lambda w, s: spectral.modulate_v(s, w), (K, 2, 6, 4),
                      (K, 2, 6, 4)),
+        "mix": (lambda w, x: spectral.mix_v(spectral.rfft2_v(x), w),
+                (K, 4, 2, 1, 1), (K, 2, 6, 6)),
     }
 
     @pytest.mark.parametrize("taped", ["weight", "other"])
