@@ -28,8 +28,8 @@ evaluates the perturbations of one parameter as one stack: a (K, *shape)
 array whose row 2j holds +eps and row 2j+1 holds -eps at the j-th
 checked coordinate.  An evaluator maps a stack to its K losses.  The
 default one runs the closure once per row; a batched one (the CLI's
-`stage_gradcheck`) runs one forward in which the stacked parameter holds
-K weights.  They meet the batch as numpy broadcasts it
+`stage_gradcheck`) runs one forward per sample, in which the stacked
+parameter holds K weights.  They meet the batch as numpy broadcasts it
 (`tensor.stack_count`): weight k meets sample k of a batch of K, or all
 K share a batch of one sample and give K samples, so work that the
 stacked parameter does not reach runs once.  Ops that take stacked

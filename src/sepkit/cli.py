@@ -155,43 +155,42 @@ def cmd_gradcheck(args) -> int:
 def stage_gradcheck(stage, x, seed: int) -> ad.GradReport:
     """Certify every parameter of one built stage on the given input.
 
-    The loss is the sum of the outputs (of all levels, in order).  Each
-    slice of K rows of a parameter's perturbation stack runs as one
-    forward, the checked parameter stacked and every other one passed as
-    the array gradcheck holds.  An input of one sample is shared by all K
-    weights, so only the work the checked parameter reaches runs K times.
-    An input of N > 1 samples is tiled K times along the batch axis and
-    each row repeated N times, so every sample of tile k meets row k.  Row
-    k's loss is the sum of tile k of the outputs; an output the checked
-    parameter does not reach keeps one sample, whose sum serves every
-    row."""
+    Every block maps each sample on its own, so the loss is a sum of
+    per-sample terms: for each sample in batch order, the sum of its
+    output on each level in order, added left to right.  The taped
+    closure runs one batched forward and splits each output along the
+    batch axis.  Each slice of K rows of a parameter's perturbation stack
+    runs one forward per sample, the checked parameter stacked and every
+    other one passed as the array gradcheck holds: the one-sample slice is
+    shared by all K weights, so only the work the checked parameter
+    reaches runs K times.  An output that parameter does not reach keeps
+    one sample, whose sum serves every row."""
     forward = STAGES[stage.kind].forward
     pyramid = isinstance(x, list)
     levels = [t.data for t in x] if pyramid else [x.data]
     n = len(levels[0])
 
-    def run(leaves, inputs):
-        out = forward(inputs if pyramid else inputs[0],
-                      replace_vars(stage.params, leaves), stage.options)
+    def run(params, inputs):
+        out = forward(inputs if pyramid else inputs[0], params, stage.options)
         return out if isinstance(out, list) else [out]
 
     def fn(leaves):
-        outs = run(leaves, [ad.Var(a) for a in levels])
-        total = ad.sum_all(outs[0])
-        for o in outs[1:]:
-            total = ad.add(total, ad.sum_all(o))
+        outs = run(replace_vars(stage.params, leaves),
+                   [ad.Var(a) for a in levels])
+        samples = [ad.split(o, [1] * n, axis=0) for o in outs]
+        terms = [ad.sum_all(level[i]) for i in range(n) for level in samples]
+        total = terms[0]
+        for term in terms[1:]:
+            total = ad.add(total, term)
         return total
 
     def losses(params, name, stack):
-        k = len(stack)
-        leaves = {**params, name: ad.Var(np.repeat(stack, n, axis=0))}
-        outs = run(leaves, [a if n == 1 else np.concatenate([a] * k)
-                            for a in levels])
-        # K row sums, or one for an output of an untiled one-sample input
-        # that the checked parameter does not reach
-        sums = [o.value.reshape(len(o.value) // n, -1).sum(axis=1)
-                for o in outs]
-        return np.broadcast_to(sum(sums[1:], sums[0]), (k,))
+        live = replace_vars(stage.params, {**params, name: ad.Var(stack)})
+        # K row sums, or one for an output the checked parameter misses
+        sums = [o.value.reshape(len(o.value), -1).sum(axis=1)
+                for i in range(n)
+                for o in run(live, [a[i:i + 1] for a in levels])]
+        return np.broadcast_to(sum(sums[1:], sums[0]), (len(stack),))
 
     return ad.gradcheck(fn, named_arrays(stage.params), eps=1e-5, tol=1e-4,
                         seed=derive_seed(seed, 13), losses=losses)

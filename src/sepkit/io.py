@@ -4,10 +4,6 @@ Tensor files ("SEPT"): magic, format version u32 LE = 1, dtype u8
 (0 = f32, 1 = f64), ndim u8 = 4, four u64 LE dims (N, C, H, W), then raw
 little-endian values row-major.  No compression or alignment padding.
 
-Complex files ("SEPC"): the magic followed by two consecutive SEPT blocks,
-real part then imaginary part; they hold a complex64 (f32 blocks) or
-complex128 (f64 blocks) array.
-
 Parameter files ("SEPP"): the magic, a u32 LE entry count, then repeated
 [name length u16 LE, UTF-8 name, SEPT block] in insertion order.
 
@@ -29,10 +25,9 @@ import numpy as np
 
 from .errors import DimensionError
 from .params import ParamStore
-from .tensor import Tensor, require
+from .tensor import Tensor
 
 MAGIC_TENSOR = b"SEPT"
-MAGIC_COMPLEX = b"SEPC"
 MAGIC_PARAMS = b"SEPP"
 FORMAT_VERSION = 1
 _DTYPE_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
@@ -110,31 +105,6 @@ def read_tensor(path: str) -> Tensor:
     if end != len(buf):
         raise DimensionError(f"trailing bytes after tensor block in {path}")
     return Tensor(arr, copy=False)
-
-
-def write_complex(path: str, z: np.ndarray) -> None:
-    if not np.iscomplexobj(z):
-        raise DimensionError(f"SEPC files hold complex arrays, got {z.dtype}")
-    atomic_write(path, MAGIC_COMPLEX + tensor_block_bytes(z.real)
-                 + tensor_block_bytes(z.imag))
-
-
-def read_complex(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != MAGIC_COMPLEX:
-        raise DimensionError(f"bad complex magic {buf[:4]!r} in {path}")
-    re, off = read_tensor_block(buf, 4)
-    im, end = read_tensor_block(buf, off)
-    if end != len(buf):
-        raise DimensionError(f"trailing bytes after complex blocks in {path}")
-    re, im = Tensor(re, copy=False).data, Tensor(im, copy=False).data
-    require(re.shape == im.shape and re.dtype == im.dtype,
-            f"complex parts must share shape and dtype, got {re.shape} "
-            f"{re.dtype} vs {im.shape} {im.dtype}")
-    z = np.empty(re.shape, dtype=np.result_type(re.dtype, np.complex64))
-    z.real, z.imag = re, im
-    return z
 
 
 def write_params(path: str, store: ParamStore) -> None:

@@ -80,7 +80,10 @@ class Tensor:
     def __init__(self, data, dtype=None, copy=True):
         arr = np.asarray(data)
         if dtype is not None:
-            arr = arr.astype(DTYPES.get(dtype, dtype), copy=False)
+            dtype = DTYPES.get(dtype, dtype)
+            require(dtype in (np.float32, np.float64),
+                    f"Tensor dtype must be f32 or f64, got {dtype!r}")
+            arr = arr.astype(dtype, copy=False)
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if copy:

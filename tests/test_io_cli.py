@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import struct
@@ -12,7 +11,7 @@ from sepkit import (DimensionError, MsgrbParams, ParamStore,
                     Tensor)
 from sepkit import io as sio
 from sepkit.cli import main
-from sepkit.config import build_chain, parse_config
+from sepkit.config import STAGES, build_chain, parse_config
 from sepkit.errors import ConfigError
 from sepkit.params import ParamStore as PS
 from sepkit.params import named_arrays
@@ -61,46 +60,6 @@ class TestTensorFormat:
             sio.read_tensor(path)
 
 
-class TestComplexFormat:
-    def test_round_trip(self, tmp_path):
-        re, im = rand_tensor(2, (1, 2, 4, 4)), rand_tensor(3, (1, 2, 4, 4))
-        path = str(tmp_path / "s.sepc")
-        sio.write_complex(path, re.data + 1j * im.data)
-        back = sio.read_complex(path)
-        assert back.dtype == np.complex128
-        assert np.array_equal(back.real, re.data)
-        assert np.array_equal(back.imag, im.data)
-        assert open(path, "rb").read()[:4] == b"SEPC"
-
-    # SHA-256 of the SEPC files written for the arrays below by the earlier
-    # writer, which took a pair of real tensors
-    KNOWN_BYTES = {
-        "float32": (280, "68944e33c746788c0a30ced9312f367274c6852d9d78180b"
-                         "90530a4666350c1c"),
-        "float64": (472, "d141a27684c9658d6e7f044a8e0d34087203c187791fd5f9"
-                         "7700d9a88b03a030"),
-    }
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bytes_unchanged_from_the_tensor_pair_encoding(self, tmp_path,
-                                                            dtype):
-        grid = np.arange(24, dtype=dtype).reshape(1, 2, 3, 4)
-        re, im = (grid - 11.5) / 8, grid[..., ::-1] * 0.25 - 1
-        z = np.empty(re.shape, dtype=np.result_type(dtype, np.complex64))
-        z.real, z.imag = re, im
-        path = str(tmp_path / "k.sepc")
-        sio.write_complex(path, z)
-        raw = open(path, "rb").read()
-        size, digest = self.KNOWN_BYTES[np.dtype(dtype).name]
-        assert (len(raw), hashlib.sha256(raw).hexdigest()) == (size, digest)
-        back = sio.read_complex(path)
-        assert back.dtype == z.dtype and np.array_equal(back, z)
-
-    def test_real_array_rejected(self, tmp_path):
-        with pytest.raises(DimensionError):
-            sio.write_complex(str(tmp_path / "r.sepc"), np.zeros((1, 1, 2, 2)))
-
-
 class TestParamsFormat:
     def test_round_trip_mixed_shapes(self, tmp_path):
         store = ParamStore()
@@ -137,15 +96,12 @@ class TestParamsFormat:
 
 
 def sample_file(tmp_path, kind):
-    """A valid SEPT, SEPC or SEPP file and its reader."""
+    """A valid SEPT or SEPP file and its reader."""
     path = str(tmp_path / f"valid.{kind}")
     t = rand_tensor(20, (1, 2, 3, 4))
     if kind == "sept":
         sio.write_tensor(path, t)
         return path, sio.read_tensor
-    if kind == "sepc":
-        sio.write_complex(path, t.data + 1j * rand_tensor(21, t.shape).data)
-        return path, sio.read_complex
     store = ParamStore()
     store.put("conv.w", Stream(22).normal((3, 2, 3, 3)))
     store.put("conv.b", Stream(23).normal((3,)))
@@ -160,7 +116,7 @@ FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
 class TestReaderRobustness:
     """Malformed files raise DimensionError, never a decoder's own error."""
 
-    @pytest.mark.parametrize("kind", ["sept", "sepc", "sepp"])
+    @pytest.mark.parametrize("kind", ["sept", "sepp"])
     def test_every_proper_prefix_rejected(self, tmp_path, kind):
         path, reader = sample_file(tmp_path, kind)
         raw = open(path, "rb").read()
@@ -198,7 +154,7 @@ class TestReaderRobustness:
         assert store.names() == [name.decode("utf-8")]
 
     @FUZZ
-    @given(kind=st.sampled_from(["sept", "sepc", "sepp"]),
+    @given(kind=st.sampled_from(["sept", "sepp"]),
            tail=st.binary(min_size=1, max_size=64))
     def test_trailing_bytes(self, tmp_path_factory, kind, tail):
         path, reader = sample_file(tmp_path_factory.mktemp("tail"), kind)
@@ -316,6 +272,23 @@ def write_input(tmp_path, seed=0, shape=(1, 4, 8, 8), dtype="f64",
     path = str(tmp_path / name)
     sio.write_tensor(path, rand_tensor(seed, shape, dtype))
     return path
+
+
+# one section of each `config.STAGES` kind, on planes with a side that is
+# odd or not a power of two; each test adds its own `batch`
+STAGE_SECTIONS = {
+    "msgrb": "[msgrb]\nchannels = 4\nheight = 12\nwidth = 10\n"
+             "params = random\n",
+    "fddem": "[fddem]\nchannels = 4\nheight = 9\nwidth = 7\nreduction = 2\n"
+             "params = random\n",
+    "ldconv": "[ldconv]\nin_channels = 4\nout_channels = 3\nheight = 9\n"
+              "width = 7\nparams = random\n",
+    "dysample": "[dysample]\nchannels = 4\nheight = 12\nwidth = 10\n"
+                "params = random\n",
+    "fft2": "[fft2]\nchannels = 2\nheight = 9\nwidth = 7\n",
+    "ca2neck": "[ca2neck]\nchannels = 4,6,8\nheight = 16\nwidth = 12\n"
+               "params = random\n",
+}
 
 
 IDENTITY_MSGRB = """
@@ -583,36 +556,53 @@ params = file:{ppath}
                 outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
 
+    @staticmethod
+    def _stage_levels(tmp_path, kind, dtype, batch):
+        """A built stage of `kind` and a seeded input, one Tensor a level."""
+        cfg = write_cfg(tmp_path, f"[chain]\ndtype = {dtype}\n"
+                        f"{STAGE_SECTIONS[kind]}batch = {batch}\n")
+        stage = build_chain(parse_config(cfg), 3)[0]
+        pyramid = STAGES[kind].pyramid
+        shapes = stage.in_shape if pyramid else (stage.in_shape,)
+        return stage, [rand_tensor(80 + i, s, dtype)
+                       for i, s in enumerate(shapes)]
+
+    @staticmethod
+    def _forward_levels(stage, levels):
+        """The stage's output Tensors, one a level."""
+        if STAGES[stage.kind].pyramid:
+            return stage.forward(levels)
+        return [stage.forward(levels[0])]
+
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    @pytest.mark.parametrize("section", [
-        "[msgrb]\nchannels = 4\nheight = 6\nwidth = 10\nbatch = 2\n"
-        "params = random\n",
-        "[fddem]\nchannels = 4\nheight = 6\nwidth = 10\nreduction = 2\n"
-        "params = random\n",
-        "[ldconv]\nin_channels = 4\nout_channels = 3\nheight = 7\n"
-        "width = 9\nparams = random\n",
-        "[dysample]\nchannels = 4\nheight = 5\nwidth = 6\n"
-        "params = random\n",
-        "[fft2]\nchannels = 2\nheight = 6\nwidth = 10\n",
-        "[ca2neck]\nchannels = 4,6,8\nheight = 8\nwidth = 12\n"
-        "params = random\n",
-    ], ids=["msgrb", "fddem", "ldconv", "dysample", "fft2", "ca2neck"])
-    def test_stage_forward_returns_read_only_tensors(self, tmp_path, section,
+    @pytest.mark.parametrize("kind", list(STAGE_SECTIONS))
+    def test_stage_forward_returns_read_only_tensors(self, tmp_path, kind,
                                                      dtype):
         # the chain stage is the edge: Tensors in, read-only Tensors out
-        cfg = write_cfg(tmp_path, f"[chain]\ndtype = {dtype}\n{section}")
-        stage = build_chain(parse_config(cfg), 3)[0]
-        pyramid = section.startswith("[ca2neck]")
-        shapes = stage.in_shape if pyramid else (stage.in_shape,)
-        xs = [rand_tensor(80 + i, s, dtype) for i, s in enumerate(shapes)]
-        out = stage.forward(xs if pyramid else xs[0])
-        outs = out if pyramid else [out]
+        stage, xs = self._stage_levels(tmp_path, kind, dtype, 2)
+        outs = self._forward_levels(stage, xs)
+        pyramid = STAGES[kind].pyramid
         assert len(outs) == (3 if pyramid else 1)
         assert [type(t) for t in outs] == [Tensor] * len(outs)
         assert tuple(t.shape for t in outs) == (
             stage.out_shape if pyramid else (stage.out_shape,))
         assert all(t.dtype == dtype for t in outs)
         assert not any(t.data.flags.writeable for t in outs)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("kind", list(STAGE_SECTIONS))
+    def test_batch_forward_is_its_one_sample_forwards(self, tmp_path, kind,
+                                                      dtype):
+        # every block maps each sample on its own, byte for byte; gradcheck
+        # certifies a batch as the sum of its one-sample losses on this
+        stage, xs = self._stage_levels(tmp_path, kind, dtype, 3)
+        batched = self._forward_levels(stage, xs)
+        for i in range(3):
+            alone = self._forward_levels(
+                stage, [Tensor(x.data[i:i + 1]) for x in xs])
+            for got, want in zip(batched, alone, strict=True):
+                assert got.data[i:i + 1].shape == want.shape
+                assert got.data[i:i + 1].tobytes() == want.data.tobytes()
 
     def test_seed_override_changes_random_params(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """

@@ -5,9 +5,9 @@ or all K share a batch of one sample (so the output has K samples).
 Every op that takes them must give each sample the bytes of its own
 unstacked call, so gradcheck can evaluate all perturbations of one
 parameter in one forward and still report exactly what the row-by-row
-evaluation reports.  A batch of n > 1 samples per perturbation is K
-blocks of n samples against the K weights each repeated n times, as
-`stage_gradcheck` hands them.  The report tests below hold
+evaluation reports.  `stage_gradcheck` runs each sample of a batch as
+the shared one-sample input of the K weights, and its loss is the sum of
+the per-sample losses.  The report tests below hold
 `stage_gradcheck` to that: each fails if a later edit reorders a sum in
 either path.
 """
@@ -365,9 +365,9 @@ def test_replace_vars_rejects_other_shapes():
 
 # the configs whose `stage_gradcheck` reports must not move by a byte:
 # the gate's four single blocks, the batch-2 pyramid of test_ca2neck (a
-# tiled input), a batch-1 pyramid (whose concats, bilinear samples and
-# LDConvs meet a shared one-sample operand), a non-power-of-two fddem and
-# its batch-2 twin (the spectral weight ops against a tiled input)
+# sum of two per-sample losses), a batch-1 pyramid (whose concats,
+# bilinear samples and LDConvs meet a shared one-sample operand), a
+# non-power-of-two fddem and its batch-2 twin
 REPORT_CONFIGS = {
     **{k: v for k, v in GRADCHECK_CONFIGS.items() if k != "ca2neck"},
     "ca2neck_batch2": "[chain]\nseed = 61\ndtype = f64\n\n[ca2neck]\n"
@@ -420,12 +420,17 @@ def _evaluator(stage, x, seed, monkeypatch):
     return caught["losses"]
 
 
-def test_branch_weight_check_runs_the_rest_once(tmp_path, monkeypatch):
-    # while a branch weight is checked, the spatial convs and the forward
-    # transform of the one-sample input run on that one sample, not K
-    stage, x, seed = _stage("fddem", tmp_path)
+@pytest.mark.parametrize("config", ["fddem", "fddem_batch2"])
+def test_branch_weight_check_runs_the_rest_once(config, tmp_path,
+                                                monkeypatch):
+    # while a branch weight is checked, each sample runs as one shared
+    # input: the spatial convs and the forward transform see that one
+    # sample, not K, and the inverse transform sees its K samples
+    stage, x, seed = _stage(config, tmp_path)
     losses = _evaluator(stage, x, seed, monkeypatch)
     params = named_arrays(stage.params)
+    branches = [k for k in params if k.startswith("branches.")]
+    n = len(x.data)
     seen = []
     conv2d_raw, dft2_raw = tc.conv2d_raw, spectral.dft2_raw
 
@@ -438,16 +443,16 @@ def test_branch_weight_check_runs_the_rest_once(tmp_path, monkeypatch):
         return dft2_raw(a, inverse, **kw)
     monkeypatch.setattr(tc, "conv2d_raw", conv_spy)
     monkeypatch.setattr(spectral, "dft2_raw", dft_spy)
-    for name in ("branches.0.re", "branches.2.im"):
+    for name in (branches[0], branches[-1]):
         seen.clear()
         stack = np.stack([params[name]] * K)
         got = losses(params, name, stack)
         assert got.shape == (K,) and np.all(got == got[0])
         spatial = [b for op, shape, b in seen
                    if op == "conv" and shape == params["spatial1_w"].shape]
-        assert spatial == [1, 1]
+        assert spatial == [1, 1] * n
         assert [(inv, b) for op, inv, b in seen if op == "dft"] == [
-            (False, 1), (True, K)]
+            (False, 1), (True, K)] * n
 
 
 def test_unchecked_complex_weights_keep_their_fold(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from scipy.special import erf, expit
 from sepkit import DimensionError, NumericError, Tensor
 from sepkit import autodiff as ad
 from sepkit.rng import Stream
-from sepkit.tensor import (BAND_COLS, conv2d_grads, conv2d_raw,
+from sepkit.tensor import (BAND_COLS, DTYPES, conv2d_grads, conv2d_raw,
                            depthwise_conv2d_grads, gelu_raw, sigmoid_raw,
                            silu_raw)
 
@@ -91,6 +91,19 @@ class TestTensorType:
     def test_dtype_names(self):
         assert Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32)).dtype == "f32"
         assert Tensor(np.zeros((1, 1, 1, 1))).dtype == "f64"
+
+    # numpy reads "f16" as a 16-byte float
+    @pytest.mark.parametrize("dtype", [np.int32, "f16", np.float16])
+    def test_rejects_other_dtypes(self, dtype):
+        with pytest.raises(DimensionError, match="f32 or f64"):
+            Tensor(np.zeros((1, 1, 2, 2)), dtype=dtype)
+
+    @pytest.mark.parametrize("dtype,name", [
+        ("f32", "f32"), ("f64", "f64"), (np.float32, "f32"),
+        (np.float64, "f64")])
+    def test_accepts_f32_and_f64(self, dtype, name):
+        t = Tensor(np.ones((1, 1, 2, 2), dtype=np.float16), dtype=dtype)
+        assert t.dtype == name and t.data.dtype == DTYPES[name]
 
 
 class TestConv2d:
