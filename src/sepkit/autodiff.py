@@ -462,9 +462,11 @@ class GradReport:
 
 
 # Rows of a stack handed to the evaluator at once.  A batched evaluator's
-# memory grows with them: at 128 rows of 8x8 planes, fddem's 7x7 im2col
-# alone takes 6.4 MB.
-STACK_ROWS = 64
+# memory grows with them: at 128 rows, one call of `cli.stage_gradcheck`'s
+# evaluator on the 8x8 certify configs of perfbench peaked at 6.6 MB
+# (tracemalloc; dysample's offset_w, and fddem's 3.2 MB).  Reports do not
+# depend on the row count.
+STACK_ROWS = 128
 
 
 def _rowwise(fn):

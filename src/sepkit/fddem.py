@@ -16,7 +16,8 @@ Dual-branch block over a fixed (C, H, W) feature size:
     the compression bias is added after the inverse;
   * dual attention: channel logits (global average + max pooling through
     a shared two-layer 1x1-conv MLP) and spatial logits (channel mean/max
-    maps through a 7x7 convolution) are added under a single sigmoid,
+    maps through a 7x7 convolution, run as a depthwise conv of the two
+    maps summed by a 1x1 ones-conv) are added under a single sigmoid,
     giving one map in (0, 1) that scales the frequency feature.
 
 Output is spatial_branch(x) + attention * frequency_feature.  At the
@@ -122,8 +123,11 @@ def dual_attention(f, p: FddemParams) -> ad.Var:
 
     Channel logits come from global average and max pooling through a
     shared two-layer MLP; spatial logits from the channel mean/max maps
-    through a 7x7 convolution.  One sigmoid over the summed logits gives
-    an attention of exactly 0.5 everywhere when all weights are zero.
+    through the 2-in, 1-out 7x7 convolution `sa_w`, run as a depthwise
+    conv of each map with its own 7x7 filter and a 1x1 conv of ones that
+    sums the two and adds `sa_b`.  One sigmoid over the summed logits
+    gives an attention of exactly 0.5 everywhere when all weights are
+    zero.
     """
     fv = ad.as_var(f)
 
@@ -134,10 +138,15 @@ def dual_attention(f, p: FddemParams) -> ad.Var:
     gap = ad.mean_axes(fv, (2, 3))
     gmp = ad.amax_axes(fv, (2, 3))
     channel_logits = ad.add(mlp(gap), mlp(gmp))          # (N, C, 1, 1)
-    cmean = ad.mean_axes(fv, (1,))
-    cmax = ad.amax_axes(fv, (1,))
-    spatial_logits = ad.conv2d(ad.concat([cmean, cmax], axis=1),
-                               p.sa_w, p.sa_b, padding=3)  # (N, 1, H, W)
+    sa_w, sa_b = ad.as_var(p.sa_w), ad.as_var(p.sa_b)
+    require(sa_w.shape[-4:] == (1, 2, 7, 7),
+            f"sa_w must be (1, 2, 7, 7), got {sa_w.shape}")
+    require(sa_b.shape[-1:] == (1,), f"sa_b must be (1,), got {sa_b.shape}")
+    maps = ad.concat([ad.mean_axes(fv, (1,)), ad.amax_axes(fv, (1,))], axis=1)
+    taps = ad.depthwise_conv2d(
+        maps, ad.reshape(sa_w, sa_w.shape[:-4] + (2, 1, 7, 7)))
+    spatial_logits = ad.conv2d(taps, np.ones((1, 2, 1, 1), sa_w.value.dtype),
+                               sa_b)  # (N, 1, H, W)
     return ad.sigmoid(ad.add(channel_logits, spatial_logits))
 
 

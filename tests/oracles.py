@@ -51,7 +51,8 @@ def conv2d_naive(x, w, b=None, stride=1, padding=0):
 # Convolutions at batch 2, as (input shape, channel slice taken as a view,
 # weight shape, stride, padding).  The blocks' own: a 1x1 conv on a
 # non-contiguous channel slice, LDConv's 3x3 stride-2 offset conv on an odd
-# plane, and FDDEM's 7x7 2->1 spatial attention.  And shapes the blocks
+# plane, and the 7x7 2->1 conv of FDDEM's spatial attention (which the block
+# runs as a depthwise conv plus a 1x1 ones-conv).  And shapes the blocks
 # never use, where the input gradient's zero-embedded plane is cut or left
 # with rows no window reads: a non-square kernel at stride 2, padding
 # beyond the kernel (1x1 at padding 1, 3x3 at padding 3), and stride 3

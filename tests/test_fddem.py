@@ -15,7 +15,7 @@ from sepkit.fddem import frequency_feature
 from sepkit.params import named_arrays, replace_vars
 from sepkit.rng import Stream
 
-from oracles import (FREQUENCY_ORACLE_PLANES, frequency_branch,
+from oracles import (FREQUENCY_ORACLE_PLANES, conv2d_naive, frequency_branch,
                      frequency_branch_naive, frequency_branch_per_branch)
 from test_f32_envelope import F32_REL_BOUND
 
@@ -73,6 +73,55 @@ class TestDualAttention:
     def test_reduction_larger_than_channels_rejected(self):
         with pytest.raises(DimensionError):
             FddemParams.identity(2, 8, 8, reduction=4)
+
+    @pytest.mark.parametrize("field,shape", [
+        ("sa_w", (1, 2, 5, 5)), ("sa_w", (2, 2, 7, 7)), ("sa_w", (1, 3, 7, 7)),
+        ("sa_b", (2,))])
+    def test_wrong_spatial_weight_shape_names_the_field(self, field, shape):
+        p = FddemParams.random(4, 8, 8, Stream(19))
+        setattr(p, field, np.zeros(shape))
+        with pytest.raises(DimensionError, match=field):
+            dual_attention(rand_array(20, (1, 4, 8, 8)), p)
+
+
+class TestSpatialAttentionOracle:
+    """The spatial logits, a depthwise conv of the channel mean/max maps
+    summed by a ones-conv, against the quadruple-loop 2-in, 1-out 7x7
+    conv at padding 3.  Zero channel weights make the attention
+    sigmoid(spatial logits)."""
+
+    @pytest.mark.parametrize("h,w", [(9, 7), (12, 10)])
+    @pytest.mark.parametrize("dtype,rel", [(np.float64, 1e-12),
+                                           (np.float32, F32_REL_BOUND)],
+                             ids=["f64", "f32"])
+    def test_spatial_logits_match_naive_conv(self, h, w, dtype, rel):
+        p = FddemParams.random(4, h, w, Stream(21), dtype=dtype)
+        for name in ("ca_w1", "ca_b1", "ca_w2", "ca_b2"):
+            setattr(p, name, np.zeros_like(getattr(p, name)))
+        f = Stream(22).normal((2, 4, h, w)).astype(dtype)
+        att = dual_attention(f, p).value
+        f64 = f.astype(np.float64)
+        maps = np.concatenate([f64.mean(axis=1, keepdims=True),
+                               f64.max(axis=1, keepdims=True)], axis=1)
+        logits = conv2d_naive(maps, p.sa_w.astype(np.float64),
+                              p.sa_b.astype(np.float64), padding=3)
+        ref = np.broadcast_to(sigmoid(logits), att.shape)
+        assert att.dtype == dtype
+        assert np.abs(att - ref).max() <= rel * np.abs(ref).max()
+
+    @pytest.mark.parametrize("field", ["sa_w", "sa_b"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_spatial_weight_rows_are_their_unstacked_calls(
+            self, field, dtype):
+        p = FddemParams.random(4, 9, 7, Stream(23), dtype=dtype)
+        f = Stream(24).normal((1, 4, 9, 7)).astype(dtype)
+        base = getattr(p, field)
+        stack = np.stack([base + dtype(0.25 * k) for k in range(3)])
+        got = dual_attention(f, dataclasses.replace(p, **{field: stack}))
+        assert got.shape == (3, 4, 9, 7)
+        for k, row in enumerate(stack):
+            one = dual_attention(f, dataclasses.replace(p, **{field: row}))
+            assert np.array_equal(got.value[k:k + 1], one.value)
 
 
 class TestFddemForward:

@@ -407,6 +407,19 @@ def test_stacked_report_is_the_row_by_row_report(name, tmp_path,
     assert stacked == rowwise
 
 
+@pytest.mark.parametrize("name", ["fddem", "ldconv"])
+def test_report_does_not_depend_on_stack_rows(name, tmp_path, monkeypatch):
+    # the gate's configs, as the certify benchmark runs them: slices of
+    # any row count, odd ones included, give every row the same loss
+    stage, x, seed = _stage(name, tmp_path)
+    reports = set()
+    for rows in (64, 128, 7):
+        monkeypatch.setattr(ad, "STACK_ROWS", rows)
+        reports.add(sio.render_json(stage_gradcheck(stage, x, seed)
+                                    .as_dict()))
+    assert len(reports) == 1
+
+
 def _evaluator(stage, x, seed, monkeypatch):
     """The `losses` evaluator `stage_gradcheck` hands to gradcheck."""
     caught = {}
