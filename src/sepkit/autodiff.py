@@ -312,8 +312,8 @@ def split(a, sizes, axis: int = 1) -> list:
     a = as_var(a)
     sizes = list(sizes)
     shape = a.value.shape
-    require(sum(sizes) == shape[axis],
-            f"split sizes {sizes} must sum to {shape[axis]} "
+    require(min(sizes, default=0) >= 0 and sum(sizes) == shape[axis],
+            f"split sizes {sizes} must be >= 0 and sum to {shape[axis]} "
             f"along axis {axis}")
     outs = []
     start = 0

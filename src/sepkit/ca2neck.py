@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .msgrb import MsgrbParams, msgrb_forward
-from .rng import Stream
+from .rng import Stream, draws
 from .tensor import require
 
 DEFAULT_SCOPE = 0.25
@@ -84,18 +84,12 @@ class LdconvParams:
         coordinate derivative is undefined."""
         require(n_points >= 1, f"need n_points >= 1, got {n_points}")
         require(stride >= 1, f"need stride >= 1, got {stride}")
-        if rng is None:
-            mix = np.zeros((out_channels, n_points * in_channels, 1, 1),
-                           dtype=dtype)
-            off_w = np.zeros((2 * n_points, in_channels, 3, 3), dtype=dtype)
-            off_b = np.zeros(2 * n_points, dtype=dtype)
-        else:
-            mix = rng.normal((out_channels, n_points * in_channels, 1, 1),
-                             scale=1.0 / np.sqrt(n_points * in_channels)
-                             ).astype(dtype)
-            off_w = rng.normal((2 * n_points, in_channels, 3, 3),
-                               scale=0.02).astype(dtype)
-            off_b = np.full(2 * n_points, 0.35, dtype=dtype)
+        g = draws(rng, dtype)
+        mix = g(1.0 / np.sqrt(n_points * in_channels),
+                out_channels, n_points * in_channels, 1, 1)
+        off_w = g(0.02, 2 * n_points, in_channels, 3, 3)
+        off_b = np.full(2 * n_points, 0.0 if rng is None else 0.35,
+                        dtype=dtype)
         return LdconvParams(n_points=n_points, stride=stride, mix_w=mix,
                             offset_w=off_w, offset_b=off_b)
 
@@ -173,15 +167,10 @@ class DysampleParams:
         require(scale >= 2, f"scale must be >= 2, got {scale}")
         require(groups >= 1 and channels % groups == 0,
                 f"channels {channels} must divide into groups {groups}")
-        co = 2 * groups * scale * scale
-        if rng is None:
-            off_w = np.zeros((co, channels, 1, 1), dtype=dtype)
-            off_b = np.zeros(co, dtype=dtype)
-        else:
-            off_w = rng.normal((co, channels, 1, 1), scale=0.02).astype(dtype)
-            off_b = rng.normal((co,), scale=0.02).astype(dtype)
+        co, g = 2 * groups * scale * scale, draws(rng, dtype)
         return DysampleParams(scale=scale, groups=groups, scope=float(scope),
-                              offset_w=off_w, offset_b=off_b)
+                              offset_w=g(0.02, co, channels, 1, 1),
+                              offset_b=g(0.02, co))
 
 
 def dysample_base_grid(h: int, w: int, scale: int, groups: int,
@@ -246,47 +235,42 @@ def dysample_forward(x, p: DysampleParams) -> ad.Var:
 
 @dataclass
 class Ca2neckParams:
-    channels: tuple                      # (C0, C1, C2), shallow to deep
-    dys_td1: DysampleParams = None       # upsample level 2 -> level 1 size
-    merge_td1_w: np.ndarray = None       # (C1, C2+C1, 1, 1)
-    merge_td1_b: np.ndarray = None
-    fuse_td1: MsgrbParams = None
-    dys_td0: DysampleParams = None       # upsample level 1 -> level 0 size
-    merge_td0_w: np.ndarray = None       # (C0, C1+C0, 1, 1)
-    merge_td0_b: np.ndarray = None
-    fuse_td0: MsgrbParams = None
-    ld_bu1: LdconvParams = None          # downsample level 0 -> level 1 size
-    merge_bu1_w: np.ndarray = None       # (C1, C1+C1, 1, 1)
-    merge_bu1_b: np.ndarray = None
-    fuse_bu1: MsgrbParams = None
-    ld_bu2: LdconvParams = None          # downsample level 1 -> level 2 size
-    merge_bu2_w: np.ndarray = None       # (C2, C2+C2, 1, 1)
-    merge_bu2_b: np.ndarray = None
-    fuse_bu2: MsgrbParams = None
+    channels: tuple              # (C0, C1, C2), shallow to deep
+    dys_td1: DysampleParams      # upsample level 2 -> level 1 size
+    merge_td1_w: np.ndarray      # (C1, C2+C1, 1, 1)
+    merge_td1_b: np.ndarray
+    fuse_td1: MsgrbParams
+    dys_td0: DysampleParams      # upsample level 1 -> level 0 size
+    merge_td0_w: np.ndarray      # (C0, C1+C0, 1, 1)
+    merge_td0_b: np.ndarray
+    fuse_td0: MsgrbParams
+    ld_bu1: LdconvParams         # downsample level 0 -> level 1 size
+    merge_bu1_w: np.ndarray      # (C1, C1+C1, 1, 1)
+    merge_bu1_b: np.ndarray
+    fuse_bu1: MsgrbParams
+    ld_bu2: LdconvParams         # downsample level 1 -> level 2 size
+    merge_bu2_w: np.ndarray      # (C2, C2+C2, 1, 1)
+    merge_bu2_b: np.ndarray
+    fuse_bu2: MsgrbParams
 
     @staticmethod
-    def init(channels, n_points: int = 5, scale: int = 2,
-             scope: float = DEFAULT_SCOPE, rng: Stream = None,
-             dtype=np.float64) -> "Ca2neckParams":
-        """Build a parameter set.
+    def init(channels, n_points: int = 5, scope: float = DEFAULT_SCOPE,
+             rng: Stream = None, dtype=np.float64) -> "Ca2neckParams":
+        """Build a parameter set; the DySample stages upsample by 2.
 
         With a stream, merge convs and refinement blocks are generic
-        random values; without one, everything learnable is zero (the
-        sampling stages reduce to fixed-grid resizes and a zero merge
-        silences each level, which tests override with explicit mixes)."""
+        random values, drawn merges first; without one, everything
+        learnable is zero (the sampling stages reduce to fixed-grid
+        resizes and a zero merge silences each level, which tests override
+        with explicit mixes)."""
         c0, c1, c2 = channels
+        g = draws(rng, dtype)
 
         def merge(cin, cout):
-            if rng is None:
-                return (np.zeros((cout, cin, 1, 1), dtype=dtype),
-                        np.zeros(cout, dtype=dtype))
-            return (rng.normal((cout, cin, 1, 1),
-                               scale=1.0 / np.sqrt(cin)).astype(dtype),
-                    rng.normal((cout,), scale=0.1).astype(dtype))
+            return g(1.0 / np.sqrt(cin), cout, cin, 1, 1), g(0.1, cout)
 
         def fuse(c):
-            return (MsgrbParams.identity(c, dtype=dtype) if rng is None
-                    else MsgrbParams.random(c, rng, dtype=dtype))
+            return MsgrbParams.init(c, rng=rng, dtype=dtype)
 
         m1w, m1b = merge(c2 + c1, c1)
         m0w, m0b = merge(c1 + c0, c0)
@@ -294,11 +278,11 @@ class Ca2neckParams:
         b2w, b2b = merge(c2 + c2, c2)
         return Ca2neckParams(
             channels=(c0, c1, c2),
-            dys_td1=DysampleParams.init(c2, scale=scale, scope=scope,
-                                        rng=rng, dtype=dtype),
+            dys_td1=DysampleParams.init(c2, scope=scope, rng=rng,
+                                        dtype=dtype),
             merge_td1_w=m1w, merge_td1_b=m1b, fuse_td1=fuse(c1),
-            dys_td0=DysampleParams.init(c1, scale=scale, scope=scope,
-                                        rng=rng, dtype=dtype),
+            dys_td0=DysampleParams.init(c1, scope=scope, rng=rng,
+                                        dtype=dtype),
             merge_td0_w=m0w, merge_td0_b=m0b, fuse_td0=fuse(c0),
             ld_bu1=LdconvParams.init(c0, c1, n_points=n_points, stride=2,
                                      rng=rng, dtype=dtype),

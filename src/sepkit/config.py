@@ -21,7 +21,7 @@ Module kinds and their keys (defaults in parentheses):
     dysample  channels, scale (2), groups (1), scope (0.25), height (8),
               width (8), batch (1), params
     fft2      channels (1), height (64), width (64), batch (1),
-              path (fast)            # fast | naive round-trip diagnostic
+              path (fast)            # fast | naive `dft2_raw` round trip
     ca2neck   channels (three comma-separated counts, shallow to deep),
               height (8), width (8), batch (1), points (5), scope (0.25),
               params
@@ -36,11 +36,12 @@ ca2neck's level-0 height and width are multiples of 4; a bad value is a
 `ca2neck` stage consumes a 3-level pyramid and must be the only stage in
 its chain.
 
-Each kind is one entry of `STAGES`: its keys, its parameter builder, its
-forward and its shape rule.  The CLI's `forward`, `gradcheck` and `bench`
-all run stages through that table.  Declared sizes are used to synthesize
-inputs for `gradcheck` and `bench` and to check that adjacent stages are
-shape-compatible before anything runs.
+Each kind is one entry of `STAGES`: its keys, its parameter builder (a
+direct call of the parameter type's `init`), its forward and its shape
+rule.  The CLI's `forward`, `gradcheck` and `bench` all run stages through
+that table.  Declared sizes are used to synthesize inputs for `gradcheck`
+and `bench` and to check that adjacent stages are shape-compatible before
+anything runs.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from . import spectral
 from .errors import ConfigError, DimensionError
 from .io import read_params
 from .rng import Stream, derive_seed
-from .tensor import DTYPES, Tensor
+from .tensor import DTYPES, Tensor, require_finite
 
 _REQUIRED = object()
 
@@ -101,9 +102,10 @@ class Stage:
     """One stage kind.
 
     `keys` maps each key to (default or _REQUIRED, parser).  With `o` the
-    resolved options, `params(o, dtype, rng)` builds the parameters; rng
-    None gives the declared identity init, which is also the template a
-    SEPP file fills.  `forward(x, params, o)` runs the stage on a `Var`
+    resolved options, `params(o, dtype, rng)` builds the parameters with
+    the parameter type's `init(..., rng=rng, dtype=dtype)`; rng None gives
+    the declared identity init, which is also the template a SEPP file
+    fills.  `forward(x, params, o)` runs the stage on a `Var`
     and returns a `Var`, and `shapes(o)` gives (in_shape, out_shape).  A
     `pyramid` stage maps three levels to three.  Forwards look the block
     functions up at call time, so wrappers installed on the block modules
@@ -140,40 +142,29 @@ def _pyramid_shapes(o):
     return shapes, shapes
 
 
-def _msgrb_params(o, dtype, rng):
-    if rng is None:
-        return ms.MsgrbParams.identity(o["channels"], o["hidden"],
-                                       dtype=dtype)
-    return ms.MsgrbParams.random(o["channels"], rng, o["hidden"], dtype=dtype)
-
-
-def _fddem_params(o, dtype, rng):
-    dims = (o["channels"], o["height"], o["width"])
-    if rng is None:
-        return fd.FddemParams.identity(*dims, o["branches"], o["reduction"],
-                                       dtype=dtype)
-    return fd.FddemParams.random(*dims, rng, o["branches"], o["reduction"],
-                                 dtype=dtype)
-
-
 def _fft2_forward(x, params, o):
-    naive = o["path"] == "naive"
-    spectrum = spectral.rfft2_v(x, force_naive=naive)
-    return spectral.irfft2_v(spectrum, x.shape[-1], force_naive=naive)
+    naive, w = o["path"] == "naive", x.shape[-1]
+    require_finite(x.value, "fft2 input")
+    spectrum = spectral.dft2_raw(x.value, force_naive=naive, width=w)
+    return ad.Var(spectral.dft2_raw(spectrum, inverse=True,
+                                    force_naive=naive, width=w))
 
 
 STAGES = {
     "msgrb": Stage(
         keys={"channels": (_REQUIRED, _COUNT), "hidden": (None, _COUNT),
               **_plane(), **_PARAMS},
-        params=_msgrb_params,
+        params=lambda o, dtype, rng: ms.MsgrbParams.init(
+            o["channels"], o["hidden"], rng=rng, dtype=dtype),
         forward=lambda x, p, o: ms.msgrb_forward(x, p),
         shapes=_same),
     "fddem": Stage(
         keys={"channels": (_REQUIRED, _COUNT), "branches": (3, _COUNT),
               "reduction": (4, _COUNT), **_plane(_REQUIRED, _REQUIRED),
               **_PARAMS},
-        params=_fddem_params,
+        params=lambda o, dtype, rng: fd.FddemParams.init(
+            o["channels"], o["height"], o["width"], o["branches"],
+            o["reduction"], rng=rng, dtype=dtype),
         forward=lambda x, p, o: fd.fddem_forward(x, p),
         shapes=_same),
     "ldconv": Stage(

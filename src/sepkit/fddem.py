@@ -21,19 +21,20 @@ Dual-branch block over a fixed (C, H, W) feature size:
     giving one map in (0, 1) that scales the frequency feature.
 
 Output is spatial_branch(x) + attention * frequency_feature.  At the
-declared initialization the whole module is an exact identity because the
-compression convolution is zero.
+declared initialization, `FddemParams.init` without a stream, the whole
+module is an exact identity because the compression convolution is zero;
+with a stream, `init` draws every field in declaration order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import spectral
-from .rng import Stream
+from .rng import Stream, draws
 from .spectral import ComplexWeights
 from .tensor import require
 
@@ -44,15 +45,15 @@ class FddemParams:
     spatial1_b: np.ndarray   # (C,)
     spatial2_w: np.ndarray   # (C, C, 3, 3); zero at init
     spatial2_b: np.ndarray   # (C,)
-    branches: list = field(default_factory=list)  # ComplexWeights per branch
-    compress_w: np.ndarray = None  # (C, branches*C, 1, 1); zero at init
-    compress_b: np.ndarray = None  # (C,)
-    ca_w1: np.ndarray = None  # (C//r, C, 1, 1)
-    ca_b1: np.ndarray = None  # (C//r,)
-    ca_w2: np.ndarray = None  # (C, C//r, 1, 1)
-    ca_b2: np.ndarray = None  # (C,)
-    sa_w: np.ndarray = None   # (1, 2, 7, 7)
-    sa_b: np.ndarray = None   # (1,)
+    branches: list           # ComplexWeights per branch
+    compress_w: np.ndarray   # (C, branches*C, 1, 1); zero at init
+    compress_b: np.ndarray   # (C,)
+    ca_w1: np.ndarray        # (C//r, C, 1, 1)
+    ca_b1: np.ndarray        # (C//r,)
+    ca_w2: np.ndarray        # (C, C//r, 1, 1)
+    ca_b2: np.ndarray        # (C,)
+    sa_w: np.ndarray         # (1, 2, 7, 7)
+    sa_b: np.ndarray         # (1,)
 
     # shape properties read trailing axes, so stacked weights keep them
     @property
@@ -64,57 +65,28 @@ class FddemParams:
         return self.branches[0].re.shape[-2:]
 
     @staticmethod
-    def _shapes(channels: int, branches: int, reduction: int):
+    def init(channels: int, height: int, width: int, branches: int = 3,
+             reduction: int = 4, rng: Stream = None,
+             dtype=np.float64) -> "FddemParams":
+        """The declared init without a stream (identity complex weights,
+        zero everything else); generic nonzero values drawn from one."""
         require(branches >= 1, f"need at least one branch, got {branches}")
         require(reduction >= 1, f"reduction must be >= 1, got {reduction}")
         require(channels >= reduction,
                 f"channel count {channels} is below reduction {reduction}")
-        return channels // reduction
-
-    @staticmethod
-    def identity(channels: int, height: int, width: int, branches: int = 3,
-                 reduction: int = 4, dtype=np.float64) -> "FddemParams":
-        """Declared init: identity complex weights, zero everything else."""
-        cr = FddemParams._shapes(channels, branches, reduction)
-        z = lambda *s: np.zeros(s, dtype=dtype)
+        c, cr, g = channels, channels // reduction, draws(rng, dtype)
         return FddemParams(
-            spatial1_w=z(channels, channels, 3, 3), spatial1_b=z(channels),
-            spatial2_w=z(channels, channels, 3, 3), spatial2_b=z(channels),
-            branches=[ComplexWeights.identity(channels, height, width, dtype)
+            spatial1_w=g(1.0 / (3.0 * np.sqrt(c)), c, c, 3, 3),
+            spatial1_b=g(0.1, c),
+            spatial2_w=g(1.0 / (3.0 * np.sqrt(c)), c, c, 3, 3),
+            spatial2_b=g(0.1, c),
+            branches=[ComplexWeights.init(c, height, width, rng, dtype)
                       for _ in range(branches)],
-            compress_w=z(channels, branches * channels, 1, 1),
-            compress_b=z(channels),
-            ca_w1=z(cr, channels, 1, 1), ca_b1=z(cr),
-            ca_w2=z(channels, cr, 1, 1), ca_b2=z(channels),
-            sa_w=z(1, 2, 7, 7), sa_b=z(1),
-        )
-
-    @staticmethod
-    def random(channels: int, height: int, width: int, rng: Stream,
-               branches: int = 3, reduction: int = 4,
-               dtype=np.float64) -> "FddemParams":
-        """Generic nonzero parameters (for gradient tests and benchmarks)."""
-        cr = FddemParams._shapes(channels, branches, reduction)
-        g = lambda scale, *s: rng.normal(s, scale=scale).astype(dtype)
-        return FddemParams(
-            spatial1_w=g(1.0 / (3.0 * np.sqrt(channels)),
-                         channels, channels, 3, 3),
-            spatial1_b=g(0.1, channels),
-            spatial2_w=g(1.0 / (3.0 * np.sqrt(channels)),
-                         channels, channels, 3, 3),
-            spatial2_b=g(0.1, channels),
-            branches=[ComplexWeights.random(channels, height, width, rng,
-                                            dtype=dtype)
-                      for _ in range(branches)],
-            compress_w=g(1.0 / np.sqrt(branches * channels),
-                         channels, branches * channels, 1, 1),
-            compress_b=g(0.1, channels),
-            ca_w1=g(1.0 / np.sqrt(channels), cr, channels, 1, 1),
-            ca_b1=g(0.1, cr),
-            ca_w2=g(1.0 / np.sqrt(max(cr, 1)), channels, cr, 1, 1),
-            ca_b2=g(0.1, channels),
-            sa_w=g(1.0 / 7.0, 1, 2, 7, 7),
-            sa_b=g(0.1, 1),
+            compress_w=g(1.0 / np.sqrt(branches * c), c, branches * c, 1, 1),
+            compress_b=g(0.1, c),
+            ca_w1=g(1.0 / np.sqrt(c), cr, c, 1, 1), ca_b1=g(0.1, cr),
+            ca_w2=g(1.0 / np.sqrt(cr), c, cr, 1, 1), ca_b2=g(0.1, c),
+            sa_w=g(1.0 / 7.0, 1, 2, 7, 7), sa_b=g(0.1, 1),
         )
 
 

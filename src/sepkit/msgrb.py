@@ -10,7 +10,8 @@ and projects back with a bias-free 1x1 shrink wrapped in a residual:
 The depthwise branches run as one 7x7 pass of their zero-padded sum
 (run-time re-parameterization); each branch's gradient is a center crop of
 the folded kernel's.  With the shrink weights at their zero initialization
-the whole block is an exact identity, so it can be dropped in safely.
+(`MsgrbParams.init` without a stream) the whole block is an exact
+identity, so it can be dropped in safely.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .rng import Stream
+from .rng import Stream, draws
 from .tensor import require
 
 KERNEL_SIZES = (3, 5, 7)
@@ -45,31 +46,18 @@ class MsgrbParams:
         return self.shrink_w.shape[-3]
 
     @staticmethod
-    def identity(channels: int, hidden=None, dtype=np.float64) -> "MsgrbParams":
-        """All-zero learnable deltas: the block computes y == x exactly."""
-        h = hidden or channels
+    def init(channels: int, hidden: int = None, rng: Stream = None,
+             dtype=np.float64) -> "MsgrbParams":
+        """All-zero learnable deltas without a stream (the block computes
+        y == x exactly); generic nonzero values drawn from one."""
+        c, h, g = channels, hidden or channels, draws(rng, dtype)
         return MsgrbParams(
-            expand_w=np.zeros((2 * h, channels, 1, 1), dtype=dtype),
-            expand_b=np.zeros(2 * h, dtype=dtype),
-            dw3=np.zeros((h, 1, 3, 3), dtype=dtype),
-            dw5=np.zeros((h, 1, 5, 5), dtype=dtype),
-            dw7=np.zeros((h, 1, 7, 7), dtype=dtype),
-            shrink_w=np.zeros((channels, h, 1, 1), dtype=dtype),
-        )
-
-    @staticmethod
-    def random(channels: int, rng: Stream, hidden=None,
-               dtype=np.float64) -> "MsgrbParams":
-        h = hidden or channels
-        return MsgrbParams(
-            expand_w=rng.normal((2 * h, channels, 1, 1),
-                                scale=1.0 / np.sqrt(channels)).astype(dtype),
-            expand_b=rng.normal((2 * h,), scale=0.1).astype(dtype),
-            dw3=rng.normal((h, 1, 3, 3), scale=1.0 / 3.0).astype(dtype),
-            dw5=rng.normal((h, 1, 5, 5), scale=1.0 / 5.0).astype(dtype),
-            dw7=rng.normal((h, 1, 7, 7), scale=1.0 / 7.0).astype(dtype),
-            shrink_w=rng.normal((channels, h, 1, 1),
-                                scale=1.0 / np.sqrt(h)).astype(dtype),
+            expand_w=g(1.0 / np.sqrt(c), 2 * h, c, 1, 1),
+            expand_b=g(0.1, 2 * h),
+            dw3=g(1.0 / 3.0, h, 1, 3, 3),
+            dw5=g(1.0 / 5.0, h, 1, 5, 5),
+            dw7=g(1.0 / 7.0, h, 1, 7, 7),
+            shrink_w=g(1.0 / np.sqrt(h), c, h, 1, 1),
         )
 
 

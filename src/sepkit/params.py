@@ -25,7 +25,7 @@ from .errors import DimensionError
 from .tensor import require, require_finite
 
 
-def _walk(obj, fn, prefix: str):
+def _walk(obj, fn, prefix: str = ""):
     """Rebuild `obj` with fn(name, array) applied to every array field."""
     if isinstance(obj, (np.ndarray, Var)):
         return fn(prefix.rstrip("."), obj)
@@ -44,27 +44,27 @@ def _walk(obj, fn, prefix: str):
     return obj
 
 
-def lift(params, tape: Tape, prefix: str = ""):
+def lift(params, tape: Tape):
     """Copy of `params` with every ndarray registered as a named tape leaf."""
     def fn(name, arr):
         if isinstance(arr, Var):
             raise ValueError(f"parameter {name!r} is already lifted")
         return tape.leaf(arr, name)
-    return _walk(params, fn, prefix)
+    return _walk(params, fn)
 
 
-def named_arrays(params, prefix: str = "") -> dict:
+def named_arrays(params) -> dict:
     """Flatten to {dotted-name: ndarray} in field order."""
     out = {}
 
     def fn(name, arr):
         out[name] = arr.value if isinstance(arr, Var) else arr
         return arr
-    _walk(params, fn, prefix)
+    _walk(params, fn)
     return out
 
 
-def replace_arrays(template, values: dict, prefix: str = ""):
+def replace_arrays(template, values: dict):
     """Copy of `template` with each array swapped for values[name]."""
     def fn(name, arr):
         if name not in values:
@@ -76,10 +76,10 @@ def replace_arrays(template, values: dict, prefix: str = ""):
                 f"parameter {name!r} has {new.size} values, expected "
                 f"{old.size}")
         return new.reshape(old.shape).astype(old.dtype)
-    return _walk(template, fn, prefix)
+    return _walk(template, fn)
 
 
-def replace_vars(template, leaves: dict, prefix: str = ""):
+def replace_vars(template, leaves: dict):
     """Copy of `template` with each array swapped for leaves[name], a Var
     or an ndarray of the field's shape.  A leaf that is the field's own
     array swaps nothing, so its parameter object (and a `ComplexWeights`'
@@ -96,7 +96,7 @@ def replace_vars(template, leaves: dict, prefix: str = ""):
                 f"parameter {name!r} has shape {v.shape}, expected "
                 f"{arr.shape} (or (K, *{arr.shape}) stacked)")
         return v
-    return _walk(template, fn, prefix)
+    return _walk(template, fn)
 
 
 def _canon4(arr: np.ndarray) -> np.ndarray:
@@ -142,14 +142,14 @@ class ParamStore:
         return name in self._entries
 
     @staticmethod
-    def from_params(params, prefix: str = "") -> "ParamStore":
+    def from_params(params) -> "ParamStore":
         store = ParamStore()
-        for name, arr in named_arrays(params, prefix).items():
+        for name, arr in named_arrays(params).items():
             store.put(name, arr)
         return store
 
-    def to_params(self, template, prefix: str = ""):
+    def to_params(self, template):
         """Rebuild a parameter object shaped like `template` from the store."""
         values = {name: self.get(name)
-                  for name in named_arrays(template, prefix)}
-        return replace_arrays(template, values, prefix)
+                  for name in named_arrays(template)}
+        return replace_arrays(template, values)

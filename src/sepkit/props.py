@@ -232,7 +232,7 @@ def _hermitian_symmetry(seed):
 def _modulate_identity_roundtrip(seed):
     rng = Stream(seed)
     x = _rand(rng, (1, 2, 8, 8))
-    p = fd.FddemParams.identity(2, 8, 8, branches=1, reduction=1)
+    p = fd.FddemParams.init(2, 8, 8, branches=1, reduction=1)
     p.compress_w = np.eye(2).reshape(2, 2, 1, 1)
     y = fd.frequency_feature(x, p)
     err = float(np.abs(y.value - x).max())
@@ -243,7 +243,7 @@ def _modulate_identity_roundtrip(seed):
 
 def _fddem_shape_preserved(seed):
     rng = Stream(seed)
-    p = fd.FddemParams.random(4, 8, 8, rng)
+    p = fd.FddemParams.init(4, 8, 8, rng=rng)
     x = _rand(rng, (2, 4, 8, 8))
     y = fd.fddem_forward(x, p)
     return y.shape == x.shape, 0.0 if y.shape == x.shape else 1.0
@@ -251,7 +251,7 @@ def _fddem_shape_preserved(seed):
 
 def _fddem_zero_input(seed):
     rng = Stream(seed)
-    p = fd.FddemParams.random(4, 8, 8, rng)
+    p = fd.FddemParams.init(4, 8, 8, rng=rng)
     for name in ("spatial1_b", "spatial2_b", "compress_b"):
         setattr(p, name, np.zeros_like(getattr(p, name)))
     y = fd.fddem_forward(np.zeros((1, 4, 8, 8)), p)
@@ -261,7 +261,7 @@ def _fddem_zero_input(seed):
 
 def _fddem_freq_path_bounded(seed):
     rng = Stream(seed)
-    p = fd.FddemParams.random(4, 8, 8, rng)
+    p = fd.FddemParams.init(4, 8, 8, rng=rng)
     f = fd.frequency_feature(_rand(rng, (1, 4, 8, 8)), p).value
     att = fd.dual_attention(f, p).value
     excess = float((np.abs(att * f) - np.abs(f)).max())
@@ -271,7 +271,7 @@ def _fddem_freq_path_bounded(seed):
 
 def _fddem_identity_at_init(seed):
     rng = Stream(seed)
-    p = fd.FddemParams.identity(4, 8, 8)
+    p = fd.FddemParams.init(4, 8, 8)
     x = _rand(rng, (1, 4, 8, 8))
     err = float(np.abs(fd.fddem_forward(x, p).value - x).max())
     return err == 0.0, err
@@ -281,7 +281,7 @@ def _fddem_identity_at_init(seed):
 
 def _msgrb_identity_zero_shrink(seed):
     rng = Stream(seed)
-    p = ms.MsgrbParams.random(4, rng)
+    p = ms.MsgrbParams.init(4, rng=rng)
     p.shrink_w = np.zeros_like(p.shrink_w)
     x = _rand(rng, (1, 4, 6, 6))
     y = ms.msgrb_forward(x, p).value
@@ -291,7 +291,7 @@ def _msgrb_identity_zero_shrink(seed):
 
 def _msgrb_closed_gate(seed):
     rng = Stream(seed)
-    p = ms.MsgrbParams.random(4, rng)
+    p = ms.MsgrbParams.init(4, rng=rng)
     hidden = p.hidden
     w = p.expand_w.copy()
     b = p.expand_b.copy()
@@ -305,7 +305,7 @@ def _msgrb_closed_gate(seed):
 
 def _msgrb_decomposition(seed):
     rng = Stream(seed)
-    p = ms.MsgrbParams.random(4, rng)
+    p = ms.MsgrbParams.init(4, rng=rng)
     x = _rand(rng, (1, 4, 8, 8))
     y = ms.msgrb_forward(x, p).value
     expected = x + ms.ms_gu(x, p).value

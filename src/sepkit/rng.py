@@ -6,6 +6,9 @@ xorshift-multiply finalizer.  Because each output is a pure function of
 (seed, index), streams vectorize with numpy and re-running any consumer
 with the same seed reproduces its draws bit for bit.  The seed is echoed
 in every CLI report so published numbers can be regenerated exactly.
+
+`draws` is the one field builder of every parameter set's `init`: zeros
+(the declared init) without a stream, seeded normal draws with one.
 """
 
 from __future__ import annotations
@@ -75,3 +78,11 @@ class Stream:
             return np.arange(n, dtype=np.int64)
         keys = self._raw(n)
         return np.sort(np.argsort(keys, kind="stable")[:count])
+
+
+def draws(rng: Stream | None, dtype=np.float64):
+    """Field builder `g(scale, *shape)`: zeros of `shape` without a stream,
+    else the stream's next normal draws at `scale`, cast to `dtype`."""
+    if rng is None:
+        return lambda scale, *shape: np.zeros(shape, dtype=dtype)
+    return lambda scale, *shape: rng.normal(shape, scale=scale).astype(dtype)

@@ -12,14 +12,15 @@ non-negative column frequencies of every row.  The inverse maps a half
 spectrum back to a real plane of a stated width, as the real part of the
 full inverse of its Hermitian extension.  Every plane size goes through
 numpy's pocketfft.  A per-bin naive evaluation, deliberately O((H*W)^2)
-per plane, is kept behind `force_naive` as the always-correct reference
-and the benchmark baseline.
+per plane, is kept behind `dft2_raw`'s `force_naive`, and only there, as
+the always-correct reference and the benchmark baseline.
 
 Modulation multiplies a spectrum elementwise by learnable complex weights,
 one (C, H, W) weight pair per enhancement branch: real parts scale
-amplitudes, imaginary parts rotate phases.  Weights initialize to 1+0j so
-an untrained branch is an identity map.  Only the Hermitian part of a
-weight map reaches a real output, which makes the half spectrum exact:
+amplitudes, imaginary parts rotate phases.  `ComplexWeights.init`
+without a stream gives 1+0j, so an untrained branch is an identity map.
+Only the Hermitian part of a weight map reaches a real output, which makes
+the half spectrum exact:
 
     Re(ifft2(S * W)) = irfft2(S_half * Wh),  Wh[k] = (W[k] + conj(W[-k])) / 2
 
@@ -49,7 +50,7 @@ import numpy as np
 from . import autodiff as ad
 from . import tensor as tc
 from .autodiff import Var, as_var
-from .rng import Stream
+from .rng import Stream, draws
 from .tensor import require, require_finite, stack_count
 
 # test-only fault hook: when set, modulate_v flips the sign of the
@@ -180,27 +181,20 @@ class ComplexWeights:
         return folded
 
     @staticmethod
-    def identity(channels: int, height: int, width: int,
-                 dtype=np.float64) -> "ComplexWeights":
-        """The declared initialization: 1+0j everywhere (identity modulation)."""
-        return ComplexWeights(np.ones((channels, height, width), dtype=dtype),
-                              np.zeros((channels, height, width), dtype=dtype))
-
-    @staticmethod
-    def random(channels: int, height: int, width: int, rng: Stream,
-               spread: float = 0.5, dtype=np.float64) -> "ComplexWeights":
-        """Generic nonzero weights centered on the identity."""
-        shape = (channels, height, width)
-        return ComplexWeights(
-            (1.0 + rng.normal(shape, scale=spread)).astype(dtype),
-            rng.normal(shape, scale=spread).astype(dtype))
+    def init(channels: int, height: int, width: int, rng: Stream = None,
+             dtype=np.float64) -> "ComplexWeights":
+        """The declared init without a stream, 1+0j everywhere (identity
+        modulation); with one, generic nonzero weights centered on it."""
+        g, shape = draws(rng), (channels, height, width)
+        return ComplexWeights((1.0 + g(0.5, *shape)).astype(dtype),
+                              g(0.5, *shape).astype(dtype))
 
 
 # ---------------------------------------------------------------------------
 # differentiable ops (Var level)
 # ---------------------------------------------------------------------------
 
-def rfft2_v(x, force_naive: bool = False) -> Var:
+def rfft2_v(x) -> Var:
     """Differentiable half-spectrum DFT of a real (N, C, H, W) value.
 
     The input gradient of a half-spectrum cotangent g is
@@ -214,13 +208,11 @@ def rfft2_v(x, force_naive: bool = False) -> Var:
     def vjp(g):
         g = g.copy()
         g[..., _pairs(w)] *= 0.5
-        return (dft2_raw(g, inverse=True, force_naive=force_naive, width=w)
-                * (h * w),)
-    return ad._apply(dft2_raw(x.value, force_naive=force_naive, width=w),
-                     (x,), vjp, "rfft2")
+        return (dft2_raw(g, inverse=True, width=w) * (h * w),)
+    return ad._apply(dft2_raw(x.value, width=w), (x,), vjp, "rfft2")
 
 
-def irfft2_v(spectrum, width: int, force_naive: bool = False) -> Var:
+def irfft2_v(spectrum, width: int) -> Var:
     """Differentiable inverse of an (N, C, H, width // 2 + 1) half spectrum
     to the real (N, C, H, width) plane.
 
@@ -235,11 +227,11 @@ def irfft2_v(spectrum, width: int, force_naive: bool = False) -> Var:
     h = s.value.shape[-2]
 
     def vjp(g):
-        z = dft2_raw(g, force_naive=force_naive, width=width) / (h * width)
+        z = dft2_raw(g, width=width) / (h * width)
         z[..., _pairs(width)] *= 2
         return (z,)
-    return ad._apply(dft2_raw(s.value, inverse=True, force_naive=force_naive,
-                              width=width), (s,), vjp, "irfft2")
+    return ad._apply(dft2_raw(s.value, inverse=True, width=width), (s,), vjp,
+                     "irfft2")
 
 
 def hermitian_fold_v(re, im) -> Var:

@@ -80,9 +80,9 @@ def test_identity_at_initialization():
     x = rng.normal((1, 4, 8, 8))
 
     fddem_err = float(np.abs(
-        fddem_forward(x, FddemParams.identity(4, 8, 8)).value - x).max())
+        fddem_forward(x, FddemParams.init(4, 8, 8)).value - x).max())
     msgrb_err = float(np.abs(
-        msgrb_forward(x, MsgrbParams.identity(4)).value - x).max())
+        msgrb_forward(x, MsgrbParams.init(4)).value - x).max())
 
     xd = rng.normal((1, 3, 6, 6))
     dys_err = float(np.abs(

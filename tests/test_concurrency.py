@@ -21,7 +21,7 @@ from sepkit.rng import Stream
 
 
 def fddem_call(seed):
-    p = FddemParams.random(8, 20, 12, Stream(seed), dtype=np.float32)
+    p = FddemParams.init(8, 20, 12, rng=Stream(seed), dtype=np.float32)
     x = Stream(seed + 1).normal((2, 8, 20, 12)).astype(np.float32)
     return [fddem_forward(x, p).value]
 
@@ -56,7 +56,7 @@ def test_threaded_calls_match_serial_bytes():
 
 def test_threaded_fddem_forwards_on_shared_params_match_serial_bytes():
     def params():
-        return FddemParams.random(8, 20, 12, Stream(5), dtype=np.float32)
+        return FddemParams.init(8, 20, 12, rng=Stream(5), dtype=np.float32)
 
     xs = [Stream(6 + i).normal((2, 8, 20, 12)).astype(np.float32)
           for i in range(6)]

@@ -22,10 +22,10 @@ F32_REL_BOUND = 1e-5
 
 # block -> (params builder for a dtype, input shapes, forward on a list)
 BLOCKS = {
-    "fddem": (lambda dt: FddemParams.random(16, 40, 40, Stream(50),
-                                            dtype=dt),
+    "fddem": (lambda dt: FddemParams.init(16, 40, 40, rng=Stream(50),
+                                          dtype=dt),
               [(1, 16, 40, 40)], lambda xs, p: [fddem_forward(xs[0], p)]),
-    "msgrb": (lambda dt: MsgrbParams.random(16, Stream(51), dtype=dt),
+    "msgrb": (lambda dt: MsgrbParams.init(16, rng=Stream(51), dtype=dt),
               [(1, 16, 40, 40)], lambda xs, p: [msgrb_forward(xs[0], p)]),
     "ldconv": (lambda dt: LdconvParams.init(16, 32, stride=2, rng=Stream(52),
                                             dtype=dt),

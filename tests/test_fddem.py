@@ -34,13 +34,13 @@ def silu(v):
 
 class TestDualAttention:
     def test_zero_weights_give_half(self):
-        p = FddemParams.identity(4, 8, 8)
+        p = FddemParams.init(4, 8, 8)
         f = np.full((1, 4, 8, 8), 3.25)
         att = dual_attention(f, p)
         assert (att.value == 0.5).all()
 
     def test_output_strictly_in_unit_interval(self):
-        p = FddemParams.random(4, 8, 8, Stream(1))
+        p = FddemParams.init(4, 8, 8, rng=Stream(1))
         att = dual_attention(rand_array(2, (2, 4, 8, 8)), p)
         assert (att.value > 0).all() and (att.value < 1).all()
         assert att.shape == (2, 4, 8, 8)
@@ -48,7 +48,7 @@ class TestDualAttention:
     def test_hand_computed_single_channel_case(self):
         # C=1, r=1: both MLP convs are scalars, the 7x7 conv reads its
         # center taps only; every step is reproduced by hand below.
-        p = FddemParams.identity(1, 2, 2, branches=1, reduction=1)
+        p = FddemParams.init(1, 2, 2, branches=1, reduction=1)
         p.ca_w1 = np.full((1, 1, 1, 1), 1.5)
         p.ca_b1 = np.array([0.2])
         p.ca_w2 = np.full((1, 1, 1, 1), -0.75)
@@ -72,13 +72,13 @@ class TestDualAttention:
 
     def test_reduction_larger_than_channels_rejected(self):
         with pytest.raises(DimensionError):
-            FddemParams.identity(2, 8, 8, reduction=4)
+            FddemParams.init(2, 8, 8, reduction=4)
 
     @pytest.mark.parametrize("field,shape", [
         ("sa_w", (1, 2, 5, 5)), ("sa_w", (2, 2, 7, 7)), ("sa_w", (1, 3, 7, 7)),
         ("sa_b", (2,))])
     def test_wrong_spatial_weight_shape_names_the_field(self, field, shape):
-        p = FddemParams.random(4, 8, 8, Stream(19))
+        p = FddemParams.init(4, 8, 8, rng=Stream(19))
         setattr(p, field, np.zeros(shape))
         with pytest.raises(DimensionError, match=field):
             dual_attention(rand_array(20, (1, 4, 8, 8)), p)
@@ -95,7 +95,7 @@ class TestSpatialAttentionOracle:
                                            (np.float32, F32_REL_BOUND)],
                              ids=["f64", "f32"])
     def test_spatial_logits_match_naive_conv(self, h, w, dtype, rel):
-        p = FddemParams.random(4, h, w, Stream(21), dtype=dtype)
+        p = FddemParams.init(4, h, w, rng=Stream(21), dtype=dtype)
         for name in ("ca_w1", "ca_b1", "ca_w2", "ca_b2"):
             setattr(p, name, np.zeros_like(getattr(p, name)))
         f = Stream(22).normal((2, 4, h, w)).astype(dtype)
@@ -113,7 +113,7 @@ class TestSpatialAttentionOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stacked_spatial_weight_rows_are_their_unstacked_calls(
             self, field, dtype):
-        p = FddemParams.random(4, 9, 7, Stream(23), dtype=dtype)
+        p = FddemParams.init(4, 9, 7, rng=Stream(23), dtype=dtype)
         f = Stream(24).normal((1, 4, 9, 7)).astype(dtype)
         base = getattr(p, field)
         stack = np.stack([base + dtype(0.25 * k) for k in range(3)])
@@ -126,12 +126,12 @@ class TestSpatialAttentionOracle:
 
 class TestFddemForward:
     def test_shape_contract(self):
-        p = FddemParams.random(8, 16, 16, Stream(3))
+        p = FddemParams.init(8, 16, 16, rng=Stream(3))
         x = rand_array(4, (1, 8, 16, 16))
         assert fddem_forward(x, p).shape == (1, 8, 16, 16)
 
     def test_identity_at_init_exact(self):
-        p = FddemParams.identity(4, 8, 8)
+        p = FddemParams.init(4, 8, 8)
         x = rand_array(5, (2, 4, 8, 8))
         y = fddem_forward(x, p)
         assert np.array_equal(y.value, x)
@@ -141,7 +141,7 @@ class TestFddemForward:
         # zero attention weights (map = 0.5), spatial branch identity:
         # y = x + 0.5 * x
         branches = 3
-        p = FddemParams.identity(2, 8, 8, branches=branches, reduction=2)
+        p = FddemParams.init(2, 8, 8, branches=branches, reduction=2)
         compress = np.zeros((2, branches * 2, 1, 1))
         for b in range(branches):
             for c in range(2):
@@ -152,32 +152,32 @@ class TestFddemForward:
         np.testing.assert_allclose(y.value, 1.5 * x, atol=1e-9)
 
     def test_zero_input_zero_biases_zero_output(self):
-        p = FddemParams.random(4, 8, 8, Stream(7))
+        p = FddemParams.init(4, 8, 8, rng=Stream(7))
         for name in ("spatial1_b", "spatial2_b", "compress_b"):
             setattr(p, name, np.zeros_like(getattr(p, name)))
         y = fddem_forward(np.zeros((1, 4, 8, 8)), p)
         assert (y.value == 0).all()
 
     def test_frequency_contribution_bounded(self):
-        p = FddemParams.random(4, 8, 8, Stream(8))
+        p = FddemParams.init(4, 8, 8, rng=Stream(8))
         x = rand_array(9, (1, 4, 8, 8))
         f = frequency_feature(x, p).value
         att = dual_attention(f, p).value
         assert (np.abs(att * f) <= np.abs(f)).all()
 
     def test_wrong_plane_rejected(self):
-        p = FddemParams.random(4, 8, 8, Stream(10))
+        p = FddemParams.init(4, 8, 8, rng=Stream(10))
         with pytest.raises(DimensionError):
             fddem_forward(rand_array(11, (1, 4, 16, 16)), p)
 
     def test_wrong_channels_rejected(self):
-        p = FddemParams.random(4, 8, 8, Stream(12))
+        p = FddemParams.init(4, 8, 8, rng=Stream(12))
         with pytest.raises(DimensionError):
             fddem_forward(rand_array(13, (1, 3, 8, 8)), p)
 
     def test_tensor_input_names_the_fix(self):
         # blocks take ndarrays or Vars; a file Tensor is unwrapped by .data
-        p = FddemParams.random(4, 8, 8, Stream(14))
+        p = FddemParams.init(4, 8, 8, rng=Stream(14))
         t = Tensor(rand_array(15, (1, 4, 8, 8)))
         with pytest.raises(DimensionError, match=r"Tensor.*t\.data"):
             fddem_forward(t, p)
@@ -190,7 +190,7 @@ class TestFddemGradients:
     @pytest.mark.parametrize("h,w,batch", [(8, 8, 1), (6, 10, 2), (7, 9, 2)],
                              ids=["8x8-b1", "6x10-b2", "7x9-b2"])
     def test_gradcheck_all_params(self, h, w, batch):
-        p = FddemParams.random(4, h, w, Stream(14), branches=2, reduction=2)
+        p = FddemParams.init(4, h, w, rng=Stream(14), branches=2, reduction=2)
         x = Stream(15).normal((batch, 4, h, w))
 
         def fn(leaves):
@@ -204,7 +204,7 @@ class TestFddemGradients:
     def test_every_parameter_receives_gradient(self):
         from sepkit import Tape
         from sepkit.params import lift
-        p = FddemParams.random(4, 8, 8, Stream(17))
+        p = FddemParams.init(4, 8, 8, rng=Stream(17))
         x = Stream(18).normal((1, 4, 8, 8))
         tape = Tape()
         live = lift(p, tape)
@@ -248,7 +248,7 @@ class TestFrequencyBranchOracle:
 
     @pytest.mark.parametrize("h,w", FREQUENCY_ORACLE_PLANES)
     def test_branches_match_full_spectrum_oracle(self, h, w):
-        p = FddemParams.random(4, h, w, Stream(h * 100 + w))
+        p = FddemParams.init(4, h, w, rng=Stream(h * 100 + w))
         x = Stream(h + w).normal((2, 4, h, w))
         refs = frequency_branch_naive(x, p.branches)
         ys = np.split(frequency_branch(x, p.branches).value, len(refs), axis=1)
@@ -260,7 +260,7 @@ class TestFrequencyBranchOracle:
         # the mix on the half spectrum against each branch inverted on its
         # own, bin by bin, then compressed; batch 1 is the first sample and
         # B branches the first B, so the oracle runs once per plane
-        full = FddemParams.random(4, h, w, Stream(h * 100 + w + 1))
+        full = FddemParams.init(4, h, w, rng=Stream(h * 100 + w + 1))
         x = Stream(h + w + 1).normal((2, 4, h, w))
         naive = frequency_branch_naive(x, full.branches)
         for branches in (1, 2, 3):
@@ -290,9 +290,9 @@ class TestFrequencyBranchBytes:
         for batch in (1, 2):
             for branches in (1, 2, 3):
                 seed = 1000 * h + 10 * w + branches
-                p = FddemParams.random(4, h, w, Stream(seed),
-                                       branches=branches, reduction=2,
-                                       dtype=dtype)
+                p = FddemParams.init(4, h, w, rng=Stream(seed),
+                                     branches=branches, reduction=2,
+                                     dtype=dtype)
                 x = Stream(seed + batch).normal((batch, 4, h, w)).astype(dtype)
                 ref = composed_feature(
                     frequency_branch_per_branch(x, p.branches), p)
@@ -302,7 +302,7 @@ class TestFrequencyBranchBytes:
 
 
 def test_modulate_sign_fault_moves_the_block_output():
-    p = FddemParams.random(4, 9, 7, Stream(40))
+    p = FddemParams.init(4, 9, 7, rng=Stream(40))
     x = Stream(41).normal((2, 4, 9, 7))
     clean = fddem_forward(x, p).value
     old = spectral.FAULT_MODULATE_SIGN
@@ -327,11 +327,11 @@ def test_import_and_inference_leave_scipy_fft_unloaded():
         "    return sorted(m for m in sys.modules\n"
         "                  if m.startswith(('scipy.fft', 'scipy.signal')))\n"
         "assert not loaded(), loaded()\n"
-        "p = sepkit.FddemParams.random(8, 20, 12, Stream(1),"
+        "p = sepkit.FddemParams.init(8, 20, 12, rng=Stream(1),"
         " dtype=np.float32)\n"
         "sepkit.fddem_forward(np.ones((1, 8, 20, 12), np.float32), p)\n"
         "assert not loaded(), loaded()\n"
-        "p = sepkit.MsgrbParams.random(8, Stream(2), dtype=np.float32)\n"
+        "p = sepkit.MsgrbParams.init(8, rng=Stream(2), dtype=np.float32)\n"
         "sepkit.msgrb_forward(np.ones((1, 8, 20, 12), np.float32), p)\n"
         "assert not loaded(), loaded()\n"
         "p = sepkit.Ca2neckParams.init((4, 8, 16), rng=Stream(3),"
@@ -361,7 +361,7 @@ def test_import_and_scipy_free_inference_load_no_scipy():
         "                  if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded(), loaded()\n"
         "x = np.ones((1, 8, 20, 12), np.float32)\n"
-        "p = sepkit.FddemParams.random(8, 20, 12, Stream(1),"
+        "p = sepkit.FddemParams.init(8, 20, 12, rng=Stream(1),"
         " dtype=np.float32)\n"
         "sepkit.fddem_forward(x, p)\n"
         "p = sepkit.LdconvParams.init(8, 16, stride=2, rng=Stream(2),"
@@ -370,7 +370,7 @@ def test_import_and_scipy_free_inference_load_no_scipy():
         "p = sepkit.DysampleParams.init(8, rng=Stream(3), dtype=np.float32)\n"
         "sepkit.dysample_forward(x, p)\n"
         "assert not loaded(), loaded()\n"
-        "p = sepkit.MsgrbParams.random(8, Stream(4), dtype=np.float32)\n"
+        "p = sepkit.MsgrbParams.init(8, rng=Stream(4), dtype=np.float32)\n"
         "sepkit.msgrb_forward(x, p)\n"
         "assert 'scipy.special' in sys.modules, loaded()\n")
     src = os.path.join(os.path.dirname(os.path.dirname(

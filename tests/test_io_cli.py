@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sepkit import (DimensionError, MsgrbParams, ParamStore,
                     Tensor)
 from sepkit import io as sio
+from sepkit import spectral
 from sepkit.cli import main
 from sepkit.config import STAGES, build_chain, parse_config
 from sepkit.errors import ConfigError
@@ -75,21 +76,21 @@ class TestParamsFormat:
         assert open(path, "rb").read()[:4] == b"SEPP"
 
     def test_module_params_round_trip(self, tmp_path):
-        p = MsgrbParams.random(4, Stream(7))
+        p = MsgrbParams.init(4, rng=Stream(7))
         store = PS.from_params(p)
         path = str(tmp_path / "m.sepp")
         sio.write_params(path, store)
-        rebuilt = sio.read_params(path).to_params(MsgrbParams.identity(4))
+        rebuilt = sio.read_params(path).to_params(MsgrbParams.init(4))
         for name, arr in named_arrays(p).items():
             assert np.array_equal(named_arrays(rebuilt)[name], arr), name
 
     def test_fddem_complex_weights_round_trip(self, tmp_path):
         from sepkit import FddemParams
-        p = FddemParams.random(4, 8, 8, Stream(8))
+        p = FddemParams.init(4, 8, 8, rng=Stream(8))
         path = str(tmp_path / "f.sepp")
         sio.write_params(path, PS.from_params(p))
         rebuilt = sio.read_params(path).to_params(
-            FddemParams.identity(4, 8, 8))
+            FddemParams.init(4, 8, 8))
         assert rebuilt.branches[0].re.shape == (4, 8, 8)
         for name, arr in named_arrays(p).items():
             assert np.array_equal(named_arrays(rebuilt)[name], arr), name
@@ -343,6 +344,30 @@ params = zeros
         x = sio.read_tensor(inp).data
         assert stats["mean"] == pytest.approx(float(x.mean()), rel=1e-15)
 
+    @pytest.mark.parametrize("dtype,bound", [("f64", 1e-12), ("f32", 1e-5)])
+    def test_fft2_naive_path_matches_fast_path_and_input(
+            self, tmp_path, monkeypatch, dtype, bound):
+        # `path = naive` round-trips through the per-bin reference DFT
+        naive_calls = []
+        naive = spectral._naive_dft2_planes
+        monkeypatch.setattr(spectral, "_naive_dft2_planes", lambda a, sign: (
+            naive_calls.append(a.shape) or naive(a, sign)))
+        inp = write_input(tmp_path, seed=90, shape=(2, 2, 9, 7), dtype=dtype)
+        outs = {}
+        for path in ("fast", "naive"):
+            cfg = write_cfg(tmp_path, f"[chain]\ndtype = {dtype}\n\n[fft2]\n"
+                            "channels = 2\nheight = 9\nwidth = 7\n"
+                            f"batch = 2\npath = {path}\n", name=f"{path}.cfg")
+            out = str(tmp_path / f"{path}.sept")
+            assert main(["forward", "--config", cfg, "--input", inp,
+                         "--output", out]) == 0
+            outs[path] = sio.read_tensor(out).data
+            assert len(naive_calls) == (2 if path == "naive" else 0)
+        x = sio.read_tensor(inp).data
+        assert outs["naive"].dtype == outs["fast"].dtype == x.dtype
+        assert np.abs(outs["naive"] - outs["fast"]).max() <= bound
+        assert np.abs(outs["naive"] - x).max() <= bound
+
     def test_missing_input_exits_2_and_names_path(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, IDENTITY_MSGRB)
         missing = str(tmp_path / "nope.sept")
@@ -450,7 +475,7 @@ params = random
 
     def test_params_from_file_source(self, tmp_path, capsys):
         from sepkit import msgrb_forward
-        p = MsgrbParams.random(4, Stream(60))
+        p = MsgrbParams.init(4, rng=Stream(60))
         ppath = str(tmp_path / "m.sepp")
         sio.write_params(ppath, PS.from_params(p))
         cfg = write_cfg(tmp_path, f"""
@@ -470,7 +495,7 @@ params = file:{ppath}
         assert np.array_equal(sio.read_tensor(out).data, expected.value)
 
     def test_params_file_missing_parameter_exits_2(self, tmp_path, capsys):
-        store = PS.from_params(MsgrbParams.random(4, Stream(62)))
+        store = PS.from_params(MsgrbParams.init(4, rng=Stream(62)))
         partial = PS()
         for name, arr in store.items():
             if name != "expand_b":
@@ -502,7 +527,7 @@ params = file:{ppath}
     def test_truncated_params_file_exits_3(self, tmp_path):
         ppath = str(tmp_path / "m.sepp")
         sio.write_params(ppath, PS.from_params(
-            MsgrbParams.random(4, Stream(63))))
+            MsgrbParams.init(4, rng=Stream(63))))
         data = open(ppath, "rb").read()
         open(ppath, "wb").write(data[:len(data) // 2])
         cfg = write_cfg(tmp_path, f"[msgrb]\nchannels = 4\nparams = file:{ppath}\n")

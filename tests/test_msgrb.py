@@ -83,7 +83,7 @@ class TestMsdwconv:
 
 class TestMsGu:
     def test_closed_gate_vanishes(self):
-        p = MsgrbParams.random(4, Stream(7))
+        p = MsgrbParams.init(4, rng=Stream(7))
         w, b = p.expand_w.copy(), p.expand_b.copy()
         w[p.hidden:] = 0.0
         b[p.hidden:] = -50.0   # gate input pinned at -50, sigmoid ~ 1.9e-22
@@ -92,7 +92,7 @@ class TestMsGu:
         assert np.abs(ms_gu(x, p).value).max() <= 1e-20
 
     def test_open_gate_matches_ungated_chain(self):
-        p = MsgrbParams.random(4, Stream(9))
+        p = MsgrbParams.init(4, rng=Stream(9))
         w, b = p.expand_w.copy(), p.expand_b.copy()
         w[p.hidden:] = 0.0
         b[p.hidden:] = 50.0    # gate saturates at 1
@@ -107,7 +107,7 @@ class TestMsGu:
         np.testing.assert_allclose(y.value, ungated.value, atol=1e-12)
 
     def test_gradcheck_all_params(self):
-        p = MsgrbParams.random(4, Stream(11))
+        p = MsgrbParams.init(4, rng=Stream(11))
         x = Stream(12).normal((1, 4, 8, 8))
 
         def fn(leaves):
@@ -120,7 +120,7 @@ class TestMsGu:
 
     def test_hidden_channel_locality(self):
         # before the shrink mix, hidden channel j only sees X_k channel j
-        p = MsgrbParams.random(3, Stream(14))
+        p = MsgrbParams.init(3, rng=Stream(14))
         x = rand_array(15, (1, 3, 6, 6))
         e = ad.conv2d(x, p.expand_w, p.expand_b)
         x_k = ad.split(e, [3, 3], axis=1)[0].value
@@ -134,7 +134,7 @@ class TestMsGu:
 
 class TestMsgrbForward:
     def test_closed_gate_residual_identity(self):
-        p = MsgrbParams.random(4, Stream(16))
+        p = MsgrbParams.init(4, rng=Stream(16))
         w, b = p.expand_w.copy(), p.expand_b.copy()
         w[p.hidden:] = 0.0
         b[p.hidden:] = -50.0
@@ -144,25 +144,25 @@ class TestMsgrbForward:
         assert np.abs(y.value - x).max() <= 1e-18
 
     def test_zero_shrink_exact_identity(self):
-        p = MsgrbParams.random(4, Stream(18))
+        p = MsgrbParams.init(4, rng=Stream(18))
         p.shrink_w = np.zeros_like(p.shrink_w)
         x = rand_array(19, (1, 4, 8, 8))
         y = msgrb_forward(x, p)
         assert np.array_equal(y.value, x)
 
     def test_fresh_params_are_identity(self):
-        p = MsgrbParams.identity(6)
+        p = MsgrbParams.init(6)
         x = rand_array(20, (2, 6, 5, 5))
         assert np.array_equal(msgrb_forward(x, p).value, x)
 
     def test_definitional_decomposition(self):
-        p = MsgrbParams.random(4, Stream(21))
+        p = MsgrbParams.init(4, rng=Stream(21))
         x = rand_array(22, (1, 4, 8, 8))
         y = msgrb_forward(x, p)
         assert np.array_equal(y.value, x + ms_gu(x, p).value)
 
     def test_gate_bounds_path_magnitude(self):
-        p = MsgrbParams.random(4, Stream(23))
+        p = MsgrbParams.init(4, rng=Stream(23))
         x = rand_array(24, (1, 4, 8, 8))
         e = ad.conv2d(x, p.expand_w, p.expand_b)
         x_k, v_k = ad.split(e, [p.hidden, p.hidden], axis=1)
@@ -172,12 +172,12 @@ class TestMsgrbForward:
         assert (np.abs(refined * gate) <= np.abs(refined)).all()
 
     def test_channel_mismatch(self):
-        p = MsgrbParams.random(4, Stream(25))
+        p = MsgrbParams.init(4, rng=Stream(25))
         with pytest.raises(DimensionError):
             msgrb_forward(rand_array(26, (1, 3, 4, 4)), p)
 
     def test_shape_preserved(self):
         for c, h, w in ((2, 4, 6), (5, 9, 7), (1, 3, 3)):
-            p = MsgrbParams.random(c, Stream(c))
+            p = MsgrbParams.init(c, rng=Stream(c))
             x = rand_array(27 + c, (1, c, h, w))
             assert msgrb_forward(x, p).shape == x.shape

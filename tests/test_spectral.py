@@ -20,7 +20,7 @@ def rand_plane(seed, h, w, channels=1, batch=1):
 
 def fft2(x, force_naive=False):
     """Half spectrum of x as a complex array."""
-    return spectral.rfft2_v(x, force_naive=force_naive).value
+    return spectral.dft2_raw(x, force_naive=force_naive, width=x.shape[-1])
 
 
 def ifft2(spec, width):
@@ -193,7 +193,7 @@ class TestModulate:
     def test_identity_weights(self):
         x = rand_plane(9, 8, 8, channels=2)
         z = fft2(x)
-        assert np.array_equal(modulate(z, fold(ComplexWeights.identity(
+        assert np.array_equal(modulate(z, fold(ComplexWeights.init(
             2, 8, 8))), z)
 
     def test_zero_weights_absorb(self):
@@ -217,12 +217,12 @@ class TestModulate:
     def test_shape_mismatch(self):
         x = rand_plane(12, 8, 8, channels=2)
         with pytest.raises(DimensionError):
-            modulate(fft2(x), fold(ComplexWeights.identity(2, 4, 4)))
+            modulate(fft2(x), fold(ComplexWeights.init(2, 4, 4)))
 
     def test_single_channel_weights_not_broadcast(self):
         x = rand_plane(12, 8, 8, channels=2)
         with pytest.raises(DimensionError):
-            modulate(fft2(x), fold(ComplexWeights.identity(1, 8, 8)))
+            modulate(fft2(x), fold(ComplexWeights.init(1, 8, 8)))
 
     def test_weight_shapes_validated(self):
         with pytest.raises(DimensionError):
@@ -265,7 +265,7 @@ class TestMix:
 class TestMultiBranch:
     def test_identity_branch_round_trips(self):
         x = rand_plane(13, 8, 8, channels=2)
-        out = enhance(x, [ComplexWeights.identity(2, 8, 8)])
+        out = enhance(x, [ComplexWeights.init(2, 8, 8)])
         assert len(out) == 1
         assert np.abs(out[0] - x).max() <= 1e-10
 
@@ -292,7 +292,7 @@ class TestMultiBranch:
 
     def test_empty_branch_list_rejected(self):
         with pytest.raises(DimensionError):
-            FddemParams.identity(4, 4, 4, branches=0)
+            FddemParams.init(4, 4, 4, branches=0)
 
 
 class TestComplexWeightsImmutable:
@@ -309,7 +309,7 @@ class TestComplexWeightsImmutable:
         assert w.re[0, 0, 0] != 7.0
 
     def test_fields_cannot_be_reassigned(self):
-        w = ComplexWeights.identity(2, 4, 4)
+        w = ComplexWeights.init(2, 4, 4)
         with pytest.raises(dataclasses.FrozenInstanceError):
             w.re = np.zeros((2, 4, 4))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -319,14 +319,14 @@ class TestComplexWeightsImmutable:
                              ids=["f32", "f64"])
     @pytest.mark.parametrize("h,w", [(8, 8), (9, 7), (6, 10)])
     def test_fold_bytes_equal_the_fold_op(self, h, w, dtype):
-        wt = ComplexWeights.random(3, h, w, Stream(h * w), dtype=dtype)
+        wt = ComplexWeights.init(3, h, w, rng=Stream(h * w), dtype=dtype)
         ref = spectral.hermitian_fold_v(wt.re, wt.im).value
         assert wt.fold().dtype == ref.dtype
         assert np.array_equal(wt.fold(), ref)
 
     def test_rebuilds_fold_their_new_parts(self, tmp_path):
-        old = FddemParams.random(4, 9, 7, Stream(32), branches=2)
-        new = FddemParams.random(4, 9, 7, Stream(33), branches=2)
+        old = FddemParams.init(4, 9, 7, rng=Stream(32), branches=2)
+        new = FddemParams.init(4, 9, 7, rng=Stream(33), branches=2)
         path = str(tmp_path / "new.sepp")
         write_params(path, ParamStore.from_params(new))
         rebuilt = {
@@ -343,14 +343,14 @@ class TestComplexWeightsImmutable:
 
     def test_lifted_parts_fold_on_the_tape(self):
         tape = Tape()
-        live = lift(FddemParams.random(4, 9, 7, Stream(34)), tape)
+        live = lift(FddemParams.init(4, 9, 7, rng=Stream(34)), tape)
         folded = live.branches[0].fold()
         assert isinstance(folded, ad.Var) and folded.tape is tape
 
 
 class TestComplexWeightsInit:
     def test_identity_init_values(self):
-        w = ComplexWeights.identity(3, 4, 5)
+        w = ComplexWeights.init(3, 4, 5)
         assert (w.re == 1.0).all() and (w.im == 0.0).all()
         assert w.re.shape == (3, 4, 5)
 

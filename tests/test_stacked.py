@@ -337,11 +337,11 @@ def _stacked_leaves(p, name):
 
 
 @pytest.mark.parametrize("params,name,props,want", [
-    (FddemParams.random(4, 9, 7, Stream(40), reduction=2), "spatial1_w",
+    (FddemParams.init(4, 9, 7, rng=Stream(40), reduction=2), "spatial1_w",
      ("channels", "plane"), (4, (9, 7))),
-    (FddemParams.random(4, 9, 7, Stream(41), reduction=2), "branches.0.re",
+    (FddemParams.init(4, 9, 7, rng=Stream(41), reduction=2), "branches.0.re",
      ("channels", "plane"), (4, (9, 7))),
-    (MsgrbParams.random(4, Stream(42), hidden=6), "shrink_w",
+    (MsgrbParams.init(4, rng=Stream(42), hidden=6), "shrink_w",
      ("channels", "hidden"), (4, 6)),
     (LdconvParams.init(2, 3, rng=Stream(43)), "mix_w",
      ("out_channels", "weights_per_output_channel"), (3, 10)),
@@ -356,7 +356,7 @@ def test_stacked_leaf_keeps_shape_properties(params, name, props, want):
 
 
 def test_replace_vars_rejects_other_shapes():
-    p = MsgrbParams.random(4, Stream(46))
+    p = MsgrbParams.init(4, rng=Stream(46))
     leaves = _stacked_leaves(p, "shrink_w")
     leaves["shrink_w"] = ad.Var(leaves["shrink_w"].value[None])
     with pytest.raises(DimensionError):

@@ -510,6 +510,11 @@ class TestSplitConcat:
         with pytest.raises(DimensionError):
             split(rand_array(0, (1, 8, 2, 2)), [3, 4])
 
+    def test_negative_size_rejected(self):
+        # [-1, 5] sums to the 4 channels but must not slice blocks of 3, 1
+        with pytest.raises(DimensionError, match=r"\[-1, 5\]"):
+            split(rand_array(0, (1, 4, 2, 2)), [-1, 5])
+
     def test_concat_disagreement(self):
         with pytest.raises(DimensionError):
             concat([rand_array(0, (1, 2, 4, 4)),

@@ -144,8 +144,8 @@ def test_traced_fddem_forward_runs_two_transforms_per_block(branches):
     # three branches) reads spectral.dft2.calls 8 and .planes 128 from this
     tracing = load_perfbench("tracing")
     n, c = 2, 4
-    p = FddemParams.random(c, 9, 7, Stream(7), branches=branches,
-                           dtype=np.float32)
+    p = FddemParams.init(c, 9, 7, rng=Stream(7), branches=branches,
+                         dtype=np.float32)
     x = Stream(8).normal((n, c, 9, 7)).astype(np.float32)
     tracer = tracing.Tracer()
     tracer.install()
