@@ -19,13 +19,14 @@ complex value z is dL/dRe(z) + j*dL/dIm(z), so the vjp of z = a*b hands a
 the cotangent g*conj(b).  The spectral ops that cross between real and
 complex values hand their real operands real gradients.
 
-`gradcheck` certifies an analytic gradient against central differences,
-optionally on a seeded coordinate subsample for large parameters, and
-reports per-parameter absolute/relative error and cosine alignment.  A
-coordinate whose difference carries too much round-off for the tolerance
-takes Ridders' extrapolation over larger steps as its reference.  It
+`gradcheck` certifies an analytic gradient against central differences
+at the fixed step `EPS` and relative tolerance `TOL`, optionally on a
+seeded coordinate subsample for large parameters, and reports
+per-parameter absolute/relative error and cosine alignment.  A coordinate
+whose difference carries too much round-off for the tolerance takes
+Ridders' extrapolation over larger steps as its reference.  It
 evaluates the perturbations of one parameter as one stack: a (K, *shape)
-array whose row 2j holds +eps and row 2j+1 holds -eps at the j-th
+array whose row 2j holds +EPS and row 2j+1 holds -EPS at the j-th
 checked coordinate.  An evaluator maps a stack to its K losses.  The
 default one runs the closure once per row; a batched one (the CLI's
 `stage_gradcheck`) runs one forward per sample, in which the stacked
@@ -444,22 +445,27 @@ class GradReport:
     """Comparison of analytic tape gradients against central differences.
 
     Relative error uses the denominator max(|analytic|, |numeric|, 1e-12).
-    Coordinates where both gradients are below `abs_floor` count toward the
+    Coordinates where both gradients are below `ABS_FLOOR` count toward the
     absolute error only; central differences at that magnitude are pure
     cancellation noise and would make the ratio meaningless.
     """
     params: list = field(default_factory=list)
-    eps: float = 1e-5
-    tol: float = 1e-4
 
     @property
     def passed(self) -> bool:
         return all(p.passed for p in self.params)
 
     def as_dict(self) -> dict:
-        return {"eps": self.eps, "tol": self.tol, "pass": self.passed,
+        return {"eps": EPS, "tol": TOL, "pass": self.passed,
                 "params": [p.as_dict() for p in self.params]}
 
+
+# The central-difference step, the relative tolerance every checked
+# coordinate must meet, and the gradient magnitude below which a
+# coordinate counts toward the absolute error only
+EPS = 1e-5
+TOL = 1e-4
+ABS_FLOOR = 1e-7
 
 # Rows of a stack handed to the evaluator at once.  A batched evaluator's
 # memory grows with them: at 128 rows, one call of `cli.stage_gradcheck`'s
@@ -545,34 +551,31 @@ def _ridders(d: np.ndarray) -> tuple:
     return est, err
 
 
-def gradcheck(fn, params: dict, eps: float = 1e-5, tol: float = 1e-4,
-              max_coords: int = 64, seed: int = 0,
-              abs_floor: float = 1e-7, losses=None) -> GradReport:
+def gradcheck(fn, params: dict, max_coords: int = 64, seed: int = 0,
+              losses=None) -> GradReport:
     """Certify d(fn)/d(params) against central differences.
 
     `fn` maps a dict of Vars (same keys as `params`) to a scalar Var; it
     gives the analytic gradients on a tape.  For parameters larger than
     `max_coords` a seeded subsample of coordinates (at least 64) is
     checked.  Each parameter's m checked coordinates become one (2m,
-    *shape) stack, row 2j at +eps and row 2j+1 at -eps of coordinate j.
+    *shape) stack, row 2j at +EPS and row 2j+1 at -EPS of coordinate j.
     `losses(params, name, rows)` returns the loss of each row of a slice
     of at most `STACK_ROWS` rows of that stack, the other parameters held
     at `params`.  It defaults to `_rowwise(fn)`; a batched evaluator must
     return the same bytes.
 
-    A central difference at eps carries a round-off of at least
-    (|f₊| + |f₋|)·u/(2·eps), u = 2⁻⁵³, from the rounding of its two
+    A central difference at EPS carries a round-off of at least
+    (|f₊| + |f₋|)·u/(2·EPS), u = 2⁻⁵³, from the rounding of its two
     losses alone; a loss summed over a block's outputs carries tens of
-    times more.  Where that budget exceeds 0.01·tol·max(|analytic|,
-    |numeric|) at a coordinate above `abs_floor`, the coordinate runs
+    times more.  Where that budget exceeds 0.01·TOL·max(|analytic|,
+    |numeric|) at a coordinate above `ABS_FLOOR`, the coordinate runs
     again at the `RIDDERS_STEPS` (one more stack of the parameter's
     refined coordinates), and its reference becomes the Ridders estimate
-    when that estimate's error bound is below the budget.  The tolerance
-    is the same for every coordinate.  The report flags tolerance
-    failures instead of raising.
+    when that estimate's error bound is below the budget.  A parameter
+    passes when every checked coordinate's relative error is at most
+    `TOL`.  The report flags tolerance failures instead of raising.
     """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps}")
     params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
     losses = _rowwise(fn) if losses is None else losses
     tape = Tape()
@@ -586,16 +589,16 @@ def gradcheck(fn, params: dict, eps: float = 1e-5, tol: float = 1e-4,
 
     picker = Stream(seed)
     max_coords = max(64, int(max_coords))
-    report = GradReport(eps=eps, tol=tol)
+    report = GradReport()
     for name, theta in params.items():
         size = theta.size
         idx = (np.arange(size) if size <= max_coords
                else picker.choice(size, max_coords))
         a_vals = analytic[name].reshape(-1)[idx]
         n_vals, budget = (v[:, 0] for v in _differences(
-            losses, params, name, idx, (eps,)))
+            losses, params, name, idx, (EPS,)))
         magnitude = np.maximum(np.abs(a_vals), np.abs(n_vals))
-        coarse = (magnitude > abs_floor) & (budget > 0.01 * tol * magnitude)
+        coarse = (magnitude > ABS_FLOOR) & (budget > 0.01 * TOL * magnitude)
         if coarse.any():
             d, _ = _differences(losses, params, name, idx[coarse],
                                 RIDDERS_STEPS)
@@ -605,7 +608,7 @@ def gradcheck(fn, params: dict, eps: float = 1e-5, tol: float = 1e-4,
             magnitude = np.maximum(np.abs(a_vals), np.abs(n_vals))
         abs_err = np.abs(a_vals - n_vals)
         denom = np.maximum(magnitude, 1e-12)
-        rel = np.where(magnitude > abs_floor, abs_err / denom, 0.0)
+        rel = np.where(magnitude > ABS_FLOOR, abs_err / denom, 0.0)
         na, nn = np.linalg.norm(a_vals), np.linalg.norm(n_vals)
         if na == 0.0 and nn == 0.0:
             cosine = 1.0
@@ -619,6 +622,6 @@ def gradcheck(fn, params: dict, eps: float = 1e-5, tol: float = 1e-4,
             max_abs_err=float(abs_err.max()) if abs_err.size else 0.0,
             max_rel_err=max_rel,
             cosine=cosine,
-            passed=bool(max_rel <= tol),
+            passed=bool(max_rel <= TOL),
         ))
     return report

@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .msgrb import MsgrbParams, msgrb_forward
 from .rng import Stream, draws
-from .tensor import require
+from .tensor import require, require_counts
 
 DEFAULT_SCOPE = 0.25
 
@@ -41,8 +41,7 @@ def ldconv_coords(n_points: int) -> np.ndarray:
     row-major order and subtracts their centroid, so irregular point
     counts give fractional, centered layouts.
     """
-    if n_points <= 0:
-        raise ValueError(f"point count must be positive, got {n_points}")
+    require_counts(n_points=n_points)
     b = math.isqrt(n_points)
     if b * b < n_points:
         b += 1
@@ -82,8 +81,8 @@ class LdconvParams:
         Random init biases the offsets by +0.35 of a pixel: it keeps every
         sampling point off the integer lattice, where the interpolant's
         coordinate derivative is undefined."""
-        require(n_points >= 1, f"need n_points >= 1, got {n_points}")
-        require(stride >= 1, f"need stride >= 1, got {stride}")
+        require_counts(in_channels=in_channels, out_channels=out_channels,
+                       n_points=n_points, stride=stride)
         g = draws(rng, dtype)
         mix = g(1.0 / np.sqrt(n_points * in_channels),
                 out_channels, n_points * in_channels, 1, 1)
@@ -92,24 +91,6 @@ class LdconvParams:
                         dtype=dtype)
         return LdconvParams(n_points=n_points, stride=stride, mix_w=mix,
                             offset_w=off_w, offset_b=off_b)
-
-    @staticmethod
-    def from_conv_kernel(kernel: np.ndarray, stride: int = 1,
-                         dtype=np.float64) -> "LdconvParams":
-        """Mixing weights arranged from a square (C_out, C_in, k, k) kernel.
-
-        Point i*k+j carries kernel tap (i, j), matching the row-major
-        order of ldconv_coords(k*k); offsets start at zero, so the result
-        reproduces fixed k x k sampling."""
-        co, ci, kh, kw = kernel.shape
-        require(kh == kw, f"kernel must be square, got {kernel.shape}")
-        n = kh * kw
-        # (co, ci, kh, kw) -> (co, kh, kw, ci) -> (co, n*ci)
-        mix = np.ascontiguousarray(kernel.transpose(0, 2, 3, 1)).reshape(
-            co, n * ci, 1, 1).astype(dtype)
-        p = LdconvParams.init(ci, co, n_points=n, stride=stride, dtype=dtype)
-        p.mix_w = mix
-        return p
 
 
 def ldconv_forward(x, p: LdconvParams) -> ad.Var:
@@ -164,8 +145,9 @@ class DysampleParams:
              scope: float = DEFAULT_SCOPE, rng: Stream = None,
              dtype=np.float64) -> "DysampleParams":
         """Zero-initialized head reproduces plain bilinear upsampling."""
+        require_counts(channels=channels, groups=groups)
         require(scale >= 2, f"scale must be >= 2, got {scale}")
-        require(groups >= 1 and channels % groups == 0,
+        require(channels % groups == 0,
                 f"channels {channels} must divide into groups {groups}")
         co, g = 2 * groups * scale * scale, draws(rng, dtype)
         return DysampleParams(scale=scale, groups=groups, scope=float(scope),
@@ -264,6 +246,7 @@ class Ca2neckParams:
         resizes and a zero merge silences each level, which tests override
         with explicit mixes)."""
         c0, c1, c2 = channels
+        require_counts(C0=c0, C1=c1, C2=c2)
         g = draws(rng, dtype)
 
         def merge(cin, cout):

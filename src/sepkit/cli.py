@@ -192,7 +192,7 @@ def stage_gradcheck(stage, x, seed: int) -> ad.GradReport:
                 for o in run(live, [a[i:i + 1] for a in levels])]
         return np.broadcast_to(sum(sums[1:], sums[0]), (len(stack),))
 
-    return ad.gradcheck(fn, named_arrays(stage.params), eps=1e-5, tol=1e-4,
+    return ad.gradcheck(fn, named_arrays(stage.params),
                         seed=derive_seed(seed, 13), losses=losses)
 
 

@@ -36,7 +36,7 @@ from . import autodiff as ad
 from . import spectral
 from .rng import Stream, draws
 from .spectral import ComplexWeights
-from .tensor import require
+from .tensor import require, require_counts
 
 
 @dataclass
@@ -70,8 +70,8 @@ class FddemParams:
              dtype=np.float64) -> "FddemParams":
         """The declared init without a stream (identity complex weights,
         zero everything else); generic nonzero values drawn from one."""
-        require(branches >= 1, f"need at least one branch, got {branches}")
-        require(reduction >= 1, f"reduction must be >= 1, got {reduction}")
+        require_counts(channels=channels, branches=branches,
+                       reduction=reduction)
         require(channels >= reduction,
                 f"channel count {channels} is below reduction {reduction}")
         c, cr, g = channels, channels // reduction, draws(rng, dtype)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .rng import Stream, draws
-from .tensor import require
+from .tensor import require, require_counts
 
 KERNEL_SIZES = (3, 5, 7)
 
@@ -49,8 +49,11 @@ class MsgrbParams:
     def init(channels: int, hidden: int = None, rng: Stream = None,
              dtype=np.float64) -> "MsgrbParams":
         """All-zero learnable deltas without a stream (the block computes
-        y == x exactly); generic nonzero values drawn from one."""
-        c, h, g = channels, hidden or channels, draws(rng, dtype)
+        y == x exactly); generic nonzero values drawn from one.  `hidden`
+        is `channels` unless given."""
+        c, h = channels, channels if hidden is None else hidden
+        require_counts(channels=c, hidden=h)
+        g = draws(rng, dtype)
         return MsgrbParams(
             expand_w=g(1.0 / np.sqrt(c), 2 * h, c, 1, 1),
             expand_b=g(0.1, 2 * h),

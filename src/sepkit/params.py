@@ -7,11 +7,14 @@ path, which gives one mechanism for:
 
   * lifting a parameter object onto a tape as named leaves,
   * flattening to a {name: ndarray} dict for gradcheck,
+  * swapping named Vars or arrays in (`replace_vars`), for gradcheck's
+    leaves and for the arrays a parameter file holds,
   * round-tripping through a `ParamStore` and its on-disk format.
 
 Stored entries are canonicalized to 4D blocks (biases (C,) become
-(1, C, 1, 1), complex weight planes (C, H, W) become (1, C, H, W)); the
-owning dataclass restores field shapes on load.
+(1, C, 1, 1), complex weight planes (C, H, W) become (1, C, H, W));
+`ParamStore.to_params` restores each field's shape and dtype from a
+template and swaps the arrays in through `replace_vars`.
 """
 
 from __future__ import annotations
@@ -62,21 +65,6 @@ def named_arrays(params) -> dict:
         return arr
     _walk(params, fn)
     return out
-
-
-def replace_arrays(template, values: dict):
-    """Copy of `template` with each array swapped for values[name]."""
-    def fn(name, arr):
-        if name not in values:
-            raise KeyError(f"missing parameter {name!r}")
-        new = np.asarray(values[name])
-        old = arr.value if isinstance(arr, Var) else arr
-        if new.size != old.size:
-            raise DimensionError(
-                f"parameter {name!r} has {new.size} values, expected "
-                f"{old.size}")
-        return new.reshape(old.shape).astype(old.dtype)
-    return _walk(template, fn)
 
 
 def replace_vars(template, leaves: dict):
@@ -138,9 +126,6 @@ class ParamStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     @staticmethod
     def from_params(params) -> "ParamStore":
         store = ParamStore()
@@ -149,7 +134,14 @@ class ParamStore:
         return store
 
     def to_params(self, template):
-        """Rebuild a parameter object shaped like `template` from the store."""
-        values = {name: self.get(name)
-                  for name in named_arrays(template)}
-        return replace_arrays(template, values)
+        """Rebuild a parameter object shaped like `template` from the store,
+        each stored block restored to its field's shape and dtype."""
+        values = {}
+        for name, arr in named_arrays(template).items():
+            stored = self.get(name)
+            if stored.size != arr.size:
+                raise DimensionError(
+                    f"parameter {name!r} has {stored.size} values, expected "
+                    f"{arr.size}")
+            values[name] = stored.reshape(arr.shape).astype(arr.dtype)
+        return replace_vars(template, values)

@@ -7,8 +7,10 @@ xorshift-multiply finalizer.  Because each output is a pure function of
 with the same seed reproduces its draws bit for bit.  The seed is echoed
 in every CLI report so published numbers can be regenerated exactly.
 
-`draws` is the one field builder of every parameter set's `init`: zeros
-(the declared init) without a stream, seeded normal draws with one.
+`uniform` and `normal` return f64 arrays of the shape asked for; a caller
+that wants f32 casts them.  `draws` is the one field builder of every
+parameter set's `init`: zeros (the declared init) without a stream,
+seeded normal draws with one.
 """
 
 from __future__ import annotations
@@ -49,16 +51,17 @@ class Stream:
             z = np.uint64(self.seed) + idx * _GOLDEN
             return _mix(z)
 
-    def uniform(self, shape=(), dtype=np.float64) -> np.ndarray:
-        """Uniform draws in [0, 1) from the top 53 bits of each word."""
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    def uniform(self, shape) -> np.ndarray:
+        """f64 array of `shape` uniform in [0, 1), from the top 53 bits of
+        each word."""
+        n = int(np.prod(shape, dtype=np.int64))
         u = (self._raw(n) >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-        out = u.reshape(shape) if shape else u[0]
-        return np.asarray(out, dtype=dtype) if shape else dtype(out)
+        return u.reshape(shape)
 
-    def normal(self, shape=(), scale=1.0, dtype=np.float64) -> np.ndarray:
-        """Standard normal draws via Box-Muller on paired uniforms."""
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    def normal(self, shape, scale=1.0) -> np.ndarray:
+        """f64 array of `shape` normal at `scale`, by Box-Muller on paired
+        uniforms."""
+        n = int(np.prod(shape, dtype=np.int64))
         pairs = (n + 1) // 2
         # shift into (0, 1] so the log is finite
         u1 = ((self._raw(pairs) >> np.uint64(11)).astype(np.float64) + 1.0) \
@@ -68,9 +71,7 @@ class Stream:
         radius = np.sqrt(-2.0 * np.log(u1))
         angle = 2.0 * np.pi * u2
         z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
-        z = z * scale
-        out = z.reshape(shape) if shape else z[0]
-        return np.asarray(out, dtype=dtype) if shape else dtype(out)
+        return (z * scale).reshape(shape)
 
     def choice(self, n: int, count: int) -> np.ndarray:
         """`count` distinct indices from range(n), order-stable for a seed."""

@@ -51,7 +51,7 @@ from . import autodiff as ad
 from . import tensor as tc
 from .autodiff import Var, as_var
 from .rng import Stream, draws
-from .tensor import require, require_finite, stack_count
+from .tensor import require, require_counts, require_finite, stack_count
 
 # test-only fault hook: when set, modulate_v flips the sign of the
 # spectrum.im * weight.re term so harness checks can prove they catch it
@@ -185,6 +185,7 @@ class ComplexWeights:
              dtype=np.float64) -> "ComplexWeights":
         """The declared init without a stream, 1+0j everywhere (identity
         modulation); with one, generic nonzero weights centered on it."""
+        require_counts(channels=channels, height=height, width=width)
         g, shape = draws(rng), (channels, height, width)
         return ComplexWeights((1.0 + g(0.5, *shape)).astype(dtype),
                               g(0.5, *shape).astype(dtype))

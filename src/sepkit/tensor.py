@@ -50,6 +50,12 @@ def require(condition: bool, message: str) -> None:
         raise DimensionError(message)
 
 
+def require_counts(**counts) -> None:
+    """Raise DimensionError naming the first count below 1."""
+    for name, n in counts.items():
+        require(n >= 1, f"{name} must be >= 1, got {n}")
+
+
 def require_finite(array: np.ndarray, what: str) -> None:
     if not np.isfinite(array).all():
         raise NumericError(f"non-finite values in {what}")
@@ -73,18 +79,14 @@ def stack_count(op: str, *weights, batch: int | None = None) -> int:
 
 
 class Tensor:
-    """Immutable dense (N, C, H, W) value, row-major, f32 or f64."""
+    """Immutable dense (N, C, H, W) value, row-major, f32 or f64: f32 and
+    f64 data keep their dtype, any other dtype is read as f64."""
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=None, copy=True):
+    def __init__(self, data, copy=True):
         arr = np.asarray(data)
-        if dtype is not None:
-            dtype = DTYPES.get(dtype, dtype)
-            require(dtype in (np.float32, np.float64),
-                    f"Tensor dtype must be f32 or f64, got {dtype!r}")
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if copy:
             arr = arr.copy()

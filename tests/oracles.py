@@ -9,7 +9,9 @@ half-spectrum path it checks; `frequency_branch`, the library's spectral
 ops composed into every branch's real output; and
 `frequency_branch_per_branch` and `ldconv_per_point`, built on the
 library's own kernels, which check only how the frequency branch and
-LDConv batch their work, so they can be held to equal bytes.
+LDConv batch their work, so they can be held to equal bytes.  One
+fixture rides along: `ldconv_from_conv_kernel`, LDConv parameters laid
+out from a square conv kernel, which the conv oracles above check.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from sepkit import autodiff as ad
 from sepkit import spectral
 from sepkit import tensor as tc
-from sepkit.ca2neck import ldconv_coords
+from sepkit.ca2neck import LdconvParams, ldconv_coords
 from sepkit.spectral import _naive_dft2_planes
 
 
@@ -278,6 +280,20 @@ def ldconv_per_point(x, p):
         sampled.append(tc.bilinear_sample_raw(x, grid)[0])
     return tc.conv2d_raw(np.concatenate(sampled, axis=1), p.mix_w, None, 1,
                          0)[0]
+
+
+def ldconv_from_conv_kernel(kernel, stride=1):
+    """LDConv parameters with the mixing weights of a square (C_out, C_in,
+    k, k) kernel: point i*k+j, which ldconv_coords(k*k) places at tap
+    (i, j), carries that tap.  The offsets keep their zero init, so the
+    block samples a fixed k x k grid."""
+    co, ci, k, _ = kernel.shape
+    assert kernel.shape[3] == k, f"kernel must be square, got {kernel.shape}"
+    p = LdconvParams.init(ci, co, n_points=k * k, stride=stride)
+    # (co, ci, k, k) -> (co, k, k, ci) -> (co, k*k*ci)
+    p.mix_w = np.ascontiguousarray(kernel.transpose(0, 2, 3, 1)).reshape(
+        co, k * k * ci, 1, 1)
+    return p
 
 
 def dysample_grid_naive(offsets, h, w, p):

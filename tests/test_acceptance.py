@@ -6,6 +6,7 @@ criterion.  Seeds are fixed so every number here reproduces exactly.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from sepkit.cli import main
 from sepkit.rng import Stream, derive_seed
 
 from oracles import bilinear_resize, clamped_conv3x3, conv2d_naive, \
-    dft2_literal
+    dft2_literal, ldconv_from_conv_kernel
 
 BASE_SEED = 20260810
 
@@ -91,7 +92,7 @@ def test_identity_at_initialization():
 
     kernel = rng.normal((3, 2, 3, 3))
     xl = rng.normal((1, 2, 8, 8))
-    y = ldconv_forward(xl, LdconvParams.from_conv_kernel(kernel))
+    y = ldconv_forward(xl, ldconv_from_conv_kernel(kernel))
     ld_err = float(np.abs(y.value[:, :, 1:-1, 1:-1]
                           - conv2d_naive(xl, kernel, padding=1)
                           [:, :, 1:-1, 1:-1]).max())
@@ -294,7 +295,7 @@ params = random
     assert main(["forward", "--config", str(cfg), "--input", inp,
                  "--output", out2]) == 0
     stats2 = json.loads(capsys.readouterr().out)
-    bytes_equal = open(out1, "rb").read() == open(out2, "rb").read()
+    bytes_equal = Path(out1).read_bytes() == Path(out2).read_bytes()
     stats1.pop("wall_ms")
     stats2.pop("wall_ms")
 

@@ -12,7 +12,8 @@ from sepkit.params import named_arrays, replace_vars
 from sepkit.rng import Stream
 
 from oracles import (bilinear_resize, clamped_conv3x3, conv2d_naive,
-                     dysample_grid_naive, ldconv_per_point)
+                     dysample_grid_naive, ldconv_from_conv_kernel,
+                     ldconv_per_point)
 
 
 def rand_array(seed, shape):
@@ -46,7 +47,7 @@ class TestCoords:
 class TestLdconv:
     def test_nine_points_equal_3x3_conv(self):
         kernel = Stream(1).normal((3, 2, 3, 3))
-        p = LdconvParams.from_conv_kernel(kernel, stride=1)
+        p = ldconv_from_conv_kernel(kernel, stride=1)
         x = Stream(2).normal((1, 2, 8, 8))
         y = ldconv_forward(x, p)
         ref_interior = conv2d_naive(x, kernel, padding=1)

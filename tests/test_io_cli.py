@@ -1,14 +1,16 @@
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepkit import (DimensionError, MsgrbParams, ParamStore,
-                    Tensor)
+from sepkit import (Ca2neckParams, ComplexWeights, DimensionError,
+                    DysampleParams, FddemParams, LdconvParams, MsgrbParams,
+                    ParamStore, Tensor, ldconv_coords)
 from sepkit import io as sio
 from sepkit import spectral
 from sepkit.cli import main
@@ -17,11 +19,11 @@ from sepkit.errors import ConfigError
 from sepkit.params import ParamStore as PS
 from sepkit.params import named_arrays
 from sepkit.rng import Stream
+from sepkit.tensor import DTYPES
 
 
 def rand_tensor(seed, shape, dtype="f64"):
-    data = Stream(seed).normal(shape)
-    return Tensor(data, dtype=dtype)
+    return Tensor(Stream(seed).normal(shape).astype(DTYPES[dtype]))
 
 
 class TestTensorFormat:
@@ -29,7 +31,7 @@ class TestTensorFormat:
         t = Tensor(np.arange(8.0).reshape(1, 2, 2, 2))
         path = str(tmp_path / "t.sept")
         sio.write_tensor(path, t)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert raw[:4] == b"SEPT"
         version, dtype_code, ndim = struct.unpack_from("<IBB", raw, 4)
         assert (version, dtype_code, ndim) == (1, 1, 4)
@@ -49,14 +51,14 @@ class TestTensorFormat:
     def test_truncated_file_rejected(self, tmp_path):
         path = str(tmp_path / "t.sept")
         sio.write_tensor(path, rand_tensor(1, (1, 1, 4, 4)))
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-8])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-8])
         with pytest.raises(DimensionError):
             sio.read_tensor(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "t.sept")
-        open(path, "wb").write(b"NOPE" + b"\x00" * 60)
+        Path(path).write_bytes(b"NOPE" + b"\x00" * 60)
         with pytest.raises(DimensionError):
             sio.read_tensor(path)
 
@@ -73,7 +75,7 @@ class TestParamsFormat:
         assert back.names() == ["conv.w", "conv.b", "weights.re"]
         assert back.get("conv.b").shape == (1, 3, 1, 1)  # canonical 4D
         assert np.array_equal(back.get("conv.w"), store.get("conv.w"))
-        assert open(path, "rb").read()[:4] == b"SEPP"
+        assert Path(path).read_bytes()[:4] == b"SEPP"
 
     def test_module_params_round_trip(self, tmp_path):
         p = MsgrbParams.init(4, rng=Stream(7))
@@ -83,9 +85,17 @@ class TestParamsFormat:
         rebuilt = sio.read_params(path).to_params(MsgrbParams.init(4))
         for name, arr in named_arrays(p).items():
             assert np.array_equal(named_arrays(rebuilt)[name], arr), name
+        # the template sets each field's dtype and the values it must hold
+        narrow = sio.read_params(path).to_params(
+            MsgrbParams.init(4, dtype=np.float32))
+        for name, arr in named_arrays(p).items():
+            assert np.array_equal(named_arrays(narrow)[name],
+                                  arr.astype(np.float32)), name
+        with pytest.raises(DimensionError, match="'expand_w' has 32 values, "
+                                                 "expected 48"):
+            sio.read_params(path).to_params(MsgrbParams.init(4, hidden=6))
 
     def test_fddem_complex_weights_round_trip(self, tmp_path):
-        from sepkit import FddemParams
         p = FddemParams.init(4, 8, 8, rng=Stream(8))
         path = str(tmp_path / "f.sepp")
         sio.write_params(path, PS.from_params(p))
@@ -94,6 +104,46 @@ class TestParamsFormat:
         assert rebuilt.branches[0].re.shape == (4, 8, 8)
         for name, arr in named_arrays(p).items():
             assert np.array_equal(named_arrays(rebuilt)[name], arr), name
+
+
+# every parameter constructor, with a count or plane side below 1
+BAD_SIZES = {
+    "msgrb_hidden_0": (lambda rng: MsgrbParams.init(4, hidden=0, rng=rng),
+                       "hidden"),
+    "msgrb_hidden_-2": (lambda rng: MsgrbParams.init(4, hidden=-2, rng=rng),
+                        "hidden"),
+    "msgrb_channels_0": (lambda rng: MsgrbParams.init(0, rng=rng),
+                         "channels"),
+    "fddem_height_0": (lambda rng: FddemParams.init(4, 0, 8, rng=rng),
+                       "height"),
+    "fddem_width_-1": (lambda rng: FddemParams.init(4, 8, -1, rng=rng),
+                       "width"),
+    "fddem_channels_0": (lambda rng: FddemParams.init(0, 8, 8, reduction=1,
+                                                      rng=rng), "channels"),
+    "complex_channels_0": (lambda rng: ComplexWeights.init(0, 4, 4, rng=rng),
+                           "channels"),
+    "ldconv_in_0": (lambda rng: LdconvParams.init(0, 3, rng=rng),
+                    "in_channels"),
+    "ldconv_out_-1": (lambda rng: LdconvParams.init(2, -1, rng=rng),
+                      "out_channels"),
+    "dysample_channels_0": (lambda rng: DysampleParams.init(0, rng=rng),
+                            "channels"),
+    "dysample_groups_0": (lambda rng: DysampleParams.init(4, groups=0,
+                                                          rng=rng), "groups"),
+    "ca2neck_C1_0": (lambda rng: Ca2neckParams.init((2, 0, 8), rng=rng),
+                     "C1"),
+    "ca2neck_C2_-8": (lambda rng: Ca2neckParams.init((2, 4, -8), rng=rng),
+                      "C2"),
+    "ldconv_coords_0": (lambda rng: ldconv_coords(0), "n_points"),
+}
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["zeros", "random"])
+@pytest.mark.parametrize("case", sorted(BAD_SIZES))
+def test_init_rejects_sizes_below_one(case, seeded):
+    build, name = BAD_SIZES[case]
+    with pytest.raises(DimensionError, match=f"^{name} must be >= 1"):
+        build(Stream(3) if seeded else None)
 
 
 def sample_file(tmp_path, kind):
@@ -120,10 +170,10 @@ class TestReaderRobustness:
     @pytest.mark.parametrize("kind", ["sept", "sepp"])
     def test_every_proper_prefix_rejected(self, tmp_path, kind):
         path, reader = sample_file(tmp_path, kind)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         cut = str(tmp_path / "cut")
         for n in range(len(raw)):
-            open(cut, "wb").write(raw[:n])
+            Path(cut).write_bytes(raw[:n])
             with pytest.raises(DimensionError):
                 reader(cut)
 
@@ -133,7 +183,7 @@ class TestReaderRobustness:
     def test_corrupted_dims(self, tmp_path_factory, dims, payload):
         path = str(tmp_path_factory.mktemp("dims") / "t.sept")
         header = b"SEPT" + struct.pack("<IBB4Q", 1, 1, 4, *dims)
-        open(path, "wb").write(header + bytes(8 * payload))
+        Path(path).write_bytes(header + bytes(8 * payload))
         try:
             t = sio.read_tensor(path)
         except DimensionError:
@@ -145,7 +195,7 @@ class TestReaderRobustness:
     def test_corrupted_names(self, tmp_path_factory, name, declared):
         path = str(tmp_path_factory.mktemp("names") / "p.sepp")
         block = sio.tensor_block_bytes(np.zeros((1, 1, 1, 2)))
-        open(path, "wb").write(b"SEPP" + struct.pack("<IH", 1, declared)
+        Path(path).write_bytes(b"SEPP" + struct.pack("<IH", 1, declared)
                                + name + block)
         try:
             store = sio.read_params(path)
@@ -159,8 +209,8 @@ class TestReaderRobustness:
            tail=st.binary(min_size=1, max_size=64))
     def test_trailing_bytes(self, tmp_path_factory, kind, tail):
         path, reader = sample_file(tmp_path_factory.mktemp("tail"), kind)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw + tail)
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw + tail)
         with pytest.raises(DimensionError):
             reader(path)
 
@@ -312,8 +362,8 @@ class TestCliForward:
         out = str(tmp_path / "out.sept")
         assert main(["forward", "--config", cfg, "--input", inp,
                      "--output", out]) == 0
-        a = open(inp, "rb").read()
-        b = open(out, "rb").read()
+        a = Path(inp).read_bytes()
+        b = Path(out).read_bytes()
         assert a == b  # same header, same payload
         stats = json.loads(capsys.readouterr().out)
         assert set(stats) == {"shape", "min", "max", "mean", "l2", "wall_ms",
@@ -528,8 +578,8 @@ params = file:{ppath}
         ppath = str(tmp_path / "m.sepp")
         sio.write_params(ppath, PS.from_params(
             MsgrbParams.init(4, rng=Stream(63))))
-        data = open(ppath, "rb").read()
-        open(ppath, "wb").write(data[:len(data) // 2])
+        data = Path(ppath).read_bytes()
+        Path(ppath).write_bytes(data[:len(data) // 2])
         cfg = write_cfg(tmp_path, f"[msgrb]\nchannels = 4\nparams = file:{ppath}\n")
         assert main(["forward", "--config", cfg,
                      "--input", write_input(tmp_path),
@@ -538,8 +588,8 @@ params = file:{ppath}
     def test_truncated_input_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, IDENTITY_MSGRB)
         inp = write_input(tmp_path)
-        head = open(inp, "rb").read()[:6]
-        open(inp, "wb").write(head)
+        head = Path(inp).read_bytes()[:6]
+        Path(inp).write_bytes(head)
         assert main(["forward", "--config", cfg, "--input", inp,
                      "--output", str(tmp_path / "o.sept")]) == 3
 
@@ -575,10 +625,10 @@ params = file:{ppath}
             assert main(["forward", "--config", cfg, "--input", str(inp),
                          "--output", out]) == 0
             if os.path.isdir(out):
-                outs.append([open(os.path.join(out, f), "rb").read()
+                outs.append([Path(os.path.join(out, f)).read_bytes()
                              for f in sorted(os.listdir(out))])
             else:
-                outs.append(open(out, "rb").read())
+                outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
     @staticmethod
@@ -764,7 +814,7 @@ params = random
         assert main(["forward", "--config", cfg, "--input", inp,
                      "--output", out2]) == 0
         stats2 = json.loads(capsys.readouterr().out)
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
         stats1.pop("wall_ms")
         stats2.pop("wall_ms")
         assert stats1 == stats2

@@ -8,7 +8,7 @@ from sepkit import (ComplexWeights, DimensionError, FddemParams,
 from sepkit import autodiff as ad
 from sepkit import spectral
 from sepkit.io import read_params, write_params
-from sepkit.params import ParamStore, lift, named_arrays, replace_arrays
+from sepkit.params import ParamStore, lift, named_arrays, replace_vars
 from sepkit.rng import Stream
 
 from oracles import dft2_literal, frequency_branch, idft2_literal
@@ -332,7 +332,7 @@ class TestComplexWeightsImmutable:
         rebuilt = {
             "replace": [dataclasses.replace(wo, re=wn.re, im=wn.im)
                         for wo, wn in zip(old.branches, new.branches)],
-            "replace_arrays": replace_arrays(old, named_arrays(new)).branches,
+            "replace_vars": replace_vars(old, named_arrays(new)).branches,
             "sepp": read_params(path).to_params(old).branches,
         }
         for how, branches in rebuilt.items():
