@@ -35,11 +35,11 @@ parameter holds K weights.  They meet the batch as numpy broadcasts it
 K share a batch of one sample and give K samples, so work that the
 stacked parameter does not reach runs once.  Ops that take stacked
 weights (`conv2d`, `depthwise_conv2d`, `fold_kernels`, and the spectral
-weight ops `hermitian_fold_v`, `modulate_v` and `mix_v`) give each sample
-the bytes of its own unstacked call, and refuse to record them on a
-tape.  The ops that meet a shared sample further on (`add`, `mul`,
-`concat` and the input of `bilinear_sample`) broadcast it against the K
-samples, and on a tape their vjps sum its gradient over the batch.
+weight ops `modulate_v` and `mix_v`) give each sample the bytes of its
+own unstacked call, and refuse to record them on a tape.  The ops that
+meet a shared sample further on (`add`, `mul`, `concat` and the input of
+`bilinear_sample`) broadcast it against the K samples, and on a tape
+their vjps sum its gradient over the batch.
 """
 
 from __future__ import annotations

@@ -6,13 +6,13 @@ Dual-branch block over a fixed (C, H, W) feature size:
     convolutions with silu between, x + conv2(silu(conv1(x))), so the
     branch is an exact identity while conv2 is zero;
   * frequency detail branch: one half-spectrum DFT of the input, then per
-    branch a complex product with the Hermitian fold of that branch's
-    learnable (C, H, W) complex weights (folded once, on first use); the B
+    branch a complex product with that branch's learnable complex weights,
+    held as the (C, H, W//2+1) half spectrum Wh they act on; the B
     products are concatenated on the channel axis and compressed by a
     zero-initialized 1x1 convolution on the half spectrum (`mix_v`),
     before one inverse transform of the C mixed planes.  The inverse is
     planewise and linear, so this is the compress conv of every branch's
-    Re(ifft2(fft2(x) * W)), each inverted on its own, up to round-off;
+    irfft2(rfft2(x) * Wh), each inverted on its own, up to round-off;
     the compression bias is added after the inverse;
   * dual attention: channel logits (global average + max pooling through
     a shared two-layer 1x1-conv MLP) and spatial logits (channel mean/max
@@ -62,7 +62,7 @@ class FddemParams:
 
     @property
     def plane(self) -> tuple:
-        return self.branches[0].re.shape[-2:]
+        return self.branches[0].re.shape[-2], self.branches[0].width
 
     @staticmethod
     def init(channels: int, height: int, width: int, branches: int = 3,
@@ -126,14 +126,15 @@ def frequency_feature(x, p: FddemParams) -> ad.Var:
     """The compressed frequency feature of x, shaped like x.
 
     One half-spectrum transform of x, one complex product per branch with
-    its folded weights, the B products mixed down to C channels by
+    its weights, the B products mixed down to C channels by
     `compress_w` on the half spectrum, one inverse transform of the C
     planes, and `compress_b` added per channel (a stacked (K, C) bias
     broadcasts to K samples).
     """
     xv = ad.as_var(x)
     spectrum = spectral.rfft2_v(xv)
-    products = [spectral.modulate_v(spectrum, wb.fold()) for wb in p.branches]
+    products = [spectral.modulate_v(spectrum, wb.re, wb.im)
+                for wb in p.branches]
     mixed = spectral.mix_v(ad.concat(products, axis=1), p.compress_w)
     b = ad.as_var(p.compress_b)
     return ad.add(spectral.irfft2_v(mixed, xv.value.shape[-1]),

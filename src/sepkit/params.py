@@ -12,8 +12,8 @@ path, which gives one mechanism for:
   * round-tripping through a `ParamStore` and its on-disk format.
 
 Stored entries are canonicalized to 4D blocks (biases (C,) become
-(1, C, 1, 1), complex weight planes (C, H, W) become (1, C, H, W));
-`ParamStore.to_params` restores each field's shape and dtype from a
+(1, C, 1, 1), half-spectrum weight planes (C, H, Wh) become (1, C, H,
+Wh)); `ParamStore.to_params` restores each field's shape and dtype from a
 template and swaps the arrays in through `replace_vars`.
 """
 
@@ -24,7 +24,7 @@ import dataclasses
 import numpy as np
 
 from .autodiff import Tape, Var
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .tensor import require, require_finite
 
 
@@ -70,8 +70,7 @@ def named_arrays(params) -> dict:
 def replace_vars(template, leaves: dict):
     """Copy of `template` with each array swapped for leaves[name], a Var
     or an ndarray of the field's shape.  A leaf that is the field's own
-    array swaps nothing, so its parameter object (and a `ComplexWeights`'
-    cached fold) is kept.
+    array swaps nothing, so its parameter object is kept.
 
     A leaf may also be stacked: K values of the field's shape on one more
     leading axis, for the ops that take stacked weights."""
@@ -135,13 +134,24 @@ class ParamStore:
 
     def to_params(self, template):
         """Rebuild a parameter object shaped like `template` from the store,
-        each stored block restored to its field's shape and dtype."""
+        each stored block restored to its field's shape and dtype.  A
+        stored entry that the template lacks, or a block not shaped as its
+        field's 4D block, is refused."""
+        fields = named_arrays(template)
+        extra = [name for name in self._entries if name not in fields]
+        if extra:
+            raise ConfigError(f"parameters not in the template: "
+                              f"{', '.join(map(repr, extra))}")
         values = {}
-        for name, arr in named_arrays(template).items():
-            stored = self.get(name)
+        for name, arr in fields.items():
+            stored, shape = self.get(name), _canon4(arr).shape
             if stored.size != arr.size:
                 raise DimensionError(
                     f"parameter {name!r} has {stored.size} values, expected "
                     f"{arr.size}")
+            if stored.shape != shape:
+                raise DimensionError(
+                    f"parameter {name!r} is stored as {stored.shape}, "
+                    f"expected {shape}")
             values[name] = stored.reshape(arr.shape).astype(arr.dtype)
         return replace_vars(template, values)

@@ -190,7 +190,7 @@ def _parseval_modulated(seed):
     h = w = 8
     x = _rand(rng, (1, 2, h, w))
     phase = rng.uniform((2, h, w // 2 + 1)) * 2.0 * np.pi
-    y = spectral.modulate_v(spectral.rfft2_v(x), np.exp(1j * phase))
+    y = spectral.modulate_v(spectral.rfft2_v(x), np.cos(phase), np.sin(phase))
     spatial = float((x ** 2).sum())
     err = abs(spatial - _half_energy(y.value, w) / (h * w)) / max(
         abs(spatial), 1e-12)

@@ -15,34 +15,27 @@ numpy's pocketfft.  A per-bin naive evaluation, deliberately O((H*W)^2)
 per plane, is kept behind `dft2_raw`'s `force_naive`, and only there, as
 the always-correct reference and the benchmark baseline.
 
-Modulation multiplies a spectrum elementwise by learnable complex weights,
-one (C, H, W) weight pair per enhancement branch: real parts scale
-amplitudes, imaginary parts rotate phases.  `ComplexWeights.init`
-without a stream gives 1+0j, so an untrained branch is an identity map.
-Only the Hermitian part of a weight map reaches a real output, which makes
-the half spectrum exact:
-
-    Re(ifft2(S * W)) = irfft2(S_half * Wh),  Wh[k] = (W[k] + conj(W[-k])) / 2
-
-A branch is `irfft2_v(modulate_v(rfft2_v(x), Wh), W)` with `Wh` from
-`ComplexWeights.fold()`: computed once for array weights, a
-`hermitian_fold_v` tape node for lifted ones, so every stored weight
-still gets its gradient.  The inverse is planewise and linear, so a real
-1x1 channel mix commutes with it: `mix_v` compresses the products of
-several branches, stacked on the channel axis, on the half spectrum, and
-one `irfft2_v` inverts only the mixed planes.  These five ops are the one
-execution path, with or without a tape, and carry complex values in
-`Var`s under the gradient convention stated in `autodiff`.  `dft2_raw` is
-the plain-array transform underneath them.  Off the tape,
-`hermitian_fold_v`, `modulate_v` and `mix_v` also take stacked weights (K
-weights on one more leading axis, as `autodiff` describes); `modulate_v`
-and `mix_v` pair weight k with sample k, or share a one-sample spectrum
-among all K.
+Modulation multiplies a half spectrum elementwise by learnable complex
+weights, stored as the half spectrum they act on: one (C, H, W // 2 + 1)
+real and imaginary part per enhancement branch, plus the plane width they
+were made for.  Real parts scale amplitudes, imaginary parts rotate phases.
+`ComplexWeights.init` without a stream gives 1+0j, so an untrained branch
+is an identity map.  A branch is `irfft2_v(modulate_v(rfft2_v(x), re, im),
+W)`; like a real plane's spectrum, the weights' zero and Nyquist columns
+reach the output through their Hermitian parts only.  The inverse is
+planewise and linear, so a real 1x1 channel mix commutes with it: `mix_v`
+compresses the products of several branches, stacked on the channel axis,
+on the half spectrum, and one `irfft2_v` inverts only the mixed planes.
+These four ops are the one execution path, with or without a tape, and
+carry complex values in `Var`s under the gradient convention stated in
+`autodiff`.  `dft2_raw` is the plain-array transform underneath them.  Off
+the tape, `modulate_v` and `mix_v` also take stacked weights (K weights on
+one more leading axis, as `autodiff` describes): weight k pairs with
+sample k, or all K share a one-sample spectrum.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,16 +74,6 @@ def _pairs(width: int) -> slice:
     """Half-spectrum columns that stand for a conjugate pair of bins (all
     but the zero and, at even width, the Nyquist column)."""
     return slice(1, (width + 1) // 2)
-
-
-@functools.lru_cache(maxsize=64)
-def _mirror(h: int, w: int) -> np.ndarray:
-    """In-plane flat index of bin -k for each bin k of the half spectrum of
-    an (h, w) plane; k -> -k is one-to-one, so no index repeats."""
-    index = ((-np.arange(h) % h)[:, None] * w + -np.arange(w // 2 + 1) % w)
-    index = index.ravel()
-    index.setflags(write=False)
-    return index
 
 
 def dft2_raw(a: np.ndarray, inverse: bool = False,
@@ -139,56 +122,46 @@ def _read_only_copy(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComplexWeights:
-    """Learnable (C, H, W) complex weights for one enhancement branch.
-
-    Immutable.  Built from arrays, it owns read-only copies of both parts
-    and folds them once, on the first `fold()`; built from lifted `Var`
-    parts, each `fold()` records the fold on the tape.
+    """Learnable complex weights re + j*im for one enhancement branch, held
+    as the (C, H, width // 2 + 1) half spectrum of a (C, H, width) plane.
+    Immutable; built from arrays, it owns read-only copies of both parts.
     """
 
     re: np.ndarray
     im: np.ndarray
+    width: int
 
     def __post_init__(self):
         if isinstance(self.re, Var) or isinstance(self.im, Var):
             return  # lifted onto a tape; shapes were validated at build time
         re, im = _read_only_copy(self.re), _read_only_copy(self.im)
-        require(re.ndim == 3,
-                f"complex weights must be (C, H, W), got {re.shape}")
-        require(re.shape == im.shape,
-                f"weight parts must share a shape, got {re.shape} "
-                f"vs {im.shape}")
+        wh = self.width // 2 + 1
+        require(re.ndim == 3 and re.shape[-1] == wh and re.shape == im.shape,
+                f"complex weights of width {self.width} must be two (C, H, "
+                f"{wh}) parts, got {re.shape} and {im.shape}")
         require_finite(re, "complex weights (re)")
         require_finite(im, "complex weights (im)")
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
-    def fold(self):
-        """The (C, H, W // 2 + 1) Hermitian half that `modulate_v` takes:
-        the stored array, or a `hermitian_fold_v` node for lifted parts."""
-        if isinstance(self.re, Var) or isinstance(self.im, Var):
-            return hermitian_fold_v(self.re, self.im)
-        return self._folded
-
-    @functools.cached_property
-    def _folded(self) -> np.ndarray:
-        # on first use, not at construction: weights that never run a
-        # forward off the tape (a template refilled from a SEPP file, the
-        # copies the `params` helpers rebuild) never fold or hold a fold;
-        # concurrent first calls may both fold, and store equal bytes
-        folded = hermitian_fold_v(self.re, self.im).value
-        folded.setflags(write=False)
-        return folded
-
     @staticmethod
     def init(channels: int, height: int, width: int, rng: Stream = None,
              dtype=np.float64) -> "ComplexWeights":
         """The declared init without a stream, 1+0j everywhere (identity
-        modulation); with one, generic nonzero weights centered on it."""
+        modulation); with one, generic nonzero weights centered on it.
+
+        The stream gives full (C, H, width) parts, and their Hermitian
+        half (W[k] + conj(W[-k])) / 2 is kept: the part of them that a
+        real output would see."""
         require_counts(channels=channels, height=height, width=width)
         g, shape = draws(rng), (channels, height, width)
-        return ComplexWeights((1.0 + g(0.5, *shape)).astype(dtype),
-                              g(0.5, *shape).astype(dtype))
+        re = (1.0 + g(0.5, *shape)).astype(dtype)
+        im = g(0.5, *shape).astype(dtype)
+        wh = width // 2 + 1  # W[-k] of each half bin k = (u, v): (-u, -v)
+        mirror = (slice(None), (-np.arange(height) % height)[:, None],
+                  -np.arange(wh) % width)
+        return ComplexWeights(0.5 * (re[..., :wh] + re[mirror]),
+                              0.5 * (im[..., :wh] - im[mirror]), width)
 
 
 # ---------------------------------------------------------------------------
@@ -235,53 +208,22 @@ def irfft2_v(spectrum, width: int) -> Var:
                      "irfft2")
 
 
-def hermitian_fold_v(re, im) -> Var:
-    """Half-spectrum Hermitian part (W[k] + conj(W[-k])) / 2 of the (C, H, W)
-    weights W = re + j*im, shaped (C, H, W // 2 + 1).  Either part may be
-    stacked (K, C, H, W), which stacks the fold."""
-    re, im = as_var(re), as_var(im)
-    rv, iv = re.value, im.value
-    stack = stack_count("hermitian_fold", (rv, 3), (iv, 3))
-    require(rv.shape[-3:] == iv.shape[-3:]
-            and (stack or rv.shape == iv.shape),
-            f"weight parts must share a shape, got {rv.shape} "
-            f"vs {iv.shape}")
-    shape = (rv if rv.ndim >= iv.ndim else iv).shape
-    h, w = shape[-2:]
-    wh, mirror = w // 2 + 1, _mirror(h, w)
-
-    def mirrored(a):  # a[..., -k] for each half-spectrum bin k
-        return a.reshape(a.shape[:-2] + (h * w,)).take(mirror, -1).reshape(
-            a.shape[:-1] + (wh,))
-    value = np.empty(shape[:-1] + (wh,),
-                     dtype=np.result_type(rv, np.complex64))
-    value.real = 0.5 * (rv[..., :wh] + mirrored(rv))
-    value.imag = 0.5 * (iv[..., :wh] - mirrored(iv))
-    flat = shape[:-2] + (h * w,)
-
-    def vjp(g):
-        g_re, g_im = 0.5 * g.real, 0.5 * g.imag
-        d_re = np.zeros(shape, dtype=g_re.dtype)
-        d_im = np.zeros(shape, dtype=g_im.dtype)
-        d_re[..., :wh], d_im[..., :wh] = g_re, g_im
-        d_re.reshape(flat)[..., mirror] += g_re.reshape(flat[:-1] + (-1,))
-        d_im.reshape(flat)[..., mirror] -= g_im.reshape(flat[:-1] + (-1,))
-        return d_re, d_im
-    return ad._apply(value, (re, im), vjp, "hermitian_fold", bool(stack))
-
-
-def modulate_v(spectrum, weights) -> Var:
-    """Differentiable complex product of an (N, C, H, Wh) spectrum with
-    (C, H, Wh) weights, shared across the batch.  Stacked (K, C, H, Wh)
-    weights meet the spectrum as `tensor.stack_count` states: weight k
-    takes sample k, or all K take a spectrum of one sample."""
-    s, wt = as_var(spectrum), as_var(weights)
-    sv, wv = s.value, wt.value
-    stacked = wv.ndim == sv.ndim
-    require(wv.shape[int(stacked):] == sv.shape[1:],
-            f"weights {wv.shape} do not match spectrum planes "
-            f"{sv.shape[1:]}")
-    stack_count("modulate", (wv, 3), batch=len(sv))
+def modulate_v(spectrum, re, im) -> Var:
+    """Differentiable complex product of an (N, C, H, Wh) spectrum with the
+    (C, H, Wh) weights re + j*im, shared across the batch.  Either part may
+    be stacked (K, C, H, Wh); stacked weights meet the spectrum as
+    `tensor.stack_count` states: weight k takes sample k, or all K take a
+    spectrum of one sample."""
+    s, re, im = as_var(spectrum), as_var(re), as_var(im)
+    sv, rv, iv = s.value, re.value, im.value
+    stack = stack_count("modulate", (rv, 3), (iv, 3), batch=len(sv))
+    require(all(a.ndim in (3, 4) and a.shape[-3:] == sv.shape[1:]
+                for a in (rv, iv)),
+            f"weights {rv.shape} and {iv.shape} do not match spectrum "
+            f"planes {sv.shape[1:]}")
+    wv = np.empty(np.broadcast_shapes(rv.shape, iv.shape),
+                  np.result_type(rv, iv, np.complex64))
+    wv.real, wv.imag = rv, iv
     fault = FAULT_MODULATE_SIGN
     value = sv * wv
     if fault:
@@ -292,8 +234,8 @@ def modulate_v(spectrum, weights) -> Var:
         if fault:
             gs.imag -= 2 * (g.imag * wv.real)
             gw.real -= 2 * (g.imag * sv.imag).sum(axis=0)
-        return gs, gw
-    return ad._apply(value, (s, wt), vjp, "modulate", stacked)
+        return gs, gw.real, gw.imag
+    return ad._apply(value, (s, re, im), vjp, "modulate", bool(stack))
 
 
 def _real_view(z: np.ndarray) -> np.ndarray:

@@ -80,12 +80,14 @@ def stack_count(op: str, *weights, batch: int | None = None) -> int:
 
 class Tensor:
     """Immutable dense (N, C, H, W) value, row-major, f32 or f64: f32 and
-    f64 data keep their dtype, any other dtype is read as f64."""
+    f64 data keep their dtype, any other real dtype is read as f64."""
 
     __slots__ = ("data",)
 
     def __init__(self, data, copy=True):
         arr = np.asarray(data)
+        require(not np.iscomplexobj(arr),
+                f"Tensor data must be real, got {arr.dtype}")
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if copy:

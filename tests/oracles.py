@@ -5,7 +5,8 @@ formulas) so it shares no code path with the library implementations it
 checks.  Four exceptions: `frequency_branch_naive`, built on the
 library's per-bin reference DFT, which the spectral tests hold to the
 literal `dft2_literal` oracle and which shares nothing with the
-half-spectrum path it checks; `frequency_branch`, the library's spectral
+half-spectrum path it checks (its full-plane weights come from
+`hermitian_extension`); `frequency_branch`, the library's spectral
 ops composed into every branch's real output; and
 `frequency_branch_per_branch` and `ldconv_per_point`, built on the
 library's own kernels, which check only how the frequency branch and
@@ -125,37 +126,54 @@ def idft2_literal(spec):
 FREQUENCY_ORACLE_PLANES = [(8, 8), (9, 7), (12, 20), (20, 20), (40, 40)]
 
 
+def hermitian_extension(re, im, width):
+    """The full (..., H, width) complex weight plane of half-spectrum parts
+    (..., H, width // 2 + 1): the half as given, and each pair column k
+    (neither the zero nor the Nyquist column) mirrored to -k as the
+    conjugate of its bins, W[-u, -k] = conj(W[u, k])."""
+    half = re + 1j * im
+    h, wh = half.shape[-2:]
+    full = np.zeros(half.shape[:-1] + (width,), dtype=np.complex128)
+    full[..., :wh] = half
+    for k in range(1, (width + 1) // 2):
+        for u in range(h):
+            full[..., (-u) % h, width - k] = np.conj(half[..., u, k])
+    return full
+
+
 def frequency_branch_naive(x, branches):
     """Each branch's Re(ifft2(fft2(x) * W)) over the full complex spectrum,
-    every bin its defining sum (the library's per-bin reference DFT)."""
+    W the Hermitian extension of its weights, every bin its defining sum
+    (the library's per-bin reference DFT)."""
     h, w = x.shape[-2:]
     spec = _naive_dft2_planes(x.astype(np.complex128), -1)
-    return [_naive_dft2_planes(spec * (wb.re + 1j * wb.im), +1).real
+    return [_naive_dft2_planes(
+                spec * hermitian_extension(wb.re, wb.im, w), +1).real
             / (h * w) for wb in branches]
 
 
 def frequency_branch(x, branches):
     """Every branch's Re(ifft2(fft2(x) * W)), stacked branch-major on the
     channel axis as one (N, B*C, H, W) Var: one half-spectrum transform of
-    x, one complex product per branch with its folded weights, and one
-    inverse transform of all B*C product planes."""
+    x, one complex product per branch with its half-spectrum weights, and
+    one inverse transform of all B*C product planes."""
     xv = ad.as_var(x)
     spectrum = spectral.rfft2_v(xv)
-    products = [spectral.modulate_v(spectrum, wb.fold()) for wb in branches]
+    products = [spectral.modulate_v(spectrum, wb.re, wb.im)
+                for wb in branches]
     return spectral.irfft2_v(ad.concat(products, axis=1), xv.value.shape[-1])
 
 
 def frequency_branch_per_branch(x, branches):
     """The frequency branch one branch at a time: for each, rfft2 of x, the
-    Hermitian fold of its stored parts, the complex product and its own
-    irfft2; the real outputs concatenated branch-major on the channel axis."""
+    complex product with its parts and its own irfft2; the real outputs
+    concatenated branch-major on the channel axis."""
     width = x.shape[-1]
     outs = []
     for wb in branches:
         spectrum = spectral.rfft2_v(x)
-        folded = spectral.hermitian_fold_v(wb.re, wb.im)
-        outs.append(spectral.irfft2_v(spectral.modulate_v(spectrum, folded),
-                                      width).value)
+        outs.append(spectral.irfft2_v(
+            spectral.modulate_v(spectrum, wb.re, wb.im), width).value)
     return np.concatenate(outs, axis=1)
 
 

@@ -172,11 +172,11 @@ class TestGradcheckHarness:
         x = rand(12, (1, 2, 8, 8))
 
         def fn(p):
-            w = spectral.ComplexWeights(p["wre"], p["wim"])
+            w = spectral.ComplexWeights(p["wre"], p["wim"], 8)
             return ad.sum_all(frequency_branch(x, [w]))
 
-        report = gradcheck(fn, {"wre": 1.0 + rand(13, (2, 8, 8)),
-                                "wim": rand(14, (2, 8, 8))})
+        report = gradcheck(fn, {"wre": 1.0 + rand(13, (2, 8, 5)),
+                                "wim": rand(14, (2, 8, 5))})
         assert report.passed
         assert max(p.max_rel_err for p in report.params) <= 1e-6
 

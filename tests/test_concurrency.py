@@ -4,8 +4,7 @@ The README promises that pure operations on distinct inputs are safe to
 issue concurrently.  Every conv runs through BLAS, so this checks that
 an fddem forward and a ca2neck forward+backward, run two at a time, give
 outputs and gradients byte-equal to the same calls run one after another,
-and that fddem forwards sharing one parameter object (whose complex
-weights hold their fold) do too.
+and that fddem forwards sharing one parameter object do too.
 """
 
 import sys
@@ -62,7 +61,7 @@ def test_threaded_fddem_forwards_on_shared_params_match_serial_bytes():
           for i in range(6)]
     serial_params = params()
     serial = [fddem_forward(x, serial_params).value for x in xs]
-    shared = params()  # not yet folded: the threads race to fold it first
+    shared = params()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

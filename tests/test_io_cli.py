@@ -101,9 +101,34 @@ class TestParamsFormat:
         sio.write_params(path, PS.from_params(p))
         rebuilt = sio.read_params(path).to_params(
             FddemParams.init(4, 8, 8))
-        assert rebuilt.branches[0].re.shape == (4, 8, 8)
+        assert rebuilt.branches[0].re.shape == (4, 8, 5)
         for name, arr in named_arrays(p).items():
             assert np.array_equal(named_arrays(rebuilt)[name], arr), name
+
+    def test_entries_the_template_lacks_rejected(self, tmp_path):
+        store = PS.from_params(MsgrbParams.init(4, rng=Stream(7)))
+        store.put("stray.w", np.ones((2, 2, 1, 1)))
+        store.put("stray.b", np.ones(2))
+        path = str(tmp_path / "m.sepp")
+        sio.write_params(path, store)
+        with pytest.raises(ConfigError, match="'stray.w', 'stray.b'"):
+            sio.read_params(path).to_params(MsgrbParams.init(4))
+
+    def test_block_of_another_shape_rejected_at_equal_size(self, tmp_path):
+        # branch planes stored with their axes swapped, (C, W//2+1, H):
+        # the field's size, not its shape
+        p = FddemParams.init(4, 6, 2, rng=Stream(8), reduction=2)
+        store = PS()
+        for name, arr in named_arrays(p).items():
+            if name.startswith("branches"):
+                arr = arr.reshape(4, 2, 6)
+            store.put(name, arr)
+        path = str(tmp_path / "f.sepp")
+        sio.write_params(path, store)
+        with pytest.raises(DimensionError, match="'branches.0.re' is "
+                                                 "stored as"):
+            sio.read_params(path).to_params(
+                FddemParams.init(4, 6, 2, reduction=2))
 
 
 # every parameter constructor, with a count or plane side below 1

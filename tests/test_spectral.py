@@ -7,11 +7,10 @@ from sepkit import (ComplexWeights, DimensionError, FddemParams,
                     NumericError, Tape)
 from sepkit import autodiff as ad
 from sepkit import spectral
-from sepkit.io import read_params, write_params
-from sepkit.params import ParamStore, lift, named_arrays, replace_vars
 from sepkit.rng import Stream
 
-from oracles import dft2_literal, frequency_branch, idft2_literal
+from oracles import (dft2_literal, frequency_branch, hermitian_extension,
+                     idft2_literal)
 
 
 def rand_plane(seed, h, w, channels=1, batch=1):
@@ -27,12 +26,8 @@ def ifft2(spec, width):
     return spectral.irfft2_v(spec, width).value
 
 
-def fold(w):
-    return spectral.hermitian_fold_v(w.re, w.im).value
-
-
-def modulate(spec, weights):
-    return spectral.modulate_v(spec, weights).value
+def modulate(spec, re, im):
+    return spectral.modulate_v(spec, re, im).value
 
 
 def half(z):
@@ -162,28 +157,35 @@ class TestInverseDft:
         spec = np.zeros((1, 1, h, w), dtype=np.complex128)
         spec[..., 1, 2] = 1.0
         ref = idft2_literal(spec[0, 0])
-        # the half spectrum of the bin's Hermitian part gives Re(ifft2)
-        wt = spectral.hermitian_fold_v(spec.real[0], spec.imag[0]).value
-        np.testing.assert_allclose(ifft2(wt[None], w)[0, 0], ref.real,
+        # the half spectrum of the bin's Hermitian part gives Re(ifft2):
+        # half the bin at (1, 2), its conjugate twin at (-1, -2) outside
+        wt = np.zeros((1, 1, h, w // 2 + 1), dtype=np.complex128)
+        wt[..., 1, 2] = 0.5
+        np.testing.assert_allclose(ifft2(wt, w)[0, 0], ref.real,
                                    atol=1e-10)
 
     def test_residue_small_for_hermitian_preserving_modulation(self):
         x = rand_plane(7, 8, 8, channels=2)
         # real, even-symmetric weights preserve Hermitian symmetry: the
-        # full product leaves no imaginary residue and the fold is exact
+        # full product leaves no imaginary residue, and their half
+        # spectrum gives its real inverse
         base = Stream(8).normal((2, 8, 8))
         sym = (base + base[:, (-np.arange(8)) % 8][:, :, (-np.arange(8)) % 8]) / 2
-        w = ComplexWeights(sym, np.zeros_like(sym))
-        assert residue(spectral.dft2_raw(x) * sym) <= 1e-9
-        assert np.abs(fold(w) - half(sym)).max() <= 1e-15
+        full = spectral.dft2_raw(x) * sym
+        assert residue(full) <= 1e-9
+        y = ifft2(modulate(fft2(x), half(sym), np.zeros_like(half(sym))), 8)
+        ref = spectral.dft2_raw(full, inverse=True).real
+        assert np.abs(y - ref).max() <= 1e-12
 
     def test_imaginary_part_discarded_otherwise(self):
         spec = np.zeros((1, 1, 4, 4), dtype=np.complex128)
         spec[0, 0, 1, 1] = 1j  # breaks Hermitian symmetry
         assert residue(spec) > 1e-3  # measured, not raised
-        # the fold drops the anti-Hermitian part that carries the residue
-        wt = spectral.hermitian_fold_v(spec.real[0], spec.imag[0]).value
-        y = ifft2(wt[None], 4)
+        # the half spectrum of the Hermitian part, without the
+        # anti-Hermitian part that carries the residue
+        wt = np.zeros((1, 1, 4, 3), dtype=np.complex128)
+        wt[0, 0, 1, 1] = 0.5j
+        y = ifft2(wt, 4)
         assert y.shape == (1, 1, 4, 4)
         ref = spectral.dft2_raw(spec, inverse=True).real
         assert np.abs(y - ref).max() <= 1e-15
@@ -193,43 +195,70 @@ class TestModulate:
     def test_identity_weights(self):
         x = rand_plane(9, 8, 8, channels=2)
         z = fft2(x)
-        assert np.array_equal(modulate(z, fold(ComplexWeights.init(
-            2, 8, 8))), z)
+        w = ComplexWeights.init(2, 8, 8)
+        assert np.array_equal(modulate(z, w.re, w.im), z)
 
     def test_zero_weights_absorb(self):
         x = rand_plane(10, 4, 4)
-        z = np.zeros((1, 4, 4))
-        assert (modulate(fft2(x), fold(ComplexWeights(z, z))) == 0).all()
+        z = np.zeros((1, 4, 3))
+        assert (modulate(fft2(x), z, z) == 0).all()
 
     def test_imaginary_unit_rotates_phase(self):
         x = rand_plane(11, 8, 8)
         z = fft2(x)
-        m = modulate(z, np.full((1, 8, 5), 1j))
+        m = modulate(z, np.zeros((1, 8, 5)), np.ones((1, 8, 5)))
         np.testing.assert_allclose(m.real, -z.imag, atol=1e-12)
         np.testing.assert_allclose(m.imag, z.real, atol=1e-12)
-        # spatial result equals the literal complex-product + inverse
-        # oracle: W = j everywhere is anti-Hermitian, so Re(ifft2) is zero
-        w = ComplexWeights(np.zeros((1, 8, 8)), np.ones((1, 8, 8)))
-        ref = idft2_literal(dft2_literal(x[0, 0]) * 1j)
-        np.testing.assert_allclose(ifft2(modulate(z, fold(w)), 8)[0, 0],
+        # spatial result equals the literal complex product with the full
+        # weight plane, and its inverse
+        w = ComplexWeights(np.zeros((1, 8, 5)), np.ones((1, 8, 5)), 8)
+        ref = idft2_literal(dft2_literal(x[0, 0])
+                            * hermitian_extension(w.re, w.im, 8)[0])
+        np.testing.assert_allclose(ifft2(modulate(z, w.re, w.im), 8)[0, 0],
                                    ref.real, atol=1e-10)
 
     def test_shape_mismatch(self):
         x = rand_plane(12, 8, 8, channels=2)
+        w = ComplexWeights.init(2, 4, 4)
         with pytest.raises(DimensionError):
-            modulate(fft2(x), fold(ComplexWeights.init(2, 4, 4)))
+            modulate(fft2(x), w.re, w.im)
 
     def test_single_channel_weights_not_broadcast(self):
         x = rand_plane(12, 8, 8, channels=2)
+        w = ComplexWeights.init(1, 8, 8)
         with pytest.raises(DimensionError):
-            modulate(fft2(x), fold(ComplexWeights.init(1, 8, 8)))
+            modulate(fft2(x), w.re, w.im)
 
     def test_weight_shapes_validated(self):
         with pytest.raises(DimensionError):
-            ComplexWeights(np.zeros((2, 4, 4)), np.zeros((2, 4, 5)))
+            ComplexWeights(np.zeros((2, 4, 3)), np.zeros((2, 4, 2)), 4)
         with pytest.raises(DimensionError):
-            spectral.hermitian_fold_v(np.zeros((2, 4, 4)),
-                                      np.zeros((2, 4, 5)))
+            modulate(np.zeros((1, 2, 4, 3), dtype=np.complex128),
+                     np.zeros((2, 4, 3)), np.zeros((2, 4, 2)))
+
+    @pytest.mark.parametrize("width", [3, 6, 7, 10])
+    def test_columns_must_fit_the_width(self, width):
+        # 5 columns fit widths 8 and 9 only
+        with pytest.raises(DimensionError, match=f"of width {width}"):
+            ComplexWeights(np.ones((2, 4, 5)), np.ones((2, 4, 5)), width)
+
+    @pytest.mark.parametrize("h,w", [(8, 8), (9, 7), (6, 10)])
+    def test_anti_hermitian_change_of_self_conjugate_columns_is_lost(
+            self, h, w):
+        # bins of the zero and Nyquist columns are their own mirrors'
+        # column: only their Hermitian part reaches a real output
+        x = rand_plane(13, h, w, channels=2, batch=2)
+        p = ComplexWeights.init(2, h, w, rng=Stream(h * w))
+        rows = -np.arange(h) % h
+        y = ifft2(modulate(fft2(x), p.re, p.im), w)
+        for col in sorted({0, w // 2} if w % 2 == 0 else {0}):
+            d = _complex(14, (2, h))
+            d = d - np.conj(d[:, rows])  # d[-u] = -conj(d[u])
+            re, im = p.re.copy(), p.im.copy()
+            re[..., col] += d.real
+            im[..., col] += d.imag
+            moved = ifft2(modulate(fft2(x), re, im), w)
+            assert np.abs(moved - y).max() <= 1e-14 * np.abs(y).max(), col
 
 
 class TestMix:
@@ -272,21 +301,22 @@ class TestMultiBranch:
     def test_branch_linearity_in_weights(self):
         x = rand_plane(14, 8, 8, channels=2)
         rng = Stream(15)
-        w = ComplexWeights(rng.normal((2, 8, 8)), rng.normal((2, 8, 8)))
-        w2 = ComplexWeights(2.0 * w.re, 2.0 * w.im)
+        w = ComplexWeights(rng.normal((2, 8, 5)), rng.normal((2, 8, 5)), 8)
+        w2 = ComplexWeights(2.0 * w.re, 2.0 * w.im, 8)
         out = enhance(x, [w, w2])
         np.testing.assert_allclose(out[1], 2.0 * out[0], atol=1e-10)
 
     def test_three_branches_match_composed_oracle(self):
         x = rand_plane(16, 8, 8, channels=2)
         rng = Stream(17)
-        weights = [ComplexWeights(rng.normal((2, 8, 8)),
-                                  rng.normal((2, 8, 8))) for _ in range(3)]
+        weights = [ComplexWeights(rng.normal((2, 8, 5)),
+                                  rng.normal((2, 8, 5)), 8) for _ in range(3)]
         outs = enhance(x, weights)
         for w, out in zip(weights, outs):
+            full = hermitian_extension(w.re, w.im, 8)
             for c in range(2):
                 spec = dft2_literal(x[0, c])
-                modded = spec * (w.re[c] + 1j * w.im[c])
+                modded = spec * full[c]
                 ref = idft2_literal(modded)
                 np.testing.assert_allclose(out[0, c], ref.real, atol=1e-9)
 
@@ -296,13 +326,12 @@ class TestMultiBranch:
 
 
 class TestComplexWeightsImmutable:
-    """Weights built from arrays own read-only parts and fold them once;
-    every rebuild folds its new parts."""
+    """Weights built from arrays own read-only copies of their parts."""
 
-    def test_parts_and_fold_are_read_only_copies(self):
+    def test_parts_are_read_only_copies(self):
         re, im = Stream(30).normal((2, 6, 5)), Stream(31).normal((2, 6, 5))
-        w = ComplexWeights(re, im)
-        for part in (w.re, w.im, w.fold()):
+        w = ComplexWeights(re, im, 8)
+        for part in (w.re, w.im):
             with pytest.raises(ValueError):
                 part[0, 0, 0] = 7.0
         re[0, 0, 0] = 7.0  # the caller's array is not the stored one
@@ -311,69 +340,55 @@ class TestComplexWeightsImmutable:
     def test_fields_cannot_be_reassigned(self):
         w = ComplexWeights.init(2, 4, 4)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            w.re = np.zeros((2, 4, 4))
+            w.re = np.zeros((2, 4, 3))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            w.im = np.zeros((2, 4, 4))
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
-                             ids=["f32", "f64"])
-    @pytest.mark.parametrize("h,w", [(8, 8), (9, 7), (6, 10)])
-    def test_fold_bytes_equal_the_fold_op(self, h, w, dtype):
-        wt = ComplexWeights.init(3, h, w, rng=Stream(h * w), dtype=dtype)
-        ref = spectral.hermitian_fold_v(wt.re, wt.im).value
-        assert wt.fold().dtype == ref.dtype
-        assert np.array_equal(wt.fold(), ref)
-
-    def test_rebuilds_fold_their_new_parts(self, tmp_path):
-        old = FddemParams.init(4, 9, 7, rng=Stream(32), branches=2)
-        new = FddemParams.init(4, 9, 7, rng=Stream(33), branches=2)
-        path = str(tmp_path / "new.sepp")
-        write_params(path, ParamStore.from_params(new))
-        rebuilt = {
-            "replace": [dataclasses.replace(wo, re=wn.re, im=wn.im)
-                        for wo, wn in zip(old.branches, new.branches)],
-            "replace_vars": replace_vars(old, named_arrays(new)).branches,
-            "sepp": read_params(path).to_params(old).branches,
-        }
-        for how, branches in rebuilt.items():
-            for wo, wn, wb in zip(old.branches, new.branches, branches):
-                ref = spectral.hermitian_fold_v(wn.re, wn.im).value
-                assert np.array_equal(wb.fold(), ref), how
-                assert not np.array_equal(wb.fold(), wo.fold()), how
-
-    def test_lifted_parts_fold_on_the_tape(self):
-        tape = Tape()
-        live = lift(FddemParams.init(4, 9, 7, rng=Stream(34)), tape)
-        folded = live.branches[0].fold()
-        assert isinstance(folded, ad.Var) and folded.tape is tape
+            w.im = np.zeros((2, 4, 3))
 
 
 class TestComplexWeightsInit:
     def test_identity_init_values(self):
         w = ComplexWeights.init(3, 4, 5)
         assert (w.re == 1.0).all() and (w.im == 0.0).all()
-        assert w.re.shape == (3, 4, 5)
+        assert w.re.shape == w.im.shape == (3, 4, 3) and w.width == 5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["f32", "f64"])
+    @pytest.mark.parametrize("h,w", [(8, 8), (9, 7), (6, 10)])
+    def test_seeded_init_keeps_the_hermitian_half_of_its_draws(
+            self, h, w, dtype):
+        # the stream's full (C, H, W) parts, in draw order, and the half
+        # spectrum of their Hermitian part (W[k] + conj(W[-k])) / 2
+        rng = Stream(h * w)
+        re, im = (1.0 + 0.5 * rng.normal((3, h, w))), 0.5 * rng.normal(
+            (3, h, w))
+        full = re.astype(dtype) + 1j * im.astype(dtype)
+        mirror = np.conj(full[:, -np.arange(h) % h][:, :, -np.arange(w) % w])
+        want = half((full + mirror) / 2)
+        got = ComplexWeights.init(3, h, w, rng=Stream(h * w), dtype=dtype)
+        assert got.re.dtype == got.im.dtype == dtype and got.width == w
+        assert np.array_equal(got.re, want.real)
+        assert np.array_equal(got.im, want.imag)
 
     def test_differentiable_pipeline_gradcheck(self):
         from sepkit import gradcheck
         x = Stream(19).normal((1, 2, 8, 8))
 
         def fn(p):
-            w = ComplexWeights(p["wre"], p["wim"])
+            w = ComplexWeights(p["wre"], p["wim"], 8)
             return ad.sum_all(frequency_branch(ad.add(p["x"], x), [w]))
 
         report = gradcheck(fn, {
             "x": Stream(20).normal((1, 2, 8, 8)),
-            "wre": 1.0 + Stream(21).normal((2, 8, 8)),
-            "wim": Stream(22).normal((2, 8, 8)),
+            "wre": 1.0 + Stream(21).normal((2, 8, 5)),
+            "wim": Stream(22).normal((2, 8, 5)),
         }, seed=7)
         assert report.passed
         assert max(p.max_rel_err for p in report.params) <= 1e-4
 
 
 # Each half-spectrum op as (input maker, op, groups): inputs are (2, 3, H, W)
-# real planes, (2, 3, H, W//2+1) half spectra, (3, H, W) weight pairs or a
-# (4, 3, 1, 1) channel mix;
+# real planes, (2, 3, H, W//2+1) half spectra, (3, H, W//2+1) real and
+# imaginary weight parts or a (4, 3, 1, 1) channel mix;
 # the op is linear in each group of inputs while the others stay fixed.
 def _real(seed, shape):
     return Stream(seed).normal(shape)
@@ -388,13 +403,11 @@ HALF_OPS = {
               lambda w, x: spectral.rfft2_v(x), [(0,)]),
     "irfft2": (lambda h, w: (_complex(2, (2, 3, h, w // 2 + 1)),),
                lambda w, s: spectral.irfft2_v(s, w), [(0,)]),
-    "hermitian_fold": (lambda h, w: (_real(4, (3, h, w)),
-                                     _real(5, (3, h, w))),
-                       lambda w, re, im: spectral.hermitian_fold_v(re, im),
-                       [(0, 1)]),
     "modulate": (lambda h, w: (_complex(6, (2, 3, h, w // 2 + 1)),
-                               _complex(8, (3, h, w // 2 + 1))),
-                 lambda w, s, wt: spectral.modulate_v(s, wt), [(0,), (1,)]),
+                               _real(8, (3, h, w // 2 + 1)),
+                               _real(9, (3, h, w // 2 + 1))),
+                 lambda w, s, re, im: spectral.modulate_v(s, re, im),
+                 [(0,), (1, 2)]),
     "mix": (lambda h, w: (_complex(10, (2, 3, h, w // 2 + 1)),
                           _real(12, (4, 3, 1, 1))),
             lambda w, s, wt: spectral.mix_v(s, wt), [(0,), (1,)]),

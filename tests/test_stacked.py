@@ -121,16 +121,18 @@ class TestStackedOps:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("hw", PLANES)
     @pytest.mark.parametrize("stacked", ["re", "im", "both"])
-    def test_hermitian_fold(self, dtype, hw, stacked):
-        res, ims = rand(12, (K, 2, *hw), dtype), rand(13, (K, 2, *hw), dtype)
+    def test_modulate_parts(self, dtype, hw, stacked):
+        # either weight part alone may carry the stack
+        half = (hw[0], hw[1] // 2 + 1)
+        s = crand(11, (K, 2, *half), dtype)
+        res, ims = rand(12, (K, 2, *half), dtype), rand(13, (K, 2, *half),
+                                                           dtype)
         re = res if stacked in ("re", "both") else res[0]
         im = ims if stacked in ("im", "both") else ims[0]
-        got = spectral.hermitian_fold_v(re, im).value
-        assert got.shape == (K, 2, hw[0], hw[1] // 2 + 1)
-        for k in range(K):
-            alone = spectral.hermitian_fold_v(re[k] if re.ndim == 4 else re,
-                                              im[k] if im.ndim == 4 else im)
-            assert np.array_equal(got[k], alone.value)
+        got = spectral.modulate_v(s, re, im).value
+        assert_blocks_equal(got, [spectral.modulate_v(
+            s[k:k + 1], re[k] if re.ndim == 4 else re,
+            im[k] if im.ndim == 4 else im).value for k in range(K)])
 
     @pytest.mark.parametrize("fault", [False, True])
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -141,8 +143,9 @@ class TestStackedOps:
         half = (hw[0], hw[1] // 2 + 1)
         s = crand(14, (K * n, 2, *half), dtype)
         w = crand(16, (K, 2, *half), dtype)
-        got = spectral.modulate_v(s, repeat(w, n)).value
-        singles = [spectral.modulate_v(sk, w[k]).value
+        got = spectral.modulate_v(s, repeat(w.real, n),
+                                  repeat(w.imag, n)).value
+        singles = [spectral.modulate_v(sk, w[k].real, w[k].imag).value
                    for k, sk in enumerate(blocks(s, n))]
         assert_blocks_equal(got, singles)
 
@@ -161,9 +164,9 @@ class TestStackedOps:
             self, monkeypatch):
         s = crand(18, (2 * K, 2, 6, 6))
         w = repeat(crand(20, (K, 2, 6, 6)), 2)
-        clean = spectral.modulate_v(s, w).value
+        clean = spectral.modulate_v(s, w.real, w.imag).value
         monkeypatch.setattr(spectral, "FAULT_MODULATE_SIGN", True)
-        flipped = spectral.modulate_v(s, w).value
+        flipped = spectral.modulate_v(s, w.real, w.imag).value
         assert np.array_equal(flipped.real, clean.real)
         assert np.array_equal(flipped.imag, clean.imag - 2 * (s.imag * w.real))
 
@@ -207,8 +210,9 @@ class TestSharedOperand:
         half = (hw[0], hw[1] // 2 + 1)
         s = crand(55, (1, 2, *half), dtype)
         w = crand(57, (K, 2, *half), dtype)
-        got = spectral.modulate_v(s, w).value
-        assert_blocks_equal(got, [spectral.modulate_v(s, w[k]).value
+        got = spectral.modulate_v(s, w.real, w.imag).value
+        assert_blocks_equal(got, [spectral.modulate_v(s, w[k].real,
+                                                      w[k].imag).value
                                   for k in range(K)])
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -261,7 +265,8 @@ def _ops_on_batch(n):
         "conv2d_bias": lambda: ad.conv2d(x, rand(26, (4, 2, 1, 1)),
                                          rand(27, (K, 4))),
         "depthwise": lambda: ad.depthwise_conv2d(x, rand(28, (K, 2, 1, 3, 3))),
-        "modulate": lambda: spectral.modulate_v(s, crand(29, (K, 2, 6, 4))),
+        "modulate": lambda: spectral.modulate_v(s, rand(29, (K, 2, 6, 4)),
+                                                rand(30, (2, 6, 4))),
         "mix": lambda: spectral.mix_v(s, rand(37, (K, 4, 2, 1, 1))),
     }
 
@@ -308,10 +313,11 @@ class TestStackedRejections:
                       (K, 2, 1, 3, 3), (K, 2, 6, 6)),
         "fold_kernels": (lambda w, k5: ad.fold_kernels([w, k5], (3, 5)),
                          (K, 2, 1, 3, 3), (2, 1, 5, 5)),
-        "hermitian_fold": (spectral.hermitian_fold_v, (K, 2, 6, 6),
-                           (2, 6, 6)),
-        "modulate": (lambda w, s: spectral.modulate_v(s, w), (K, 2, 6, 4),
+        "modulate": (lambda w, s: spectral.modulate_v(s, w, w), (K, 2, 6, 4),
                      (K, 2, 6, 4)),
+        "modulate_im": (lambda w, s: spectral.modulate_v(
+                            s, np.ones(w.shape[1:]), w),
+                        (K, 2, 6, 4), (K, 2, 6, 4)),
         "mix": (lambda w, x: spectral.mix_v(spectral.rfft2_v(x), w),
                 (K, 4, 2, 1, 1), (K, 2, 6, 6)),
     }
@@ -466,18 +472,3 @@ def test_branch_weight_check_runs_the_rest_once(config, tmp_path,
         assert spatial == [1, 1] * n
         assert [(inv, b) for op, inv, b in seen if op == "dft"] == [
             (False, 1), (True, K)] * n
-
-
-def test_unchecked_complex_weights_keep_their_fold(tmp_path, monkeypatch):
-    stage, x, seed = _stage("fddem", tmp_path)
-    losses = _evaluator(stage, x, seed, monkeypatch)
-    params = named_arrays(stage.params)
-    stage.forward(x)  # folds every branch once
-    folds = []
-    fold = spectral.hermitian_fold_v
-    monkeypatch.setattr(spectral, "hermitian_fold_v",
-                        lambda re, im: folds.append(1) or fold(re, im))
-    losses(params, "branches.1.re", np.stack([params["branches.1.re"]] * K))
-    assert len(folds) == 1  # the checked branch's stacked fold only
-    losses(params, "sa_w", np.stack([params["sa_w"]] * K))
-    assert len(folds) == 1

@@ -94,6 +94,9 @@ class TestTensorType:
         # any other dtype is read as f64
         t = Tensor(np.ones((1, 1, 2, 2), dtype=np.float16))
         assert t.dtype == "f64" and t.data.dtype == np.float64
+        # complex data is refused, not read through its real part
+        with pytest.raises(DimensionError, match="must be real"):
+            Tensor(np.full((1, 1, 2, 2), 1 + 2j))
 
 
 class TestConv2d:
