@@ -323,7 +323,8 @@ class TestMultiBranch:
 
 
 class TestComplexWeightsImmutable:
-    """Weights built from arrays own read-only copies of their parts."""
+    """Weights built from arrays own read-only copies of their parts; a
+    seeded init stores the Hermitian fold of its draws."""
 
     def test_parts_are_read_only_copies(self):
         re, im = Stream(30).normal((2, 6, 5)), Stream(31).normal((2, 6, 5))
@@ -341,18 +342,10 @@ class TestComplexWeightsImmutable:
         with pytest.raises(dataclasses.FrozenInstanceError):
             w.im = np.zeros((2, 4, 3))
 
-
-class TestComplexWeightsInit:
-    def test_identity_init_values(self):
-        w = ComplexWeights.init(3, 4, 5)
-        assert (w.re == 1.0).all() and (w.im == 0.0).all()
-        assert w.re.shape == w.im.shape == (3, 4, 3) and w.width == 5
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64],
                              ids=["f32", "f64"])
     @pytest.mark.parametrize("h,w", [(8, 8), (9, 7), (6, 10)])
-    def test_seeded_init_keeps_the_hermitian_half_of_its_draws(
-            self, h, w, dtype):
+    def test_fold_bytes_equal_the_fold_op(self, h, w, dtype):
         # the stream's full (C, H, W) parts, in draw order, and the half
         # spectrum of their Hermitian part (W[k] + conj(W[-k])) / 2
         rng = Stream(h * w)
@@ -365,6 +358,13 @@ class TestComplexWeightsInit:
         assert got.re.dtype == got.im.dtype == dtype and got.width == w
         assert np.array_equal(got.re, want.real)
         assert np.array_equal(got.im, want.imag)
+
+
+class TestComplexWeightsInit:
+    def test_identity_init_values(self):
+        w = ComplexWeights.init(3, 4, 5)
+        assert (w.re == 1.0).all() and (w.im == 0.0).all()
+        assert w.re.shape == w.im.shape == (3, 4, 3) and w.width == 5
 
     def test_differentiable_pipeline_gradcheck(self):
         from sepkit import gradcheck
