@@ -26,6 +26,26 @@ def rand_tensor(seed, shape, dtype="f64"):
     return Tensor(Stream(seed).normal(shape).astype(DTYPES[dtype]))
 
 
+def block4(arr):
+    """The 4-D block a field is stored as: (C,) as (1, C, 1, 1) and
+    (C, H, Wh) as (1, C, H, Wh)."""
+    if arr.ndim == 1:
+        return arr.reshape(1, -1, 1, 1)
+    return arr.reshape((1,) * (4 - arr.ndim) + arr.shape)
+
+
+def sepp_bytes(entries):
+    """A SEPP file built from the format's definition: b"SEPP", a u32 LE
+    entry count, then per (name, 4-D block) entry a u16 LE name length, the
+    name (str as UTF-8, or raw bytes) and the block's SEPT bytes."""
+    parts = [b"SEPP", struct.pack("<I", len(entries))]
+    for name, block in entries:
+        raw = name if isinstance(name, bytes) else name.encode("utf-8")
+        parts += [struct.pack("<H", len(raw)), raw,
+                  sio.tensor_block_bytes(block)]
+    return b"".join(parts)
+
+
 class TestTensorFormat:
     def test_header_layout(self, tmp_path):
         t = Tensor(np.arange(8.0).reshape(1, 2, 2, 2))
@@ -367,6 +387,20 @@ STAGE_SECTIONS = {
 }
 
 
+# one section of each parameterized kind, without `params`, for the
+# parameter-file tests
+PARAMS_FILE_SECTIONS = {
+    "msgrb": "[msgrb]\nchannels = 4\nhidden = 6\nheight = 6\nwidth = 10\n",
+    "fddem": "[fddem]\nchannels = 4\nheight = 6\nwidth = 10\n"
+             "reduction = 2\n",
+    "ldconv": "[ldconv]\nin_channels = 4\nout_channels = 3\nheight = 6\n"
+              "width = 10\n",
+    "dysample": "[dysample]\nchannels = 4\ngroups = 2\nscale = 3\n"
+                "height = 6\nwidth = 10\n",
+    "ca2neck": "[ca2neck]\nchannels = 4,6,8\nheight = 8\nwidth = 12\n",
+}
+
+
 IDENTITY_MSGRB = """
 [chain]
 seed = 42
@@ -618,15 +652,8 @@ params = file:{ppath}
         assert main(["forward", "--config", cfg, "--input", inp,
                      "--output", str(tmp_path / "o.sept")]) == 3
 
-    @pytest.mark.parametrize("section", [
-        "[msgrb]\nchannels = 4\nhidden = 6\nheight = 6\nwidth = 10\n",
-        "[fddem]\nchannels = 4\nheight = 6\nwidth = 10\nreduction = 2\n",
-        "[ldconv]\nin_channels = 4\nout_channels = 3\nheight = 6\n"
-        "width = 10\n",
-        "[dysample]\nchannels = 4\ngroups = 2\nscale = 3\nheight = 6\n"
-        "width = 10\n",
-        "[ca2neck]\nchannels = 4,6,8\nheight = 8\nwidth = 12\n",
-    ], ids=["msgrb", "fddem", "ldconv", "dysample", "ca2neck"])
+    @pytest.mark.parametrize("section", list(PARAMS_FILE_SECTIONS.values()),
+                             ids=list(PARAMS_FILE_SECTIONS))
     def test_params_file_matches_random(self, tmp_path, capsys, section):
         random_cfg = write_cfg(tmp_path, f"[chain]\nseed = 31\n{section}"
                                "params = random\n", name="random.cfg")
@@ -655,6 +682,20 @@ params = file:{ppath}
             else:
                 outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("source", ["zeros", "random"])
+    @pytest.mark.parametrize("section", list(PARAMS_FILE_SECTIONS.values()),
+                             ids=list(PARAMS_FILE_SECTIONS))
+    def test_params_file_bytes_follow_the_format(self, tmp_path, section,
+                                                 source, dtype):
+        cfg = write_cfg(tmp_path, f"[chain]\nseed = 31\ndtype = {dtype}\n"
+                        f"{section}params = {source}\n")
+        params = build_chain(parse_config(cfg), 31)[0].params
+        path = tmp_path / "p.sepp"
+        sio.write_params(str(path), PS.from_params(params))
+        assert path.read_bytes() == sepp_bytes(
+            [(name, block4(arr)) for name, arr in named_arrays(params).items()])
 
     @staticmethod
     def _stage_levels(tmp_path, kind, dtype, batch):
