@@ -15,7 +15,6 @@ from .ca2neck import (Ca2neckParams, DysampleParams, LdconvParams,
 from .errors import ConfigError, DimensionError, NumericError, SepkitError
 from .fddem import FddemParams, dual_attention, fddem_forward
 from .msgrb import MsgrbParams, ms_gu, msdwconv, msgrb_forward
-from .params import ParamStore
 from .rng import Stream, derive_seed
 from .spectral import ComplexWeights
 from .tensor import Tensor
@@ -30,7 +29,7 @@ __all__ = [
     "MsgrbParams", "msdwconv", "ms_gu", "msgrb_forward",
     "LdconvParams", "DysampleParams", "Ca2neckParams", "ldconv_coords",
     "ldconv_forward", "dysample_forward", "ca2neck_forward",
-    "ParamStore", "Stream", "derive_seed",
+    "Stream", "derive_seed",
     "SepkitError", "DimensionError", "NumericError", "ConfigError",
     "__version__",
 ]

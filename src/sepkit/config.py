@@ -326,7 +326,7 @@ def _build_params(stage: Stage, o: dict, dtype, rng: Stream, lineno: int):
         return built
     path = o["params"][len("file:"):]
     try:
-        return read_params(path).to_params(built)
+        return read_params(path, built)
     except KeyError as exc:
         raise ConfigError(
             f"line {lineno}: params file {path}: {exc.args[0]}") from None

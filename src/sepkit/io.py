@@ -5,7 +5,10 @@ Tensor files ("SEPT"): magic, format version u32 LE = 1, dtype u8
 little-endian values row-major.  No compression or alignment padding.
 
 Parameter files ("SEPP"): the magic, a u32 LE entry count, then repeated
-[name length u16 LE, UTF-8 name, SEPT block] in insertion order.
+[name length u16 LE, UTF-8 name, SEPT block], one entry per array of a
+parameter object in field order (`params.named_arrays`).  Each field is
+stored as a 4D block: biases (C,) as (1, C, 1, 1), half-spectrum weight
+planes (C, H, Wh) as (1, C, H, Wh), conv kernels as themselves.
 
 Writers stage to a temp file in the target directory and rename on
 success, so failed commands never leave partial files behind.
@@ -23,9 +26,9 @@ import tempfile
 
 import numpy as np
 
-from .errors import DimensionError
-from .params import ParamStore
-from .tensor import Tensor
+from .errors import ConfigError, DimensionError
+from .params import named_arrays, replace_vars
+from .tensor import Tensor, require_finite
 
 MAGIC_TENSOR = b"SEPT"
 MAGIC_PARAMS = b"SEPP"
@@ -107,23 +110,37 @@ def read_tensor(path: str) -> Tensor:
     return Tensor(arr, copy=False)
 
 
-def write_params(path: str, store: ParamStore) -> None:
-    parts = [MAGIC_PARAMS, struct.pack("<I", len(store))]
-    for name, arr in store.items():
+def _block_shape(shape: tuple) -> tuple:
+    """The 4D block shape a parameter field of `shape` is stored as."""
+    if len(shape) == 1:
+        return (1, shape[0], 1, 1)
+    return (1,) * (4 - len(shape)) + shape
+
+
+def write_params(path: str, params) -> None:
+    """Write the arrays of a parameter object as a SEPP file."""
+    arrays = named_arrays(params)
+    parts = [MAGIC_PARAMS, struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
+        require_finite(arr, f"parameter {name!r}")
         encoded = name.encode("utf-8")
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)
-        parts.append(tensor_block_bytes(arr))
+        parts.append(tensor_block_bytes(arr.reshape(_block_shape(arr.shape))))
     atomic_write(path, b"".join(parts))
 
 
-def read_params(path: str) -> ParamStore:
+def read_params(path: str, template):
+    """Read a SEPP file into a parameter object shaped like `template`, each
+    block restored to its field's shape and dtype.  An entry that the
+    template lacks, a name stored twice, a block not shaped as its field's
+    4D block and a non-finite value are refused."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != MAGIC_PARAMS:
         raise DimensionError(f"bad params magic {buf[:4]!r} in {path}")
     count = _unpack("<I", buf, 4)[0]
-    store = ParamStore()
+    blocks = {}
     offset = 8
     for _ in range(count):
         name_len = _unpack("<H", buf, offset)[0]
@@ -136,10 +153,33 @@ def read_params(path: str) -> ParamStore:
             ) from None
         offset += name_len
         arr, offset = read_tensor_block(buf, offset)
-        store.put(name, arr)
+        if name in blocks:
+            raise DimensionError(f"parameter {name!r} is stored twice in "
+                                 f"{path}")
+        require_finite(arr, f"parameter {name!r}")
+        blocks[name] = arr
     if offset != len(buf):
         raise DimensionError(f"trailing bytes after params blocks in {path}")
-    return store
+    fields = named_arrays(template)
+    extra = [name for name in blocks if name not in fields]
+    if extra:
+        raise ConfigError(f"parameters not in the template: "
+                          f"{', '.join(map(repr, extra))}")
+    values = {}
+    for name, arr in fields.items():
+        if name not in blocks:
+            raise KeyError(f"no parameter named {name!r}")
+        stored, shape = blocks[name], _block_shape(arr.shape)
+        if stored.size != arr.size:
+            raise DimensionError(
+                f"parameter {name!r} has {stored.size} values, expected "
+                f"{arr.size}")
+        if stored.shape != shape:
+            raise DimensionError(
+                f"parameter {name!r} is stored as {stored.shape}, "
+                f"expected {shape}")
+        values[name] = stored.reshape(arr.shape).astype(arr.dtype)
+    return replace_vars(template, values)
 
 
 # ---------------------------------------------------------------------------

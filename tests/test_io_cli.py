@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from sepkit import (Ca2neckParams, ComplexWeights, DimensionError,
                     DysampleParams, FddemParams, LdconvParams, MsgrbParams,
-                    ParamStore, Tensor, ldconv_coords)
+                    NumericError, Tensor, ldconv_coords)
 from sepkit import io as sio
 from sepkit import spectral
 from sepkit.cli import main
 from sepkit.config import STAGES, build_chain, parse_config
 from sepkit.errors import ConfigError
-from sepkit.params import ParamStore as PS
-from sepkit.params import named_arrays
+from sepkit.params import named_arrays, replace_vars
 from sepkit.rng import Stream
 from sepkit.tensor import DTYPES
 
@@ -83,72 +82,87 @@ class TestTensorFormat:
             sio.read_tensor(path)
 
 
+def param_entries(params):
+    """The (name, 4-D block) entries a parameter file of `params` holds."""
+    return [(name, block4(arr)) for name, arr in named_arrays(params).items()]
+
+
 class TestParamsFormat:
     def test_round_trip_mixed_shapes(self, tmp_path):
-        store = ParamStore()
-        store.put("conv.w", Stream(4).normal((3, 2, 3, 3)))
-        store.put("conv.b", Stream(5).normal((3,)))
-        store.put("weights.re", Stream(6).normal((2, 8, 8)))
+        # 4D kernels, (C,) biases and (C, H, Wh) planes, each read back to
+        # its field's shape; the 4D blocks on disk are checked byte for
+        # byte in test_params_file_bytes_follow_the_format
+        p = FddemParams.init(2, 8, 8, branches=1, reduction=1, rng=Stream(4))
         path = str(tmp_path / "p.sepp")
-        sio.write_params(path, store)
-        back = sio.read_params(path)
-        assert back.names() == ["conv.w", "conv.b", "weights.re"]
-        assert back.get("conv.b").shape == (1, 3, 1, 1)  # canonical 4D
-        assert np.array_equal(back.get("conv.w"), store.get("conv.w"))
+        sio.write_params(path, p)
+        back = named_arrays(sio.read_params(path, FddemParams.init(
+            2, 8, 8, branches=1, reduction=1)))
+        assert list(back) == list(named_arrays(p))
+        assert {arr.ndim for arr in back.values()} == {1, 3, 4}
+        for name, arr in named_arrays(p).items():
+            assert back[name].shape == arr.shape, name
+            assert np.array_equal(back[name], arr), name
         assert Path(path).read_bytes()[:4] == b"SEPP"
 
     def test_module_params_round_trip(self, tmp_path):
         p = MsgrbParams.init(4, rng=Stream(7))
-        store = PS.from_params(p)
         path = str(tmp_path / "m.sepp")
-        sio.write_params(path, store)
-        rebuilt = sio.read_params(path).to_params(MsgrbParams.init(4))
+        sio.write_params(path, p)
+        rebuilt = sio.read_params(path, MsgrbParams.init(4))
         for name, arr in named_arrays(p).items():
             assert np.array_equal(named_arrays(rebuilt)[name], arr), name
         # the template sets each field's dtype and the values it must hold
-        narrow = sio.read_params(path).to_params(
-            MsgrbParams.init(4, dtype=np.float32))
+        narrow = sio.read_params(path, MsgrbParams.init(4, dtype=np.float32))
         for name, arr in named_arrays(p).items():
             assert np.array_equal(named_arrays(narrow)[name],
                                   arr.astype(np.float32)), name
         with pytest.raises(DimensionError, match="'expand_w' has 32 values, "
                                                  "expected 48"):
-            sio.read_params(path).to_params(MsgrbParams.init(4, hidden=6))
+            sio.read_params(path, MsgrbParams.init(4, hidden=6))
 
     def test_fddem_complex_weights_round_trip(self, tmp_path):
         p = FddemParams.init(4, 8, 8, rng=Stream(8))
         path = str(tmp_path / "f.sepp")
-        sio.write_params(path, PS.from_params(p))
-        rebuilt = sio.read_params(path).to_params(
-            FddemParams.init(4, 8, 8))
+        sio.write_params(path, p)
+        rebuilt = sio.read_params(path, FddemParams.init(4, 8, 8))
         assert rebuilt.branches[0].re.shape == (4, 8, 5)
         for name, arr in named_arrays(p).items():
             assert np.array_equal(named_arrays(rebuilt)[name], arr), name
 
     def test_entries_the_template_lacks_rejected(self, tmp_path):
-        store = PS.from_params(MsgrbParams.init(4, rng=Stream(7)))
-        store.put("stray.w", np.ones((2, 2, 1, 1)))
-        store.put("stray.b", np.ones(2))
-        path = str(tmp_path / "m.sepp")
-        sio.write_params(path, store)
+        path = tmp_path / "m.sepp"
+        path.write_bytes(sepp_bytes(
+            param_entries(MsgrbParams.init(4, rng=Stream(7)))
+            + [("stray.w", np.ones((2, 2, 1, 1))),
+               ("stray.b", block4(np.ones(2)))]))
         with pytest.raises(ConfigError, match="'stray.w', 'stray.b'"):
-            sio.read_params(path).to_params(MsgrbParams.init(4))
+            sio.read_params(str(path), MsgrbParams.init(4))
 
     def test_block_of_another_shape_rejected_at_equal_size(self, tmp_path):
         # branch planes stored with their axes swapped, (C, W//2+1, H):
         # the field's size, not its shape
         p = FddemParams.init(4, 6, 2, rng=Stream(8), reduction=2)
-        store = PS()
-        for name, arr in named_arrays(p).items():
-            if name.startswith("branches"):
-                arr = arr.reshape(4, 2, 6)
-            store.put(name, arr)
-        path = str(tmp_path / "f.sepp")
-        sio.write_params(path, store)
+        path = tmp_path / "f.sepp"
+        path.write_bytes(sepp_bytes(
+            [(name, block4(arr.reshape(4, 2, 6)
+                           if name.startswith("branches") else arr))
+             for name, arr in named_arrays(p).items()]))
         with pytest.raises(DimensionError, match="'branches.0.re' is "
                                                  "stored as"):
-            sio.read_params(path).to_params(
-                FddemParams.init(4, 6, 2, reduction=2))
+            sio.read_params(str(path), FddemParams.init(4, 6, 2, reduction=2))
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        p = DysampleParams.init(4, rng=Stream(9))
+        bad = replace_vars(p, {"offset_w": p.offset_w,
+                               "offset_b": np.where(np.arange(p.offset_b.size)
+                                                    == 3, np.nan, 0.0)})
+        path = tmp_path / "d.sepp"
+        with pytest.raises(NumericError, match="'offset_b'"):
+            sio.write_params(str(path), bad)
+        assert not path.exists()
+        path.write_bytes(sepp_bytes(param_entries(bad)))
+        with pytest.raises(NumericError, match="'offset_b'"):
+            sio.read_params(str(path), p)
 
 
 # every parameter constructor, with a count or plane side below 1
@@ -191,6 +205,10 @@ def test_init_rejects_sizes_below_one(case, seeded):
         build(Stream(3) if seeded else None)
 
 
+# the parameters of small SEPP files: a 4D kernel and a (C,) bias
+SMALL_PARAMS = DysampleParams.init(2)
+
+
 def sample_file(tmp_path, kind):
     """A valid SEPT or SEPP file and its reader."""
     path = str(tmp_path / f"valid.{kind}")
@@ -198,11 +216,8 @@ def sample_file(tmp_path, kind):
     if kind == "sept":
         sio.write_tensor(path, t)
         return path, sio.read_tensor
-    store = ParamStore()
-    store.put("conv.w", Stream(22).normal((3, 2, 3, 3)))
-    store.put("conv.b", Stream(23).normal((3,)))
-    sio.write_params(path, store)
-    return path, sio.read_params
+    sio.write_params(path, DysampleParams.init(2, rng=Stream(22)))
+    return path, lambda p: sio.read_params(p, SMALL_PARAMS)
 
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
@@ -243,11 +258,15 @@ class TestReaderRobustness:
         Path(path).write_bytes(b"SEPP" + struct.pack("<IH", 1, declared)
                                + name + block)
         try:
-            store = sio.read_params(path)
+            sio.read_params(path, SMALL_PARAMS)
+        except ConfigError as exc:  # well formed, but not a template entry
+            assert declared == len(name)
+            assert str(exc) == ("parameters not in the template: "
+                                f"{name.decode('utf-8')!r}")
         except DimensionError:
             return
-        assert declared == len(name)
-        assert store.names() == [name.decode("utf-8")]
+        else:
+            pytest.fail("a name outside the template was read")
 
     @FUZZ
     @given(kind=st.sampled_from(["sept", "sepp"]),
@@ -586,7 +605,7 @@ params = random
         from sepkit import msgrb_forward
         p = MsgrbParams.init(4, rng=Stream(60))
         ppath = str(tmp_path / "m.sepp")
-        sio.write_params(ppath, PS.from_params(p))
+        sio.write_params(ppath, p)
         cfg = write_cfg(tmp_path, f"""
 [chain]
 seed = 1
@@ -604,19 +623,29 @@ params = file:{ppath}
         assert np.array_equal(sio.read_tensor(out).data, expected.value)
 
     def test_params_file_missing_parameter_exits_2(self, tmp_path, capsys):
-        store = PS.from_params(MsgrbParams.init(4, rng=Stream(62)))
-        partial = PS()
-        for name, arr in store.items():
-            if name != "expand_b":
-                partial.put(name, arr)
+        entries = param_entries(MsgrbParams.init(4, rng=Stream(62)))
         ppath = str(tmp_path / "m.sepp")
-        sio.write_params(ppath, partial)
+        Path(ppath).write_bytes(sepp_bytes(
+            [(name, block) for name, block in entries if name != "expand_b"]))
         cfg = write_cfg(tmp_path, f"[msgrb]\nchannels = 4\nparams = file:{ppath}\n")
         assert main(["forward", "--config", cfg,
                      "--input", write_input(tmp_path),
                      "--output", str(tmp_path / "o.sept")]) == 2
         err = capsys.readouterr().err
         assert "expand_b" in err and "m.sepp" in err
+
+    def test_params_file_repeated_entry_exits_3(self, tmp_path, capsys):
+        # a second block of one name must not silently replace the first
+        p = MsgrbParams.init(4)
+        ppath = str(tmp_path / "m.sepp")
+        Path(ppath).write_bytes(sepp_bytes(
+            param_entries(p)
+            + [("expand_w", np.full(block4(p.expand_w).shape, 5.0))]))
+        cfg = write_cfg(tmp_path, f"[msgrb]\nchannels = 4\nparams = file:{ppath}\n")
+        assert main(["forward", "--config", cfg,
+                     "--input", write_input(tmp_path),
+                     "--output", str(tmp_path / "o.sept")]) == 3
+        assert "'expand_w' is stored twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,message", [
         ("[dysample]\nchannels = 4\nscale = 1\n", "scale must be >= 2"),
@@ -635,8 +664,7 @@ params = file:{ppath}
 
     def test_truncated_params_file_exits_3(self, tmp_path):
         ppath = str(tmp_path / "m.sepp")
-        sio.write_params(ppath, PS.from_params(
-            MsgrbParams.init(4, rng=Stream(63))))
+        sio.write_params(ppath, MsgrbParams.init(4, rng=Stream(63)))
         data = Path(ppath).read_bytes()
         Path(ppath).write_bytes(data[:len(data) // 2])
         cfg = write_cfg(tmp_path, f"[msgrb]\nchannels = 4\nparams = file:{ppath}\n")
@@ -659,7 +687,7 @@ params = file:{ppath}
                                "params = random\n", name="random.cfg")
         chain = build_chain(parse_config(random_cfg), 31)
         ppath = str(tmp_path / "p.sepp")
-        sio.write_params(ppath, PS.from_params(chain[0].params))
+        sio.write_params(ppath, chain[0].params)
         file_cfg = write_cfg(tmp_path, f"[chain]\nseed = 31\n{section}"
                              f"params = file:{ppath}\n", name="file.cfg")
         shapes = chain[0].in_shape
@@ -693,9 +721,17 @@ params = file:{ppath}
                         f"{section}params = {source}\n")
         params = build_chain(parse_config(cfg), 31)[0].params
         path = tmp_path / "p.sepp"
-        sio.write_params(str(path), PS.from_params(params))
+        sio.write_params(str(path), params)
         assert path.read_bytes() == sepp_bytes(
             [(name, block4(arr)) for name, arr in named_arrays(params).items()])
+
+    @pytest.mark.parametrize("kind", [k for k in STAGE_SECTIONS
+                                      if STAGES[k].params is not None])
+    def test_replace_vars_with_own_arrays_keeps_params(self, tmp_path, kind):
+        # leaves that are the fields' own arrays swap nothing
+        cfg = write_cfg(tmp_path, STAGE_SECTIONS[kind])
+        params = build_chain(parse_config(cfg), 3)[0].params
+        assert replace_vars(params, named_arrays(params)) is params
 
     @staticmethod
     def _stage_levels(tmp_path, kind, dtype, batch):
