@@ -3,9 +3,10 @@ refinement, and content-aware pyramid alignment, with reverse-mode
 differentiation and a gradient-certification harness.
 
 Layering, bottom to top: `tensor` (dense NCHW values and kernels),
-`autodiff` (tape, ops, gradcheck), `spectral` (half-spectrum DFT pair
-and complex modulation), then the composed blocks `fddem`, `msgrb`, `ca2neck`, and the
-`cli`/`props` front end.
+`autodiff` (tape, ops, gradcheck), `params` (named walks over parameter
+objects), `spectral` (half-spectrum DFT pair and complex modulation),
+then the composed blocks `fddem`, `msgrb`, `ca2neck`, `io` (SEPT tensor
+and SEPP parameter files, JSON reports), and the `cli`/`props` front end.
 """
 
 from .autodiff import GradReport, Tape, Var, gradcheck
