@@ -100,12 +100,21 @@ def dft2_raw(a: np.ndarray, inverse: bool = False,
         out = out / (h * w) if inverse else out
         if width:
             out = out.real if inverse else out[..., :w // 2 + 1]
-    elif width:  # rfft2 / irfft2 without their n-d argument handling
-        out = (np.fft.irfft(np.fft.ifft(a, axis=-2), w) if inverse
-               else np.fft.fft(np.fft.rfft(a), axis=-2))
+    elif inverse:
+        out = (np.fft.irfft(np.fft.ifft(a, axis=-2), w) if width
+               else np.fft.ifft2(a))
     else:
-        out = np.fft.ifft2(a) if inverse else np.fft.fft2(a)
-    # numpy < 2 computes in double precision whatever the input precision
+        # numpy's default forward scale is the int 1, which sends 32-bit
+        # input down the double-precision loop; the scale 1/n carries the
+        # input's precision, and h*w undoes it, exactly on power-of-two
+        # planes.  64-bit input keeps the unscaled transform's bytes.
+        single = a.real.dtype == np.float32
+        norm = "forward" if single else "backward"
+        out = (np.fft.fft(np.fft.rfft(a, norm=norm), axis=-2, norm=norm)
+               if width else np.fft.fft2(a, norm=norm))  # rfft2 without n-d
+        if single:
+            out *= h * w
+    # numpy < 2 returns double precision whatever the input precision
     kind = np.complex64 if np.iscomplexobj(out) else np.float32
     return out.astype(np.result_type(kind, a.real.dtype), copy=False)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,21 @@ class TestForwardDft:
                                            else np.float64),
                                 inverse=inverse, width=20)
         assert np.abs(out - ref).max() <= 1e-4 * np.abs(ref).max()
+
+    def test_f32_forward_runs_in_single_precision(self):
+        # numpy's default forward scale sends 32-bit input through the
+        # double-precision loop and its full-size cast buffers, a peak of
+        # 6x the half spectrum's bytes
+        x = Stream(6).normal((1, 16, 64, 64)).astype(np.float32)
+        spectral.dft2_raw(x, width=64)
+        tracemalloc.start()
+        try:
+            out = spectral.dft2_raw(x, width=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == np.complex64
+        assert peak < 3 * out.nbytes, (peak, out.nbytes)
 
     def test_linearity(self):
         x = Stream(1).normal((1, 1, 8, 8))
