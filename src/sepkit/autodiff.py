@@ -25,21 +25,24 @@ seeded coordinate subsample for large parameters, and reports
 per-parameter absolute/relative error and cosine alignment.  A coordinate
 whose difference carries too much round-off for the tolerance takes
 Ridders' extrapolation over larger steps as its reference.  It
-evaluates the perturbations of one parameter as one stack: a (K, *shape)
-array whose row 2j holds +EPS and row 2j+1 holds -EPS at the j-th
-checked coordinate.  An evaluator maps a stack to its K losses.  The
-default one runs the closure once per row; a batched one (the CLI's
-`stage_gradcheck`) runs one forward per sample, in which the stacked
-parameter holds K weights.  They meet the batch as numpy broadcasts it
-(`tensor.stack_count`): weight k meets sample k of a batch of K, or all
-K share a batch of one sample and give K samples, so work that the
-stacked parameter does not reach runs once.  Ops that take stacked
-weights (`conv2d`, `depthwise_conv2d`, `fold_kernels`, and the spectral
-weight ops `modulate_v` and `mix_v`) give each sample the bytes of its
-own unstacked call, and refuse to record them on a tape.  The ops that
-meet a shared sample further on (`add`, `mul`, `concat` and the input of
-`bilinear_sample`) broadcast it against the K samples, and on a tape
-their vjps sum its gradient over the batch.
+evaluates perturbations in stacks: a stack of a parameter is a
+(K, *shape) array, each row of which moves one checked coordinate by
++EPS or -EPS.  Small parameters share stacks: one group of K rows maps
+each of several parameters to a stack of K rows, and a row that
+perturbs one of them holds the others at their values.  An evaluator
+maps a group to its K losses.  The default one runs the closure once
+per row; a batched one (the CLI's `stage_gradcheck`) runs one forward
+per sample, in which each stacked parameter holds K weights.  They meet
+the batch as numpy broadcasts it (`tensor.stack_count`): weight k meets
+sample k of a batch of K, or all K share a batch of one sample and give
+K samples, so work that no stacked parameter reaches runs once.  Ops
+that take stacked weights (`conv2d`, `depthwise_conv2d`,
+`fold_kernels`, and the spectral weight ops `modulate_v` and `mix_v`)
+give each sample the bytes of its own unstacked call, and refuse to
+record them on a tape.  The ops that meet a shared sample further on
+(`add`, `mul`, `concat` and the input of `bilinear_sample`) broadcast
+it against the K samples, and on a tape their vjps sum its gradient
+over the batch.
 """
 
 from __future__ import annotations
@@ -467,21 +470,24 @@ EPS = 1e-5
 TOL = 1e-4
 ABS_FLOOR = 1e-7
 
-# Rows of a stack handed to the evaluator at once.  A batched evaluator's
-# memory grows with them: at 128 rows, one call of `cli.stage_gradcheck`'s
-# evaluator on the 8x8 certify configs of perfbench peaked at 6.6 MB
-# (tracemalloc; dysample's offset_w, and fddem's 3.2 MB).  Reports do not
+# Rows of a group of stacks handed to the evaluator at once.  A batched
+# evaluator's memory grows with them, and with the parameters stacked in
+# the group: one call of `cli.stage_gradcheck`'s evaluator on the 8x8
+# certify configs of perfbench peaked at 3.21 MB (fddem), 3.95 (msgrb),
+# 2.38 (ldconv) and 2.46 (dysample, whose two parameters share a 48-row
+# group; 1.64 one parameter at a time), by tracemalloc.  Reports do not
 # depend on the row count.
 STACK_ROWS = 128
 
 
 def _rowwise(fn):
-    """The evaluator that runs `fn` on each row of a stack: one forward
-    per perturbation, with every other parameter as it is."""
-    def losses(params: dict, name: str, stack: np.ndarray) -> np.ndarray:
-        out = np.empty(len(stack))
-        for r, row in enumerate(stack):
-            value = fn({k: Var(row if k == name else v)
+    """The evaluator that runs `fn` on each row of a group of stacks: one
+    forward per row, each stacked parameter at that row and every other
+    one as it is."""
+    def losses(params: dict, stacks: dict) -> np.ndarray:
+        out = np.empty(_rows(stacks))
+        for r in range(len(out)):
+            value = fn({k: Var(stacks[k][r] if k in stacks else v)
                         for k, v in params.items()})
             value = value.value if isinstance(value, Var) else np.asarray(value)
             require(value.size == 1, f"gradcheck closure must return a "
@@ -491,13 +497,18 @@ def _rowwise(fn):
     return losses
 
 
-def _loss_value(losses, params: dict, name: str,
-                stack: np.ndarray) -> np.ndarray:
-    """The K finite losses of one (K, *shape) stack of parameter `name`."""
-    values = np.asarray(losses(params, name, stack), dtype=np.float64)
-    require(values.shape == (len(stack),),
-            f"gradcheck evaluator must return {len(stack)} losses, got "
-            f"shape {values.shape}")
+def _rows(stacks: dict) -> int:
+    """K, the row count shared by a group of (K, *shape) stacks."""
+    return len(next(iter(stacks.values())))
+
+
+def _loss_value(losses, params: dict, stacks: dict) -> np.ndarray:
+    """The K finite losses of one group of (K, *shape) stacks."""
+    k = _rows(stacks)
+    values = np.asarray(losses(params, stacks), dtype=np.float64)
+    require(values.shape == (k,),
+            f"gradcheck evaluator must return {k} losses, got shape "
+            f"{values.shape}")
     if not np.isfinite(values).all():
         raise NumericError("gradcheck closure produced a non-finite loss")
     return values
@@ -509,27 +520,58 @@ RIDDERS_STEPS = (4e-3, 2e-3, 1e-3)
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _differences(losses, params: dict, name: str, idx: np.ndarray,
-                 steps) -> tuple:
-    """Central differences of parameter `name` at coordinates `idx`, one
-    per step, as (m, len(steps)) arrays: the differences and their
-    round-off budgets (|f₊| + |f₋|)·u/(2h).  The stack holds, for each
-    coordinate in turn, its rows at +h and -h of each step, and runs in
-    slices of at most `STACK_ROWS` rows."""
-    theta = params[name]
-    m, s = len(idx), len(steps)
+def _groups(rows: dict) -> list:
+    """Cut the rows of each parameter, rows[name] of them, into stacks of
+    at most `STACK_ROWS` rows, smallest parameter first (ties in field
+    order).  A parameter that fits in one stack is not split: it starts a
+    new stack where the current one lacks room.  Each stack is a list of
+    (name, lo, hi): rows lo:hi of that parameter, in stack order."""
+    groups, room = [], 0
+    for name in sorted(rows, key=rows.get):
+        n, lo = rows[name], 0
+        if room < n <= STACK_ROWS:
+            room = 0
+        while lo < n:
+            if not room:
+                groups.append([])
+                room = STACK_ROWS
+            take = min(room, n - lo)
+            groups[-1].append((name, lo, lo + take))
+            lo, room = lo + take, room - take
+    return groups
+
+
+def _differences(losses, params: dict, coords: dict, steps) -> dict:
+    """Central differences of each parameter of `coords` at its
+    coordinates coords[name], one per step: {name: the differences and
+    their round-off budgets (|f₊| + |f₋|)·u/(2h), as (m, len(steps))
+    arrays}.  A parameter's rows hold, for each coordinate in turn, +h
+    and -h of each step; they run in the stacks `_groups` cuts, in which
+    every row of one parameter holds the others at `params`."""
     h = np.asarray(steps, dtype=np.float64)
-    stack = np.empty((2 * s * m,) + theta.shape)
-    stack[...] = theta
-    rows, orig = stack.reshape(m, s, 2, theta.size), theta.reshape(-1)[idx]
-    j, t = np.arange(m)[:, None], np.arange(s)[None, :]
-    rows[j, t, 0, idx[:, None]] = orig[:, None] + h
-    rows[j, t, 1, idx[:, None]] = orig[:, None] - h
-    f = np.concatenate([
-        _loss_value(losses, params, name, stack[i:i + STACK_ROWS])
-        for i in range(0, len(stack), STACK_ROWS)]).reshape(m, s, 2)
-    budget = (np.abs(f[..., 0]) + np.abs(f[..., 1])) * _UNIT_ROUNDOFF
-    return (f[..., 0] - f[..., 1]) / (2.0 * h), budget / (2.0 * h)
+    per = 2 * len(h)  # rows per coordinate
+    f = {name: np.empty(per * len(idx)) for name, idx in coords.items()}
+    for group in _groups({name: len(v) for name, v in f.items()}):
+        k = sum(hi - lo for _, lo, hi in group)
+        stacks, at = {}, 0
+        for name, lo, hi in group:
+            theta, r = params[name], np.arange(lo, hi)
+            j = coords[name][r // per]  # the coordinate each row moves
+            step = h[r // 2 % len(h)]
+            step = np.where(r % 2, -step, step)  # x + (-h) rounds as x - h
+            stack = np.empty((k,) + theta.shape)
+            stack[...] = theta
+            stack.reshape(k, -1)[at + r - lo, j] = theta.reshape(-1)[j] + step
+            stacks[name], at = stack, at + hi - lo
+        values = _loss_value(losses, params, stacks)
+        for name, lo, hi in group:
+            f[name][lo:hi], values = values[:hi - lo], values[hi - lo:]
+    out = {}
+    for name, v in f.items():
+        v = v.reshape(-1, len(h), 2)
+        budget = (np.abs(v[..., 0]) + np.abs(v[..., 1])) * _UNIT_ROUNDOFF
+        out[name] = (v[..., 0] - v[..., 1]) / (2.0 * h), budget / (2.0 * h)
+    return out
 
 
 def _ridders(d: np.ndarray) -> tuple:
@@ -558,11 +600,14 @@ def gradcheck(fn, params: dict, max_coords: int = 64, seed: int = 0,
     `fn` maps a dict of Vars (same keys as `params`) to a scalar Var; it
     gives the analytic gradients on a tape.  For parameters larger than
     `max_coords` a seeded subsample of coordinates (at least 64) is
-    checked.  Each parameter's m checked coordinates become one (2m,
-    *shape) stack, row 2j at +EPS and row 2j+1 at -EPS of coordinate j.
-    `losses(params, name, rows)` returns the loss of each row of a slice
-    of at most `STACK_ROWS` rows of that stack, the other parameters held
-    at `params`.  It defaults to `_rowwise(fn)`; a batched evaluator must
+    checked.  Each parameter's m checked coordinates give 2m rows, row 2j
+    at +EPS and row 2j+1 at -EPS of coordinate j.  The rows of all
+    parameters run smallest parameter first (ties in field order), cut
+    into groups of at most `STACK_ROWS` rows; a parameter that fits in
+    one group is not split.  `losses(params, stacks)` returns the loss of
+    each of the K rows of a group: `stacks` maps each of the group's
+    parameters to a (K, *shape) stack, every other parameter held at
+    `params`.  It defaults to `_rowwise(fn)`; a batched evaluator must
     return the same bytes.
 
     A central difference at EPS carries a round-off of at least
@@ -570,8 +615,9 @@ def gradcheck(fn, params: dict, max_coords: int = 64, seed: int = 0,
     losses alone; a loss summed over a block's outputs carries tens of
     times more.  Where that budget exceeds 0.01·TOL·max(|analytic|,
     |numeric|) at a coordinate above `ABS_FLOOR`, the coordinate runs
-    again at the `RIDDERS_STEPS` (one more stack of the parameter's
-    refined coordinates), and its reference becomes the Ridders estimate
+    again at the `RIDDERS_STEPS`, once every parameter's ±EPS rows have
+    run (the refined coordinates of all parameters pack into groups the
+    same way), and its reference becomes the Ridders estimate
     when that estimate's error bound is below the budget.  A parameter
     passes when every checked coordinate's relative error is at most
     `TOL`.  The report flags tolerance failures instead of raising.
@@ -589,23 +635,30 @@ def gradcheck(fn, params: dict, max_coords: int = 64, seed: int = 0,
 
     picker = Stream(seed)
     max_coords = max(64, int(max_coords))
+    coords = {name: (np.arange(theta.size) if theta.size <= max_coords
+                     else picker.choice(theta.size, max_coords))
+              for name, theta in params.items()}
+    analytic = {name: analytic[name].reshape(-1)[idx]
+                for name, idx in coords.items()}
+    numeric = {name: (d[:, 0], b[:, 0]) for name, (d, b) in
+               _differences(losses, params, coords, (EPS,)).items()}
+    coarse = {}
+    for name, (n_vals, budget) in numeric.items():
+        magnitude = np.maximum(np.abs(analytic[name]), np.abs(n_vals))
+        coarse[name] = ((magnitude > ABS_FLOOR)
+                        & (budget > 0.01 * TOL * magnitude))
+    refined = _differences(losses, params, {
+        name: coords[name][c] for name, c in coarse.items() if c.any()},
+        RIDDERS_STEPS)
+
     report = GradReport()
-    for name, theta in params.items():
-        size = theta.size
-        idx = (np.arange(size) if size <= max_coords
-               else picker.choice(size, max_coords))
-        a_vals = analytic[name].reshape(-1)[idx]
-        n_vals, budget = (v[:, 0] for v in _differences(
-            losses, params, name, idx, (EPS,)))
+    for name, a_vals in analytic.items():
+        n_vals, budget = numeric[name]
+        if name in refined:
+            c = coarse[name]
+            est, err = _ridders(refined[name][0])
+            n_vals[c] = np.where(err < budget[c], est, n_vals[c])
         magnitude = np.maximum(np.abs(a_vals), np.abs(n_vals))
-        coarse = (magnitude > ABS_FLOOR) & (budget > 0.01 * TOL * magnitude)
-        if coarse.any():
-            d, _ = _differences(losses, params, name, idx[coarse],
-                                RIDDERS_STEPS)
-            est, err = _ridders(d)
-            n_vals[coarse] = np.where(err < budget[coarse], est,
-                                      n_vals[coarse])
-            magnitude = np.maximum(np.abs(a_vals), np.abs(n_vals))
         abs_err = np.abs(a_vals - n_vals)
         denom = np.maximum(magnitude, 1e-12)
         rel = np.where(magnitude > ABS_FLOOR, abs_err / denom, 0.0)

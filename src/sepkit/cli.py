@@ -159,12 +159,12 @@ def stage_gradcheck(stage, x, seed: int) -> ad.GradReport:
     per-sample terms: for each sample in batch order, the sum of its
     output on each level in order, added left to right.  The taped
     closure runs one batched forward and splits each output along the
-    batch axis.  Each slice of K rows of a parameter's perturbation stack
-    runs one forward per sample, the checked parameter stacked and every
-    other one passed as the array gradcheck holds: the one-sample slice is
-    shared by all K weights, so only the work the checked parameter
-    reaches runs K times.  An output that parameter does not reach keeps
-    one sample, whose sum serves every row."""
+    batch axis.  Each group of K perturbation rows runs one forward per
+    sample, the group's parameters stacked and every other one passed as
+    the array gradcheck holds: the one-sample slice is shared by all K
+    weights, so only the work the stacked parameters reach runs K times.
+    An output none of them reaches keeps one sample, whose sum serves
+    every row."""
     forward = STAGES[stage.kind].forward
     pyramid = isinstance(x, list)
     levels = [t.data for t in x] if pyramid else [x.data]
@@ -184,13 +184,15 @@ def stage_gradcheck(stage, x, seed: int) -> ad.GradReport:
             total = ad.add(total, term)
         return total
 
-    def losses(params, name, stack):
-        live = replace_vars(stage.params, {**params, name: ad.Var(stack)})
-        # K row sums, or one for an output the checked parameter misses
+    def losses(params, stacks):
+        live = replace_vars(stage.params, {
+            **params, **{k: ad.Var(v) for k, v in stacks.items()}})
+        # K row sums, or one for an output no stacked parameter reaches
         sums = [o.value.reshape(len(o.value), -1).sum(axis=1)
                 for i in range(n)
                 for o in run(live, [a[i:i + 1] for a in levels])]
-        return np.broadcast_to(sum(sums[1:], sums[0]), (len(stack),))
+        k = len(next(iter(stacks.values())))
+        return np.broadcast_to(sum(sums[1:], sums[0]), (k,))
 
     return ad.gradcheck(fn, named_arrays(stage.params),
                         seed=derive_seed(seed, 13), losses=losses)

@@ -250,20 +250,57 @@ class TestGradcheckHarness:
         assert not report.passed
         assert report.params[0].max_rel_err > 9e-4
 
-    @pytest.mark.parametrize("offset,rows", [(0.0, [8]), (2e7, [8, 24])])
+    @pytest.mark.parametrize("offset,rows", [(0.0, [12]), (2e7, [12, 36])])
     def test_refinement_rows_share_one_evaluator_call(self, offset, rows):
-        # four coordinates: one call of 8 rows at ±eps, and, when their
-        # round-off budget is not small against tol, one call of 24 rows
-        # at ± each of the three Ridders steps
-        fn = self._offset_sigmoid_loss(offset)
+        # four coordinates of w and two of v: one call of 12 rows at ±eps,
+        # and, when their round-off budget is not small against tol, one
+        # call of 36 rows at ± each of the three Ridders steps; both
+        # parameters are stacked in each call, v (the smaller) first
+        loss_w = self._offset_sigmoid_loss(offset)
+
+        def fn(p):
+            return ad.add(loss_w(p), ad.sum_all(ad.sigmoid(p["v"])))
         rowwise, seen = ad._rowwise(fn), []
 
-        def losses(params, name, stack):
-            seen.append(len(stack))
-            return rowwise(params, name, stack)
+        def losses(params, stacks):
+            assert {len(v) for v in stacks.values()} == {rows[len(seen)]}
+            seen.append(list(stacks))
+            return rowwise(params, stacks)
 
-        assert gradcheck(fn, {"w": rand(71, (4,))}, losses=losses).passed
-        assert seen == rows
+        params = {"w": rand(71, (4,)), "v": rand(72, (2,))}
+        assert gradcheck(fn, params, losses=losses).passed
+        assert seen == [["v", "w"]] * len(rows)
+
+    def test_stacks_pack_smallest_first_and_split_only_what_overflows(
+            self, monkeypatch):
+        monkeypatch.setattr(ad, "STACK_ROWS", 128)
+        groups = ad._groups({"a": 100, "b": 20, "c": 60, "d": 300, "e": 20})
+        # b and e tie and keep field order; a does not fit beside them and
+        # starts a stack; d, larger than a stack, fills what a leaves
+        assert groups == [
+            [("b", 0, 20), ("e", 0, 20), ("c", 0, 60)],
+            [("a", 0, 100), ("d", 0, 28)],
+            [("d", 28, 156)], [("d", 156, 284)], [("d", 284, 300)]]
+
+    def test_packed_rows_hold_the_other_parameters_at_their_values(self):
+        # each row perturbs one coordinate of one parameter; every other
+        # entry of every stack in the call holds its value at params
+        params = {"w": rand(73, (2, 3)), "v": rand(74, (4,))}
+        seen = []
+
+        def losses(params, stacks):
+            seen.append({k: v.copy() for k, v in stacks.items()})
+            return np.zeros(len(stacks["w"]))
+        ad._differences(losses, params, {"w": np.array([5, 0]),
+                                         "v": np.array([3])}, (1e-3,))
+        (stacks,) = seen
+        assert list(stacks) == ["v", "w"]
+        moved = {k: np.argwhere(v != params[k]) for k, v in stacks.items()}
+        assert moved["v"].tolist() == [[0, 3], [1, 3]]
+        assert moved["w"].tolist() == [[2, 1, 2], [3, 1, 2], [4, 0, 0],
+                                       [5, 0, 0]]
+        assert stacks["v"][0, 3] == params["v"][3] + 1e-3
+        assert stacks["w"][5, 0, 0] == params["w"][0, 0] - 1e-3
 
     def test_subsampling_large_param(self):
         x = rand(16, (1, 4, 16, 16))

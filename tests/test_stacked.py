@@ -413,10 +413,11 @@ def test_stacked_report_is_the_row_by_row_report(name, tmp_path,
     assert stacked == rowwise
 
 
-@pytest.mark.parametrize("name", ["fddem", "ldconv"])
+@pytest.mark.parametrize("name", ["fddem", "ldconv", "msgrb", "dysample"])
 def test_report_does_not_depend_on_stack_rows(name, tmp_path, monkeypatch):
-    # the gate's configs, as the certify benchmark runs them: slices of
-    # any row count, odd ones included, give every row the same loss
+    # the gate's configs, as the certify benchmark runs them: stacks of
+    # any row count, odd ones included, and so any packing of parameters
+    # into them, give every row the same loss
     stage, x, seed = _stage(name, tmp_path)
     reports = set()
     for rows in (64, 128, 7):
@@ -426,49 +427,89 @@ def test_report_does_not_depend_on_stack_rows(name, tmp_path, monkeypatch):
     assert len(reports) == 1
 
 
-def _evaluator(stage, x, seed, monkeypatch):
-    """The `losses` evaluator `stage_gradcheck` hands to gradcheck."""
-    caught = {}
+def _evaluator_calls(stage, x, seed, monkeypatch, logs=()):
+    """Every evaluator call of `stage_gradcheck`, in order, as (losses,
+    params, stacks, values, seen): `seen` holds what each of `logs`, the
+    lists that spies append to, took in during the call."""
+    calls, loss_value = [], ad._loss_value
 
-    def capture(fn, params, losses, **kw):
-        caught["losses"] = losses
-        return ad.GradReport()
-    monkeypatch.setattr(ad, "gradcheck", capture)
+    def spy(losses, params, stacks):
+        for log in logs:
+            log.clear()
+        values = loss_value(losses, params, stacks)
+        calls.append((losses, params, stacks, values,
+                      [list(log) for log in logs]))
+        return values
+    monkeypatch.setattr(ad, "_loss_value", spy)
     stage_gradcheck(stage, x, seed)
     monkeypatch.undo()
-    return caught["losses"]
+    return calls
+
+
+GATE = ["fddem", "msgrb", "ldconv", "dysample"]
+
+
+@pytest.mark.parametrize("config,count", [("fddem", 12), ("msgrb", 5),
+                                          ("ldconv", 2), ("dysample", 1)])
+def test_gate_configs_pack_into_few_evaluator_calls(config, count, tmp_path,
+                                                    monkeypatch):
+    # one stack per parameter took 20, 7, 3 and 2 calls: the small
+    # parameters now share stacks, in both passes
+    stage, x, seed = _stage(config, tmp_path)
+    calls = _evaluator_calls(stage, x, seed, monkeypatch)
+    assert len(calls) == count
+    assert all(len(values) <= ad.STACK_ROWS for *_, values, _ in calls)
+
+
+@pytest.mark.parametrize("config", GATE)
+def test_packed_stack_rows_are_their_own_stacks_rows(config, tmp_path,
+                                                     monkeypatch):
+    # in a stack that several parameters share, the rows of each give the
+    # bytes of that parameter's rows stacked alone
+    stage, x, seed = _stage(config, tmp_path)
+    packed = [c for c in _evaluator_calls(stage, x, seed, monkeypatch)
+              if len(c[2]) > 1]
+    assert packed
+    for losses, params, stacks, values, _ in packed:
+        owners = np.zeros(len(values), dtype=int)
+        for name, stack in stacks.items():
+            own = (stack != params[name]).reshape(len(stack), -1).any(axis=1)
+            alone = losses(params, {name: stack[own]})
+            assert np.array_equal(alone, values[own]), name
+            owners += own
+        assert (owners == 1).all()  # each row perturbs one parameter
 
 
 @pytest.mark.parametrize("config", ["fddem", "fddem_batch2"])
 def test_branch_weight_check_runs_the_rest_once(config, tmp_path,
                                                 monkeypatch):
-    # while a branch weight is checked, each sample runs as one shared
-    # input: the spatial convs and the forward transform see that one
-    # sample, not K, and the inverse transform sees its K samples
+    # a branch weight's 64 coordinates fill a 128-row stack alone, in
+    # which each sample runs as one shared input: the spatial convs and
+    # the forward transform see that one sample, not 128, and the inverse
+    # transform sees its 128 samples
     stage, x, seed = _stage(config, tmp_path)
-    losses = _evaluator(stage, x, seed, monkeypatch)
-    params = named_arrays(stage.params)
-    branches = [k for k in params if k.startswith("branches.")]
+    branches = [k for k in named_arrays(stage.params)
+                if k.startswith("branches.")]
     n = len(x.data)
-    seen = []
+    conv_log, dft_log = [], []
     conv2d_raw, dft2_raw = tc.conv2d_raw, spectral.dft2_raw
 
     def conv_spy(x, w, *args):
-        seen.append(("conv", w.shape, len(x)))
+        conv_log.append((w.shape, len(x)))
         return conv2d_raw(x, w, *args)
 
     def dft_spy(a, inverse=False, **kw):
-        seen.append(("dft", inverse, len(a)))
+        dft_log.append((inverse, len(a)))
         return dft2_raw(a, inverse, **kw)
     monkeypatch.setattr(tc, "conv2d_raw", conv_spy)
     monkeypatch.setattr(spectral, "dft2_raw", dft_spy)
-    for name in (branches[0], branches[-1]):
-        seen.clear()
-        stack = np.stack([params[name]] * K)
-        got = losses(params, name, stack)
-        assert got.shape == (K,) and np.all(got == got[0])
-        spatial = [b for op, shape, b in seen
-                   if op == "conv" and shape == params["spatial1_w"].shape]
-        assert spatial == [1, 1] * n
-        assert [(inv, b) for op, inv, b in seen if op == "dft"] == [
-            (False, 1), (True, K)] * n
+    calls = _evaluator_calls(stage, x, seed, monkeypatch,
+                             [conv_log, dft_log])
+    full = [(list(stacks), seen) for _, _, stacks, values, seen in calls
+            if len(values) == ad.STACK_ROWS
+            and any(k in branches for k in stacks)]
+    assert [names for names, _ in full] == [[b] for b in branches]
+    spatial = stage.params.spatial1_w.shape  # spatial2_w's too
+    for _, (convs, dfts) in full:
+        assert [b for shape, b in convs if shape == spatial] == [1, 1] * n
+        assert dfts == [(False, 1), (True, ad.STACK_ROWS)] * n
